@@ -21,7 +21,6 @@ F, u_exact = manufacture(u_star)
 print("datum range:", float(F.values.min()), "to", float(F.values.max()))
 
 report = solve(F, SolverConfig(grid=grid))
-print("converged:", report.converged)
 print("recovery error:", np.max(np.abs(report.u.values - u_exact.values)))
 
 print("\ncontinuation trace:")

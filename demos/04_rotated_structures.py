@@ -42,7 +42,6 @@ covering = integrate(G.with_values(np.exp(G.values)))
 print("integral of e^G over the cell:", covering, "(= m^2 + n^2 coverings)")
 
 result = solve_rotated(F, angle, SolverConfig(grid=cell))
-print("converged:", result.report.converged)
 print(f"sup |v_p| = {result.sup_vp:.4f} <= L = {angle.length:.4f}")
 print("rotated-frame audit passed:", result.report.estimates.passed)
 

@@ -454,7 +454,6 @@ def cmd_solve(config: RunConfig) -> int:
     report = _begin_report(config)
     report.add_grid(F.grid)
     solve_report = solve(F, cfg)
-    report.add("converged", solve_report.converged)
     report.add_trace(solve_report.trace)
     report.add_residual_norms(solve_report.u, F)
     report.add_ellipticity(solve_report.u, F)
@@ -504,7 +503,6 @@ def cmd_rotate(config: RunConfig) -> int:
     rotated = solve_rotated(F, angle, cfg)
     report.add("rotation.cell_normalization", rotated.cell_normalization)
     report.add("rotation.sup_vp", rotated.sup_vp)
-    report.add("converged", rotated.report.converged)
     report.add_trace(rotated.report.trace)
     report.add_estimates(rotated.report.estimates)
     return _finish(report, out, started, u=rotated.report.u)

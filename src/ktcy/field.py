@@ -10,8 +10,10 @@ fastest, then y, then t.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,9 +171,20 @@ def sample(f, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, values)
 
 
-def _mode_numbers(n: int) -> np.ndarray:
-    """Integer mode numbers 0..n/2 of the real FFT along one axis."""
-    return np.fft.rfftfreq(n, d=1.0 / n)
+def _factor(n: int, L: float, order: int, half: bool = True) -> np.ndarray:
+    """Fourier factor (2 pi i m / L)^order of an order-1 or order-2 derivative.
+
+    The modes m are those of an rfft (``half``) or of a full fft of length
+    n, with the Nyquist mode of the odd order zeroed.
+    """
+    m = np.fft.rfftfreq(n, d=1.0 / n) if half else np.fft.fftfreq(n, d=1.0 / n)
+    k = 2.0 * np.pi * m / L
+    if order == 1:
+        fac = 1j * k
+        fac[n // 2] = 0.0  # Nyquist
+    else:
+        fac = -(k * k)
+    return fac
 
 
 def derivative(u: ScalarField, axis: str, order: int) -> ScalarField:
@@ -187,18 +200,39 @@ def derivative(u: ScalarField, axis: str, order: int) -> ScalarField:
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     ax = _AXIS_INDEX[axis]
     n = u.grid.shape[ax]
-    L = u.grid.periods[ax]
-    m = _mode_numbers(n)
-    k = 2.0 * np.pi * m / L
-    if order == 1:
-        fac = 1j * k
-        fac[-1] = 0.0  # Nyquist
-    else:
-        fac = -(k * k)
+    fac = _factor(n, u.grid.periods[ax], order)
     shape = [1, 1, 1]
     shape[ax] = fac.size
     spec = np.fft.rfft(u.values, axis=ax) * fac.reshape(shape)
     return u.with_values(np.fft.irfft(spec, n=n, axis=ax))
+
+
+class OperatorSymbols(NamedTuple):
+    """Fourier symbols of the linearized operator's derivative groups.
+
+    Broadcastable over the ``np.fft.rfftn`` layout and built from the
+    factors of :func:`derivative`; the mixed symbols are products of the
+    Nyquist-zeroed first-order factors, so they match composed transforms.
+    """
+
+    xx: np.ndarray       # d_xx
+    yy_tt_t: np.ndarray  # d_yy + d_tt + d_t
+    xy: np.ndarray       # d_x d_y
+    xt: np.ndarray       # d_x d_t
+
+
+@functools.lru_cache(maxsize=8)
+def operator_symbols(grid: GridSpec) -> OperatorSymbols:
+    """The cached :class:`OperatorSymbols` table of a grid (read-only)."""
+    x1, x2 = (_factor(grid.n_x, grid.L_x, o, half=False)[:, None, None] for o in (1, 2))
+    y1, y2 = (_factor(grid.n_y, grid.L_y, o, half=False)[None, :, None] for o in (1, 2))
+    t1, t2 = (_factor(grid.n_t, grid.L_t, o)[None, None, :] for o in (1, 2))
+    table = OperatorSymbols(
+        xx=x2, yy_tt_t=y2 + t2 + t1, xy=(x1 * y1).real, xt=(x1 * t1).real
+    )
+    for symbol in table:
+        symbol.flags.writeable = False
+    return table
 
 
 def gradient(u: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:

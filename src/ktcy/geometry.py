@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import GridSpec, ScalarField, derivative, mean
+from .pde import linearize
 
 _TWO_FORM_BASIS = ("c12", "c13", "c14", "c23", "c24", "c34")
 
@@ -242,19 +243,16 @@ def standard_form(grid: GridSpec) -> TwoForm:
 def metric_field(u: ScalarField) -> MetricField:
     """Riemannian metric induced by Omega + d(alpha(u)) and J.
 
-    Entries in terms of P = u_yy + u_tt + u_t + 1, Q = u_xx + 1,
-    R = u_xy, S = u_xt:
+    Entries in terms of the linearization coefficients
+    P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt:
 
         [ P   R   0   S ]
         [ R   Q   S   0 ]
         [ 0   S   P  -R ]
         [ S   0  -R   Q ]
     """
-    ux = _dx(u)
-    P = derivative(u, "y", 2) + derivative(u, "t", 2) + _dt(u) + 1.0
-    Q = derivative(u, "x", 2) + 1.0
-    R = _dy(ux)
-    S = _dt(ux)
+    c = linearize(u)
+    P, Q, R, S = c.P, c.Q, c.R, c.S
     zero = ScalarField.zeros(u.grid)
     negR = -R
     return MetricField([
@@ -263,38 +261,3 @@ def metric_field(u: ScalarField) -> MetricField:
         [zero, S, P, negR],
         [S, zero, negR, Q],
     ])
-
-
-def trace(g: MetricField) -> ScalarField:
-    return g.trace()
-
-
-def write_two_form(omega: TwoForm, directory) -> None:
-    """Dump a 2-form as six field files plus a manifest of basis labels."""
-    import os
-
-    from .field import write_field
-
-    os.makedirs(directory, exist_ok=True)
-    manifest = []
-    labels = {"c12": "e12", "c13": "e13", "c14": "e14",
-              "c23": "e23", "c24": "e24", "c34": "e34"}
-    for name in _TWO_FORM_BASIS:
-        fname = f"{name}.field"
-        write_field(getattr(omega, name), os.path.join(directory, fname))
-        manifest.append(f"{name} {labels[name]} {fname}")
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
-
-
-def read_two_form(directory) -> TwoForm:
-    import os
-
-    from .field import read_field
-
-    coeffs = {}
-    with open(os.path.join(directory, "manifest.txt")) as fh:
-        for line in fh:
-            name, _label, fname = line.split()
-            coeffs[name] = read_field(os.path.join(directory, fname))
-    return TwoForm(**coeffs)

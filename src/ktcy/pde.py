@@ -7,12 +7,13 @@ The nonlinear operator is
 and the equation being solved is ma_lhs(u) = e^F.  The linearization at u
 is the second-order operator
 
-    L w = P w_xx + Q (w_yy + w_tt) - 2 R w_xy - 2 S w_xt + Q w_t
+    L w = P w_xx + Q (w_yy + w_tt + w_t) - 2 R w_xy - 2 S w_xt
 
-with P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt.
-
-All derivatives are spectral; mixed second derivatives compose two
-first-order transforms.
+with P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt, and
+ma_lhs(u) = Q P - R^2 - S^2.  Only :func:`linearize` computes P, Q, R, S,
+from per-axis spectral derivatives.  :func:`apply_linearized` takes one
+``rfftn`` of w and one ``irfftn`` per derivative group against the cached
+:func:`~ktcy.field.operator_symbols` table.
 """
 from __future__ import annotations
 
@@ -20,20 +21,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridMismatchError, ScalarField, derivative
+from .field import GridMismatchError, ScalarField, derivative, operator_symbols
 
 
-def _second(u, a, b):
-    return derivative(derivative(u, a, 1), b, 1)
+@dataclass(frozen=True)
+class LinearizedCoeffs:
+    """Coefficient fields of the linearized operator at a state u."""
+
+    P: ScalarField
+    Q: ScalarField
+    R: ScalarField
+    S: ScalarField
+
+    @property
+    def grid(self):
+        return self.P.grid
+
+    def lhs(self) -> ScalarField:
+        """ma_lhs at the state the coefficients were taken from."""
+        return self.Q * self.P - self.R * self.R - self.S * self.S
+
+
+def linearize(u: ScalarField) -> LinearizedCoeffs:
+    ux = derivative(u, "x", 1)
+    return LinearizedCoeffs(
+        P=derivative(u, "y", 2) + derivative(u, "t", 2) + derivative(u, "t", 1) + 1.0,
+        Q=derivative(u, "x", 2) + 1.0,
+        R=derivative(ux, "y", 1),
+        S=derivative(ux, "t", 1),
+    )
 
 
 def ma_lhs(u: ScalarField) -> ScalarField:
     """Left-hand side of the reduced equation."""
-    q = derivative(u, "x", 2) + 1.0
-    p = derivative(u, "y", 2) + derivative(u, "t", 2) + derivative(u, "t", 1) + 1.0
-    r = _second(u, "x", "y")
-    s = _second(u, "x", "t")
-    return q * p - r * r - s * s
+    return linearize(u).lhs()
 
 
 def residual(u: ScalarField, F: ScalarField) -> ScalarField:
@@ -58,44 +79,21 @@ def continuity_datum(F: ScalarField, tau: float) -> ScalarField:
     return F.with_values(np.log1p(tau * np.expm1(F.values)))
 
 
-@dataclass(frozen=True)
-class LinearizedCoeffs:
-    """Coefficient fields of the linearized operator at a state u."""
-
-    P: ScalarField
-    Q: ScalarField
-    R: ScalarField
-    S: ScalarField
-
-    @property
-    def grid(self):
-        return self.P.grid
-
-
-def linearize(u: ScalarField) -> LinearizedCoeffs:
-    return LinearizedCoeffs(
-        P=derivative(u, "y", 2) + derivative(u, "t", 2) + derivative(u, "t", 1) + 1.0,
-        Q=derivative(u, "x", 2) + 1.0,
-        R=_second(u, "x", "y"),
-        S=_second(u, "x", "t"),
-    )
-
-
 def apply_linearized(c: LinearizedCoeffs, w: ScalarField) -> ScalarField:
     if c.grid != w.grid:
         raise GridMismatchError("apply_linearized: coefficient/argument grid mismatch")
-    wxx = derivative(w, "x", 2)
-    wyy = derivative(w, "y", 2)
-    wtt = derivative(w, "t", 2)
-    wxy = _second(w, "x", "y")
-    wxt = _second(w, "x", "t")
-    wt = derivative(w, "t", 1)
-    return (
-        c.P * wxx
-        + c.Q * (wyy + wtt)
-        - 2.0 * (c.R * wxy)
-        - 2.0 * (c.S * wxt)
-        + c.Q * wt
+    shape = w.grid.shape
+    symbols = operator_symbols(w.grid)
+    spec = np.fft.rfftn(w.values)
+
+    def part(symbol):
+        return np.fft.irfftn(spec * symbol, s=shape, axes=(0, 1, 2))
+
+    return w.with_values(
+        c.P.values * part(symbols.xx)
+        + c.Q.values * part(symbols.yy_tt_t)
+        - 2.0 * (c.R.values * part(symbols.xy))
+        - 2.0 * (c.S.values * part(symbols.xt))
     )
 
 

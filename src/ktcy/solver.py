@@ -9,7 +9,8 @@ operator
     M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
 
 with Pbar, Qbar the grid means of the linearization coefficients.  M is
-diagonal in Fourier space and nonsingular on mean-zero functions; its zero
+diagonal in Fourier space, built from the same ``operator_symbols`` table
+as the linearized apply, and nonsingular on mean-zero functions; its zero
 mode is pinned to 0.  The first-order term makes L non-symmetric, hence a
 residual-minimizing Krylov method.
 """
@@ -26,6 +27,7 @@ from .field import (
     GridSpec,
     ScalarField,
     integrate,
+    operator_symbols,
     project_mean_zero,
 )
 from .pde import (
@@ -107,6 +109,7 @@ class NewtonStepResult:
     u_next: ScalarField
     krylov_iters: int
     step_norm: float
+    residual_sup: float  # sup |residual| at u_next
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,6 @@ class SolveReport:
     u: ScalarField
     trace: ContinuityTrace
     estimates: "EstimateReport"  # noqa: F821  (estimates module)
-    converged: bool
 
     @property
     def final_residual_sup(self) -> float:
@@ -151,21 +153,11 @@ def _sup(u: ScalarField) -> float:
 def _precond_inverse_symbol(grid: GridSpec, pbar: float, qbar: float) -> np.ndarray:
     """Inverse Fourier symbol of M on the rfftn layout, zero mode pinned.
 
-    Matches the discrete derivative conventions exactly (Nyquist kept for
-    second order, zeroed for first order), so M inverts the flat-case
-    linearization in a single Krylov iteration.
+    Built from the symbols of the linearized apply, so M inverts the
+    flat-case linearization in a single Krylov iteration.
     """
-    kx = 2.0 * np.pi / grid.L_x * np.fft.fftfreq(grid.n_x, d=1.0 / grid.n_x)
-    ky = 2.0 * np.pi / grid.L_y * np.fft.fftfreq(grid.n_y, d=1.0 / grid.n_y)
-    kt = 2.0 * np.pi / grid.L_t * np.fft.rfftfreq(grid.n_t, d=1.0 / grid.n_t)
-    d2 = (
-        pbar * -(kx**2)[:, None, None]
-        + qbar * -(ky**2)[None, :, None]
-        + qbar * -(kt**2)[None, None, :]
-    )
-    kt_first = kt.copy()
-    kt_first[-1] = 0.0  # Nyquist of the odd-order factor
-    symbol = d2 + qbar * (1j * kt_first)[None, None, :]
+    symbols = operator_symbols(grid)
+    symbol = pbar * symbols.xx + qbar * symbols.yy_tt_t
     symbol[0, 0, 0] = 1.0
     inverse = 1.0 / symbol
     inverse[0, 0, 0] = 0.0
@@ -224,35 +216,38 @@ def newton_step(
 
     Refuses to step from an inadmissible state (EllipticityLost).  The
     backtracking line search requires a strict sup-residual decrease and
-    keeps the ellipticity flags green.
+    keeps min Q and min P positive.  One ``linearize`` per state gives the
+    admissibility test, the residual and the Newton system.
     """
     if u.grid != cfg.grid:
         raise GridMismatchError("newton_step: state grid differs from config grid")
-    report = ellipticity_report(u, F_target)
-    if not report.admissible:
+    ef = F_target.with_values(np.exp(F_target.values))
+    coeffs = linearize(u)
+    min_q, min_p = float(np.min(coeffs.Q.values)), float(np.min(coeffs.P.values))
+    if not (min_q > 0.0 and min_p > 0.0):
         raise EllipticityLost(
-            f"min(u_xx + 1) = {report.min_q:.3e}, "
-            f"min(u_yy + u_tt + u_t + 1) = {report.min_p:.3e}"
+            f"min(u_xx + 1) = {min_q:.3e}, "
+            f"min(u_yy + u_tt + u_t + 1) = {min_p:.3e}"
         )
-    res = residual(u, F_target)
+    res = coeffs.lhs() - ef
     res_sup = _sup(res)
     if res_sup <= cfg.newton_tol:
-        return NewtonStepResult(u_next=u, krylov_iters=0, step_norm=0.0)
-    coeffs = linearize(u)
+        return NewtonStepResult(u, 0, 0.0, res_sup)
     w, krylov_iters = solve_linearized(coeffs, -res, cfg)
 
     if not cfg.damping.enabled:
         u_next = project_mean_zero(u + w)
-        return NewtonStepResult(u_next, krylov_iters, _sup(w))
+        res_next = _sup(residual(u_next, F_target))
+        return NewtonStepResult(u_next, krylov_iters, _sup(w), res_next)
 
     s = 1.0
     for _ in range(cfg.damping.max_backtracks + 1):
         u_try = project_mean_zero(u + s * w)
-        trial_report = ellipticity_report(u_try, F_target)
-        if trial_report.admissible:
-            res_try = _sup(residual(u_try, F_target))
+        trial = linearize(u_try)
+        if np.min(trial.Q.values) > 0.0 and np.min(trial.P.values) > 0.0:
+            res_try = _sup(trial.lhs() - ef)
             if res_try < res_sup or res_try <= cfg.newton_tol:
-                return NewtonStepResult(u_try, krylov_iters, s * _sup(w))
+                return NewtonStepResult(u_try, krylov_iters, s * _sup(w), res_try)
         s *= cfg.damping.factor
     raise LineSearchFailed(
         f"no admissible decrease down to step factor {s / cfg.damping.factor:.3e}"
@@ -262,16 +257,16 @@ def newton_step(
 def _newton_attempt(u0, F_target, cfg):
     """Newton loop to tolerance; returns (ok, u, iters, residual_sup)."""
     u = u0
+    res_sup = _sup(residual(u, F_target))
     for it in range(cfg.newton_max_iters + 1):
-        res_sup = _sup(residual(u, F_target))
         if res_sup <= cfg.newton_tol:
             return True, u, it, res_sup
         try:
             step = newton_step(u, F_target, cfg)
         except SolverError:
             return False, u, it, res_sup
-        u = step.u_next
-    return False, u, cfg.newton_max_iters, _sup(residual(u, F_target))
+        u, res_sup = step.u_next, step.residual_sup
+    return False, u, cfg.newton_max_iters, res_sup
 
 
 def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> ScalarField:
@@ -315,7 +310,7 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
         lam = ellipticity_report(u, F).min_lambda
         records.append(TraceRecord(1.0, 0, res_sup, lam, True))
         trace = ContinuityTrace(tuple(records))
-        return SolveReport(u, trace, verify(u, F), True)
+        return SolveReport(u, trace, verify(u, F))
 
     tau = 0.0
     step = cfg.tau_initial_step
@@ -340,4 +335,4 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
                     "rounding floor scales with sup e^F)"
                 )
     trace = ContinuityTrace(tuple(records))
-    return SolveReport(u, trace, verify(u, F), True)
+    return SolveReport(u, trace, verify(u, F))

@@ -13,11 +13,8 @@ from ktcy.geometry import (
     exterior_d_two,
     metric_field,
     omega_theta,
-    read_two_form,
     standard_form,
-    trace,
     wedge_ratio,
-    write_two_form,
 )
 from ktcy.pde import ellipticity_report, ma_lhs
 
@@ -174,7 +171,7 @@ class TestMetricField:
             for j in range(4):
                 expect = 1.0 if i == j else 0.0
                 assert np.allclose(g.entry(i, j).values, expect, atol=1e-15)
-        assert np.allclose(trace(g).values, 4.0, atol=1e-14)
+        assert np.allclose(g.trace().values, 4.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_trace_formula(self, grid16, seed):
@@ -183,7 +180,7 @@ class TestMetricField:
             derivative(u, "x", 2) + derivative(u, "y", 2) + derivative(u, "t", 2)
         )
         want = 2.0 * (lap + derivative(u, "t", 1) + 2.0)
-        assert np.max(np.abs(trace(metric_field(u)).values - want.values)) <= 1e-12
+        assert np.max(np.abs(metric_field(u).trace().values - want.values)) <= 1e-12
 
     def test_x_mode_entry(self, grid8):
         u = sample(lambda x, y, t: np.sin(TAU * x), grid8)
@@ -221,14 +218,3 @@ class TestMetricField:
         with pytest.raises(ValueError, match="symmetric"):
             MetricField(rows)
 
-
-class TestTwoFormDump:
-    def test_round_trip(self, grid8, rng, tmp_path):
-        u = random_band_limited(grid8, rng, max_mode=2)
-        omega = standard_form(grid8) + exterior_d(alpha_from_u(u))
-        write_two_form(omega, tmp_path / "omega")
-        back = read_two_form(tmp_path / "omega")
-        for name in ("c12", "c13", "c14", "c23", "c24", "c34"):
-            assert np.array_equal(getattr(back, name).values, getattr(omega, name).values)
-        manifest = (tmp_path / "omega" / "manifest.txt").read_text()
-        assert "e13" in manifest and "e24" in manifest

@@ -10,6 +10,7 @@ from ktcy.field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    derivative,
     integrate,
     mean,
     random_band_limited,
@@ -148,6 +149,40 @@ class TestLinearize:
         c = linearize(ScalarField.zeros(grid8))
         with pytest.raises(GridMismatchError):
             apply_linearized(c, ScalarField.zeros(grid16))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(16, 16, 16),
+            GridSpec(12, 8, 6, L_x=1.5, L_y=0.7, L_t=2.0),
+            GridSpec(18, 18, 8, L_x=math.sqrt(5.0), L_y=math.sqrt(5.0)),
+        ],
+        ids=["16^3", "12x8x6", "18x18x8-sqrt5"],
+    )
+    def test_apply_matches_per_axis_composition(self, grid, rng):
+        # white noise excites every mode, Nyquist included, so the symbol
+        # table must reproduce the per-axis Nyquist conventions exactly
+        def d(f, a, k=1):
+            return derivative(f, a, k)
+
+        u = random_band_limited(grid, rng, max_mode=1, amplitude=0.05)
+        w = ScalarField(grid, rng.standard_normal(grid.shape))
+        P = d(u, "y", 2) + d(u, "t", 2) + d(u, "t") + 1.0
+        Q = d(u, "x", 2) + 1.0
+        R = d(d(u, "x"), "y")
+        S = d(d(u, "x"), "t")
+        assert np.array_equal(ma_lhs(u).values, (Q * P - R * R - S * S).values)
+
+        want = (
+            P * d(w, "x", 2)
+            + Q * (d(w, "y", 2) + d(w, "t", 2))
+            - 2.0 * (R * d(d(w, "x"), "y"))
+            - 2.0 * (S * d(d(w, "x"), "t"))
+            + Q * d(w, "t")
+        )
+        got = apply_linearized(linearize(u), w)
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
 
 class TestSymbolEigenvalues:

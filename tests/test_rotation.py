@@ -127,7 +127,6 @@ class TestSolveRotated:
         grid = rotated_grid(angle, 32, 32, 16)
         rotated = solve_rotated(F, angle, SolverConfig(grid=grid))
         base = solve(F, SolverConfig(grid=F.grid))
-        assert rotated.report.converged
         assert np.max(np.abs(rotated.v.values - base.u.values)) <= 1e-10
 
     def test_quarter_turn_trivial_datum(self):
@@ -141,7 +140,6 @@ class TestSolveRotated:
         F, _ = _admissible_datum()
         angle = RationalAngle(1, 1)
         rotated = solve_rotated(F, angle, SolverConfig(grid=rotated_grid(angle, 32, 32, 16)))
-        assert rotated.report.converged
         assert rotated.cell_normalization == pytest.approx(2.0, abs=1e-10)
         assert rotated.sup_vp <= math.sqrt(2.0) + 1e-8
         assert rotated.report.estimates.passed

@@ -148,7 +148,6 @@ class TestNewtonStep:
 class TestSolve:
     def test_trivial_datum(self, grid16, cfg16):
         report = solve(ScalarField.zeros(grid16), cfg16)
-        assert report.converged
         assert _sup(report.u.values) <= 1e-12
         assert len(report.trace.records) == 1
         assert report.trace.records[0].tau == 1.0
@@ -173,7 +172,6 @@ class TestSolve:
         )
         F, u0 = manufacture(u_star)
         report = solve(F, cfg16)
-        assert report.converged
         assert _sup(report.u.values - u0.values) <= 1e-9
         assert abs(mean(report.u)) < 1e-15
         assert report.final_residual_sup <= cfg16.newton_tol
