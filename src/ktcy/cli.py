@@ -260,6 +260,7 @@ class RunReport:
             self.add(f"trace.{i}.residual_sup", r.final_residual_sup)
             self.add(f"trace.{i}.lambda_min", r.lambda_min)
             self.add(f"trace.{i}.accepted", r.accepted)
+            self.add(f"trace.{i}.krylov_applications", r.krylov_applications)
 
     def text(self) -> str:
         return "\n".join(f"{k} = {v}" for k, v in self.pairs) + "\n"

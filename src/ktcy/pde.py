@@ -13,7 +13,10 @@ with P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt, and
 ma_lhs(u) = Q P - R^2 - S^2.  Only :func:`linearize` computes P, Q, R, S,
 from per-axis spectral derivatives.  :func:`apply_linearized` takes one
 ``rfftn`` of w and one ``irfftn`` per derivative group against the cached
-:func:`~ktcy.field.operator_symbols` table.
+:func:`~ktcy.field.operator_symbols` table.  Given a Fourier-diagonal
+``right_inverse`` symbol of an operator M, it multiplies the spectrum of w by
+that symbol between the two, applying L M^{-1} in the same five transforms:
+this is how the solver's right preconditioning runs.
 """
 from __future__ import annotations
 
@@ -79,12 +82,22 @@ def continuity_datum(F: ScalarField, tau: float) -> ScalarField:
     return F.with_values(np.log1p(tau * np.expm1(F.values)))
 
 
-def apply_linearized(c: LinearizedCoeffs, w: ScalarField) -> ScalarField:
+def apply_linearized(
+    c: LinearizedCoeffs, w: ScalarField, right_inverse: np.ndarray | None = None
+) -> ScalarField:
+    """L w, or L M^{-1} w when ``right_inverse`` holds the Fourier symbol of M^{-1}.
+
+    ``right_inverse`` is an array broadcastable over the ``rfftn`` layout of
+    the grid.  It multiplies the spectrum of w before the four ``irfftn``, so
+    a right-preconditioned apply costs the same five transforms as a plain one.
+    """
     if c.grid != w.grid:
         raise GridMismatchError("apply_linearized: coefficient/argument grid mismatch")
     shape = w.grid.shape
     symbols = operator_symbols(w.grid)
     spec = np.fft.rfftn(w.values)
+    if right_inverse is not None:
+        spec *= right_inverse
 
     def part(symbol):
         return np.fft.irfftn(spec * symbol, s=shape, axes=(0, 1, 2))

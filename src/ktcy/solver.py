@@ -1,9 +1,9 @@
-"""Continuity-method solver with damped Newton and preconditioned Krylov steps.
+"""Continuity-method solver with damped inexact Newton and preconditioned Krylov steps.
 
 The path datum is F_tau = log(1 - tau + tau e^F), starting from the exact
 solution u = 0 at tau = 0 and marching adaptively to tau = 1.  Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
-subspace by restarted GMRES, preconditioned by the constant-coefficient
+subspace by restarted GMRES, right-preconditioned by the constant-coefficient
 operator
 
     M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
@@ -12,7 +12,21 @@ with Pbar, Qbar the grid means of the linearization coefficients.  M is
 diagonal in Fourier space, built from the same ``operator_symbols`` table
 as the linearized apply, and nonsingular on mean-zero functions; its zero
 mode is pinned to 0.  The first-order term makes L non-symmetric, hence a
-residual-minimizing Krylov method.
+residual-minimizing Krylov method.  GMRES runs on L M^{-1}: the inverse
+symbol of M is passed to ``apply_linearized``, which applies it between its
+forward and inverse transforms, and w = M^{-1} y is recovered once at the
+end.  GMRES therefore stops on the true linear residual ||b - L w||_2.
+
+The Newton loop solves each system only as accurately as the step needs
+(inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
+Eisenstat and Walker's choice 2 on the sup residuals r_k:
+
+    eta_0 = 0.1,   eta_k = 0.9 (r_k / r_{k-1})^2,
+
+raised to 0.9 eta_{k-1}^2 when that exceeds 0.1, capped at 0.1, and floored
+at max(krylov_tol, 0.5 newton_tol / r_k).  ``krylov_tol`` is thus the
+tightest tolerance any linear solve is asked for; a direct ``newton_step``
+call without a forcing term solves to it.
 """
 from __future__ import annotations
 
@@ -93,9 +107,10 @@ class SolverConfig:
     damping: DampingConfig = dataclass_field(default_factory=DampingConfig)
 
     def __post_init__(self):
-        for name in ("newton_tol", "krylov_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.newton_tol <= 0.0:
+            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.krylov_tol < 1.0:
+            raise ValueError("krylov_tol must lie in (0, 1)")
         for name in ("tau_initial_step", "tau_min_step"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -110,6 +125,8 @@ class NewtonStepResult:
     krylov_iters: int
     step_norm: float
     residual_sup: float  # sup |residual| at u_next
+    start_residual_sup: float  # sup |residual| at the start state u
+    krylov_rtol: float  # relative tolerance of the linear solve, 0 if none ran
 
 
 @dataclass(frozen=True)
@@ -119,6 +136,7 @@ class TraceRecord:
     final_residual_sup: float
     lambda_min: float
     accepted: bool
+    krylov_applications: int  # operator applications over the attempt's linear solves
 
 
 @dataclass(frozen=True)
@@ -165,11 +183,16 @@ def _precond_inverse_symbol(grid: GridSpec, pbar: float, qbar: float) -> np.ndar
 
 
 def solve_linearized(
-    coeffs: LinearizedCoeffs, rhs: ScalarField, cfg: SolverConfig
+    coeffs: LinearizedCoeffs,
+    rhs: ScalarField,
+    cfg: SolverConfig,
+    rtol: float | None = None,
 ) -> tuple[ScalarField, int]:
-    """Solve L w = rhs for mean-zero w by preconditioned restarted GMRES.
+    """Solve L w = rhs for mean-zero w by right-preconditioned restarted GMRES.
 
-    Returns the solution and the number of operator applications.
+    Stops once ||b - L w||_2 <= rtol ||b||_2, b the mean-zero part of rhs;
+    rtol defaults to ``cfg.krylov_tol``.  Returns the solution and the number
+    of operator applications.
     """
     grid = rhs.grid
     shape = grid.shape
@@ -181,43 +204,47 @@ def solve_linearized(
     applications = [0]
 
     def matvec(v):
-        # restriction of L to the mean-zero subspace: without the output
-        # projection, Nyquist-mode aliasing leaks a tiny constant component
-        # that the mean-pinned preconditioner can never remove, and GMRES
+        # restriction of L M^{-1} to the mean-zero subspace: without the
+        # output projection, Nyquist-mode aliasing leaks a tiny constant
+        # component that the mean-pinned M^{-1} can never remove, and GMRES
         # stalls just above tolerance
         applications[0] += 1
-        w = ScalarField(grid, v.reshape(shape))
-        out = apply_linearized(coeffs, w).values
+        y = ScalarField(grid, v.reshape(shape))
+        out = apply_linearized(coeffs, y, right_inverse=inv_symbol).values
         return (out - np.mean(out)).ravel()
 
-    def precond(v):
-        spec = np.fft.rfftn(v.reshape(shape)) * inv_symbol
-        return np.fft.irfftn(spec, s=shape, axes=(0, 1, 2)).ravel()
-
     A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    M = LinearOperator((n, n), matvec=precond, dtype=np.float64)
     b = project_mean_zero(rhs).values.ravel()
     restart = min(50, cfg.krylov_max_iters)
     maxiter = math.ceil(cfg.krylov_max_iters / restart)
-    x, info = gmres(
-        A, b, rtol=cfg.krylov_tol, atol=0.0, restart=restart, maxiter=maxiter, M=M
-    )
+    if rtol is None:
+        rtol = cfg.krylov_tol
+    y, info = gmres(A, b, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter)
     if info != 0:
         raise KrylovStalled(
             f"GMRES returned info={info} after {applications[0]} operator applications"
         )
-    return project_mean_zero(ScalarField(grid, x.reshape(shape))), applications[0]
+    spec = np.fft.rfftn(y.reshape(shape)) * inv_symbol
+    w = np.fft.irfftn(spec, s=shape, axes=(0, 1, 2))
+    return project_mean_zero(ScalarField(grid, w)), applications[0]
 
 
 def newton_step(
-    u: ScalarField, F_target: ScalarField, cfg: SolverConfig
+    u: ScalarField,
+    F_target: ScalarField,
+    cfg: SolverConfig,
+    forcing: float | None = None,
 ) -> NewtonStepResult:
     """One damped Newton step toward ma_lhs(u) = e^{F_target}.
 
     Refuses to step from an inadmissible state (EllipticityLost).  The
     backtracking line search requires a strict sup-residual decrease and
     keeps min Q and min P positive.  One ``linearize`` per state gives the
-    admissibility test, the residual and the Newton system.
+    admissibility test, the residual and the Newton system.  The linear solve
+    runs to ``forcing``, floored at max(krylov_tol, 0.5 newton_tol / r) with
+    r the sup residual at u, or to ``krylov_tol`` when no forcing is given.
+    A state that already meets ``newton_tol`` comes back unchanged with no
+    Krylov work.
     """
     if u.grid != cfg.grid:
         raise GridMismatchError("newton_step: state grid differs from config grid")
@@ -232,13 +259,16 @@ def newton_step(
     res = coeffs.lhs() - ef
     res_sup = _sup(res)
     if res_sup <= cfg.newton_tol:
-        return NewtonStepResult(u, 0, 0.0, res_sup)
-    w, krylov_iters = solve_linearized(coeffs, -res, cfg)
+        return NewtonStepResult(u, 0, 0.0, res_sup, res_sup, 0.0)
+    rtol = cfg.krylov_tol
+    if forcing is not None:
+        rtol = max(forcing, rtol, 0.5 * cfg.newton_tol / res_sup)
+    w, krylov_iters = solve_linearized(coeffs, -res, cfg, rtol=rtol)
 
     if not cfg.damping.enabled:
         u_next = project_mean_zero(u + w)
         res_next = _sup(residual(u_next, F_target))
-        return NewtonStepResult(u_next, krylov_iters, _sup(w), res_next)
+        return NewtonStepResult(u_next, krylov_iters, _sup(w), res_next, res_sup, rtol)
 
     s = 1.0
     for _ in range(cfg.damping.max_backtracks + 1):
@@ -247,33 +277,58 @@ def newton_step(
         if np.min(trial.Q.values) > 0.0 and np.min(trial.P.values) > 0.0:
             res_try = _sup(trial.lhs() - ef)
             if res_try < res_sup or res_try <= cfg.newton_tol:
-                return NewtonStepResult(u_try, krylov_iters, s * _sup(w), res_try)
+                return NewtonStepResult(
+                    u_try, krylov_iters, s * _sup(w), res_try, res_sup, rtol
+                )
         s *= cfg.damping.factor
     raise LineSearchFailed(
         f"no admissible decrease down to step factor {s / cfg.damping.factor:.3e}"
     )
 
 
+_ETA_MAX = 0.1  # cap and first value of the forcing terms
+_EW_GAMMA = 0.9
+
+
+def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
+    """Eisenstat-Walker choice 2 (alpha = 2) with its safeguard, capped."""
+    eta = _EW_GAMMA * (res_sup / res_prev) ** 2
+    safeguard = _EW_GAMMA * eta_prev**2
+    if safeguard > 0.1:
+        eta = max(eta, safeguard)
+    return min(eta, _ETA_MAX)
+
+
 def _newton_attempt(u0, F_target, cfg):
-    """Newton loop to tolerance; returns (ok, u, iters, residual_sup)."""
-    u = u0
-    res_sup = _sup(residual(u, F_target))
+    """Inexact Newton loop to tolerance.
+
+    Returns (ok, u, iters, residual_sup, krylov_applications).  The start
+    residual comes from the first ``newton_step``, which returns a
+    converged start state unchanged.
+    """
+    u, res_sup, eta, krylov = u0, None, _ETA_MAX, 0
     for it in range(cfg.newton_max_iters + 1):
-        if res_sup <= cfg.newton_tol:
-            return True, u, it, res_sup
+        if res_sup is not None and res_sup <= cfg.newton_tol:
+            return True, u, it, res_sup, krylov
         try:
-            step = newton_step(u, F_target, cfg)
+            step = newton_step(u, F_target, cfg, forcing=eta)
         except SolverError:
-            return False, u, it, res_sup
+            if res_sup is None:  # the first step failed: report the start residual
+                res_sup = _sup(residual(u, F_target))
+            return False, u, it, res_sup, krylov
+        if step.krylov_iters == 0:  # the start state already meets newton_tol
+            return True, u, it, step.residual_sup, krylov
+        krylov += step.krylov_iters
+        eta = _forcing_term(step.residual_sup, step.start_residual_sup, step.krylov_rtol)
         u, res_sup = step.u_next, step.residual_sup
-    return False, u, cfg.newton_max_iters, res_sup
+    return False, u, cfg.newton_max_iters, res_sup, krylov
 
 
 def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> ScalarField:
     """Plain Newton iteration from a warm start at fixed datum (no path)."""
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
-    ok, u, iters, res_sup = _newton_attempt(project_mean_zero(u0), F_target, cfg)
+    ok, u, iters, res_sup, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg)
     if not ok:
         raise NewtonStalled(
             f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
@@ -308,7 +363,7 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     res_sup = _sup(residual(u, F))
     if res_sup <= cfg.newton_tol:
         lam = ellipticity_report(u, F).min_lambda
-        records.append(TraceRecord(1.0, 0, res_sup, lam, True))
+        records.append(TraceRecord(1.0, 0, res_sup, lam, True, 0))
         trace = ContinuityTrace(tuple(records))
         return SolveReport(u, trace, verify(u, F))
 
@@ -317,9 +372,9 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
         F_tau = continuity_datum(F, tau_try)
-        ok, u_new, iters, rsup = _newton_attempt(u, F_tau, cfg)
+        ok, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg)
         lam = ellipticity_report(u_new if ok else u, F_tau).min_lambda
-        records.append(TraceRecord(tau_try, iters, rsup, lam, ok))
+        records.append(TraceRecord(tau_try, iters, rsup, lam, ok, krylov))
         if ok:
             tau = tau_try
             u = u_new

@@ -1,6 +1,7 @@
 """Tests for the batch front door: library operations and command line."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,12 @@ class TestMainCommands:
             if ".margin = " in line
         }
         assert solve_lines == verify_lines
+        # every tau attempt records its Krylov work
+        report = (sdir / "report.txt").read_text()
+        attempts = int(re.search(r"^trace\.records = (\d+)$", report, re.M).group(1))
+        krylov = re.findall(r"^trace\.(\d+)\.krylov_applications = (\d+)$", report, re.M)
+        assert [int(i) for i, _ in krylov] == list(range(1, attempts + 1))
+        assert all(int(n) > 0 for _, n in krylov)
         # recovered solution matches the manufactured state
         u = read_field(sdir / "solution.field")
         u_star = read_field(mdir / "u_star.field")

@@ -13,6 +13,7 @@ from ktcy.field import (
     derivative,
     integrate,
     mean,
+    operator_symbols,
     random_band_limited,
     sample,
 )
@@ -181,6 +182,20 @@ class TestLinearize:
             + Q * d(w, "t")
         )
         got = apply_linearized(linearize(u), w)
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+
+        # the right inverse of a grid-mean operator M, fused into the apply,
+        # equals applying L to M^{-1} w
+        symbols = operator_symbols(grid)
+        symbol = 1.3 * symbols.xx + 0.8 * symbols.yy_tt_t
+        symbol[0, 0, 0] = 1.0
+        inverse = 1.0 / symbol
+        inverse[0, 0, 0] = 0.0
+        spec = np.fft.rfftn(w.values) * inverse
+        m_inv_w = w.with_values(np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2)))
+        want = apply_linearized(linearize(u), m_inv_w)
+        got = apply_linearized(linearize(u), w, right_inverse=inverse)
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 

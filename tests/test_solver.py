@@ -55,6 +55,8 @@ class TestSolverConfig:
             {"tau_initial_step": 1.5},
             {"tau_min_step": 0.0},
             {"newton_max_iters": 0},
+            {"krylov_tol": 1.0},
+            {"krylov_tol": 2.0},
         ],
     )
     def test_rejects_bad_values(self, grid16, kwargs):
@@ -96,6 +98,17 @@ class TestKrylov:
         rel = _sup(out.values - rhs.values) / _sup(rhs.values)
         assert rel < 1e-7
         assert applications < 100
+
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-9])
+    def test_true_residual_meets_rtol(self, grid16, cfg16, rng, rtol):
+        # right preconditioning: GMRES stops on ||b - L w||_2 itself, not on
+        # a preconditioned residual
+        u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.001)
+        coeffs = linearize(u)
+        rhs = project_mean_zero(random_band_limited(grid16, rng, max_mode=4))
+        w, _ = solve_linearized(coeffs, rhs, cfg16, rtol=rtol)
+        r = apply_linearized(coeffs, w).values - rhs.values
+        assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
 
 
 class TestNewtonStep:
@@ -187,6 +200,24 @@ class TestSolve:
         assert len(set(taus)) == len(taus)
         assert taus[-1] == 1.0
         assert all(r.lambda_min > 0 for r in accepted)
+
+    def test_forcing_terms_match_fixed_tolerance_newton(self, grid16, cfg16, rng):
+        # Newton steps to krylov_tol along the forced solve's accepted taus
+        # land on the same solution with more Krylov work
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
+        report = solve(F, cfg16)
+        assert report.final_residual_sup <= cfg16.newton_tol
+        u, fixed_applications = ScalarField.zeros(grid16), 0
+        for record in report.trace.accepted:
+            F_tau = continuity_datum(F, record.tau)
+            while True:
+                step = newton_step(u, F_tau, cfg16)
+                if step.krylov_iters == 0:
+                    break
+                u, fixed_applications = step.u_next, fixed_applications + step.krylov_iters
+        assert _sup(u.values - report.u.values) <= 1e-12
+        forced = sum(r.krylov_applications for r in report.trace.records)
+        assert 0 < forced < fixed_applications
 
     def test_warm_start_agrees_with_continuation(self, grid16, cfg16):
         u_star = sample(
