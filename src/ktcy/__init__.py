@@ -81,7 +81,6 @@ from .estimates import (
 )
 from .rotation import (
     RationalAngle,
-    RotatedProblem,
     RotatedSolveReport,
     base_point_values,
     pullback_datum,

@@ -389,13 +389,11 @@ def write_field(u: ScalarField, path) -> None:
     """Write the dump format: header ``nx ny nt Lx Ly Lt``, one value per
     line, x fastest, 17 significant digits (bitwise round-trip)."""
     g = u.grid
-    lines = [
-        f"{g.n_x} {g.n_y} {g.n_t} "
-        f"{g.L_x:.17g} {g.L_y:.17g} {g.L_t:.17g}"
-    ]
-    lines.extend(f"{v:.17g}" for v in u.values.ravel(order="F"))
+    header = f"{g.n_x} {g.n_y} {g.n_t} {g.L_x:.17g} {g.L_y:.17g} {g.L_t:.17g}\n"
+    values = u.values.ravel(order="F").tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def read_field(path) -> ScalarField:

@@ -141,7 +141,8 @@ class EllipticityReport:
 
     with the square-root argument clamped at zero (and flagged) when the
     state is far from a solution.  The report never aborts: it is a
-    diagnostic for Newton iterates, which are not solutions.
+    diagnostic for Newton iterates, which are not solutions.  A caller that
+    already holds ``linearize(u)`` passes it as ``coeffs``.
     """
 
     min_q: float          # min of u_xx + 1
@@ -159,10 +160,15 @@ class EllipticityReport:
         return self.q_positive and self.p_positive
 
 
-def ellipticity_report(u: ScalarField, F: ScalarField, tol: float = 1e-8) -> EllipticityReport:
+def ellipticity_report(
+    u: ScalarField,
+    F: ScalarField,
+    tol: float = 1e-8,
+    coeffs: LinearizedCoeffs | None = None,
+) -> EllipticityReport:
     if u.grid != F.grid:
         raise GridMismatchError("ellipticity_report: grid mismatch")
-    c = linearize(u)
+    c = linearize(u) if coeffs is None else coeffs
     min_q = float(np.min(c.Q.values))
     min_p = float(np.min(c.P.values))
     trace = c.P.values + c.Q.values

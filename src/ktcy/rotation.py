@@ -12,6 +12,12 @@ integer lattice vector, so the transplanted solution v(p, q, t) = u(x, y, t)
 is (L, L, 1)-periodic.  The cell covers the base torus m^2 + n^2 times, so
 the normalization target for the transformed datum G is L^2, not 1.
 
+For the same reason the pullback of a Fourier mode is again a Fourier mode:
+e^{2 pi i (k_x x + k_y y)} becomes e^{2 pi i (a p + b q) / L} with integer
+cell wavenumbers a = m k_x - n k_y and b = n k_x + m k_y.  The datum is
+carried to the cell by this index remap, one FFT each way, instead of by
+point evaluation.
+
 Irrational angles admit no such periodic cell and are rejected by
 construction of :class:`RationalAngle`.
 """
@@ -77,40 +83,52 @@ def _check_rotated_grid(angle: RationalAngle, grid: GridSpec) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RotatedProblem:
-    """Transformed datum G on the enlarged cell, ready for the core solver."""
+def _split_nyquist(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed modes of one FFT axis with the Nyquist mode split in two.
 
-    angle: RationalAngle
-    grid: GridSpec
-    G: ScalarField
-    cell_normalization: float  # integral of e^G over the cell; L^2 for normalized F
+    Returns (source index, signed mode, weight) over n + 1 entries: every
+    FFT index once with weight 1, except the Nyquist index, which appears as
+    -n/2 and +n/2 with weight 1/2 each, the real cosine branch of
+    :func:`~ktcy.field.evaluate`.
+    """
+    index = np.append(np.arange(n), n // 2)
+    mode = np.append(np.fft.fftfreq(n, d=1.0 / n).astype(int), n // 2)
+    weight = np.ones(n + 1)
+    weight[[n // 2, n]] = 0.5
+    return index, mode, weight
 
 
 def pullback_datum(F: ScalarField, angle: RationalAngle, grid: GridSpec) -> ScalarField:
     """Transplant a unit-box datum to the rotated cell: G(p, q, t) = F(x, y, t).
 
-    F is evaluated spectrally at the rotated points, wrapped modulo 1.  The
+    Exact Fourier index remap: each coefficient of F at (k_x, k_y, k_t) is
+    added into the cell spectrum at ((m k_x - n k_y) mod n_p,
+    (n k_x + m k_y) mod n_q, k_t mod n_t), colliding coefficients summing.
+    Nyquist modes of F are first split into +-n/2 halves of weight 1/2 on
+    every axis.  The wrap and the split make G equal, up to rounding, to
+    sampling the trigonometric interpolant of F (as :func:`evaluate` does)
+    at the rotated cell points wrapped modulo 1, including the aliasing of
+    cells too coarse for F and a cell n_t different from that of F.  The
     result is (L, L, 1)-periodic because the rotated lattice contains (L, 0)
     and (0, L).
     """
     if F.grid.periods != (1.0, 1.0, 1.0):
         raise ValueError("pullback_datum expects the datum on the unit box")
     _check_rotated_grid(angle, grid)
-    c, s = angle.cos_theta, angle.sin_theta
-    p = grid.coordinates("x")[:, None, None]
-    q = grid.coordinates("y")[None, :, None]
-    t = grid.coordinates("t")[None, None, :]
-    x = np.mod(c * p + s * q, 1.0)
-    y = np.mod(-s * p + c * q, 1.0)
-    values = evaluate(F, x, y, np.broadcast_to(t, grid.shape))
-    return ScalarField(grid, values)
-
-
-def rotated_problem(F: ScalarField, angle: RationalAngle, grid: GridSpec) -> RotatedProblem:
-    G = pullback_datum(F, angle, grid)
-    cell_norm = integrate(G.with_values(np.exp(G.values)))
-    return RotatedProblem(angle=angle, grid=grid, G=G, cell_normalization=cell_norm)
+    spec = np.fft.fftn(F.values) / F.values.size
+    (ix, kx, wx), (iy, ky, wy), (it, kt, wt) = (_split_nyquist(n) for n in F.grid.shape)
+    weight = wx[:, None, None] * wy[None, :, None] * wt[None, None, :]
+    coeffs = spec[np.ix_(ix, iy, it)] * weight
+    KX, KY, KT = np.meshgrid(kx, ky, kt, indexing="ij")
+    n_p, n_q, n_t = grid.shape
+    cell = np.zeros(grid.shape, dtype=complex)
+    target = (
+        (angle.m * KX - angle.n * KY) % n_p,
+        (angle.n * KX + angle.m * KY) % n_q,
+        KT % n_t,
+    )
+    np.add.at(cell, target, coeffs)
+    return ScalarField(grid, np.fft.ifftn(cell).real * cell.size)
 
 
 @dataclass(frozen=True)
@@ -120,7 +138,7 @@ class RotatedSolveReport:
     angle: RationalAngle
     report: SolveReport
     sup_vp: float              # sup |v_p|; bounded by L for solutions
-    cell_normalization: float
+    cell_normalization: float  # integral of e^G over the cell; L^2 for normalized F
 
     @property
     def v(self) -> ScalarField:
@@ -143,14 +161,14 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     if abs(integrate(F.with_values(np.exp(F.values))) - 1.0) > 1e-10:
         raise ValueError("solve_rotated expects a normalized unit-box datum")
     _check_rotated_grid(angle, cfg.grid)
-    problem = rotated_problem(F, angle, cfg.grid)
-    report = solve(problem.G, cfg)
+    G = pullback_datum(F, angle, cfg.grid)
+    report = solve(G, cfg)
     sup_vp = float(np.max(np.abs(derivative(report.u, "x", 1).values)))
     return RotatedSolveReport(
         angle=angle,
         report=report,
         sup_vp=sup_vp,
-        cell_normalization=problem.cell_normalization,
+        cell_normalization=integrate(G.with_values(np.exp(G.values))),
     )
 
 

@@ -27,6 +27,11 @@ raised to 0.9 eta_{k-1}^2 when that exceeds 0.1, capped at 0.1, and floored
 at max(krylov_tol, 0.5 newton_tol / r_k).  ``krylov_tol`` is thus the
 tightest tolerance any linear solve is asked for; a direct ``newton_step``
 call without a forcing term solves to it.
+
+Each state is linearized once.  The coefficients of an accepted state
+travel with it to the next Newton step, into the next tau attempt (they do
+not depend on the datum) and into the ellipticity report of the attempt.
+An attempt takes at most ``newton_max_iters`` Newton steps.
 """
 from __future__ import annotations
 
@@ -127,6 +132,7 @@ class NewtonStepResult:
     residual_sup: float  # sup |residual| at u_next
     start_residual_sup: float  # sup |residual| at the start state u
     krylov_rtol: float  # relative tolerance of the linear solve, 0 if none ran
+    coeffs: LinearizedCoeffs  # linearize(u_next), for the next step to reuse
 
 
 @dataclass(frozen=True)
@@ -234,13 +240,16 @@ def newton_step(
     F_target: ScalarField,
     cfg: SolverConfig,
     forcing: float | None = None,
+    coeffs: LinearizedCoeffs | None = None,
 ) -> NewtonStepResult:
     """One damped Newton step toward ma_lhs(u) = e^{F_target}.
 
     Refuses to step from an inadmissible state (EllipticityLost).  The
     backtracking line search requires a strict sup-residual decrease and
     keeps min Q and min P positive.  One ``linearize`` per state gives the
-    admissibility test, the residual and the Newton system.  The linear solve
+    admissibility test, the residual and the Newton system; ``coeffs``, when
+    given, must be ``linearize(u)`` (the ``coeffs`` of the step that produced
+    u: they do not depend on the datum) and saves that call.  The linear solve
     runs to ``forcing``, floored at max(krylov_tol, 0.5 newton_tol / r) with
     r the sup residual at u, or to ``krylov_tol`` when no forcing is given.
     A state that already meets ``newton_tol`` comes back unchanged with no
@@ -249,7 +258,8 @@ def newton_step(
     if u.grid != cfg.grid:
         raise GridMismatchError("newton_step: state grid differs from config grid")
     ef = F_target.with_values(np.exp(F_target.values))
-    coeffs = linearize(u)
+    if coeffs is None:
+        coeffs = linearize(u)
     min_q, min_p = float(np.min(coeffs.Q.values)), float(np.min(coeffs.P.values))
     if not (min_q > 0.0 and min_p > 0.0):
         raise EllipticityLost(
@@ -259,7 +269,7 @@ def newton_step(
     res = coeffs.lhs() - ef
     res_sup = _sup(res)
     if res_sup <= cfg.newton_tol:
-        return NewtonStepResult(u, 0, 0.0, res_sup, res_sup, 0.0)
+        return NewtonStepResult(u, 0, 0.0, res_sup, res_sup, 0.0, coeffs)
     rtol = cfg.krylov_tol
     if forcing is not None:
         rtol = max(forcing, rtol, 0.5 * cfg.newton_tol / res_sup)
@@ -267,8 +277,11 @@ def newton_step(
 
     if not cfg.damping.enabled:
         u_next = project_mean_zero(u + w)
-        res_next = _sup(residual(u_next, F_target))
-        return NewtonStepResult(u_next, krylov_iters, _sup(w), res_next, res_sup, rtol)
+        next_coeffs = linearize(u_next)
+        res_next = _sup(next_coeffs.lhs() - ef)
+        return NewtonStepResult(
+            u_next, krylov_iters, _sup(w), res_next, res_sup, rtol, next_coeffs
+        )
 
     s = 1.0
     for _ in range(cfg.damping.max_backtracks + 1):
@@ -278,7 +291,7 @@ def newton_step(
             res_try = _sup(trial.lhs() - ef)
             if res_try < res_sup or res_try <= cfg.newton_tol:
                 return NewtonStepResult(
-                    u_try, krylov_iters, s * _sup(w), res_try, res_sup, rtol
+                    u_try, krylov_iters, s * _sup(w), res_try, res_sup, rtol, trial
                 )
         s *= cfg.damping.factor
     raise LineSearchFailed(
@@ -299,28 +312,36 @@ def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
     return min(eta, _ETA_MAX)
 
 
-def _newton_attempt(u0, F_target, cfg):
-    """Inexact Newton loop to tolerance.
+def _newton_attempt(u0, F_target, cfg, carried):
+    """Inexact Newton loop to tolerance, at most ``cfg.newton_max_iters`` steps.
 
-    Returns (ok, u, iters, residual_sup, krylov_applications).  The start
-    residual comes from the first ``newton_step``, which returns a
+    ``carried`` is a list holding ``linearize(u0)``, or empty.  The attempt
+    takes the coefficients out of it and, on success, puts back those of the
+    returned state.  Handing them over this way keeps no reference to the
+    start coefficients alive past the first accepted step; a caller holding
+    its own would keep four more grid fields through every linear solve of
+    the attempt.  Returns (ok, u, iters, residual_sup, krylov_applications).
+    The start residual comes from the first ``newton_step``, which returns a
     converged start state unchanged.
     """
     u, res_sup, eta, krylov = u0, None, _ETA_MAX, 0
-    for it in range(cfg.newton_max_iters + 1):
-        if res_sup is not None and res_sup <= cfg.newton_tol:
-            return True, u, it, res_sup, krylov
+    coeffs = carried.pop() if carried else None
+    for it in range(cfg.newton_max_iters):
         try:
-            step = newton_step(u, F_target, cfg, forcing=eta)
+            step = newton_step(u, F_target, cfg, forcing=eta, coeffs=coeffs)
         except SolverError:
             if res_sup is None:  # the first step failed: report the start residual
                 res_sup = _sup(residual(u, F_target))
             return False, u, it, res_sup, krylov
         if step.krylov_iters == 0:  # the start state already meets newton_tol
+            carried.append(step.coeffs)
             return True, u, it, step.residual_sup, krylov
         krylov += step.krylov_iters
         eta = _forcing_term(step.residual_sup, step.start_residual_sup, step.krylov_rtol)
-        u, res_sup = step.u_next, step.residual_sup
+        u, res_sup, coeffs = step.u_next, step.residual_sup, step.coeffs
+        if res_sup <= cfg.newton_tol:
+            carried.append(coeffs)
+            return True, u, it + 1, res_sup, krylov
     return False, u, cfg.newton_max_iters, res_sup, krylov
 
 
@@ -328,7 +349,7 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     """Plain Newton iteration from a warm start at fixed datum (no path)."""
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
-    ok, u, iters, res_sup, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg)
+    ok, u, iters, res_sup, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg, [])
     if not ok:
         raise NewtonStalled(
             f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
@@ -358,11 +379,12 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
         )
 
     u = ScalarField.zeros(F.grid)
+    carried = [linearize(u)]  # linearize(u) between tau attempts, or empty
     records = []
 
-    res_sup = _sup(residual(u, F))
+    res_sup = _sup(carried[0].lhs() - F.with_values(np.exp(F.values)))
     if res_sup <= cfg.newton_tol:
-        lam = ellipticity_report(u, F).min_lambda
+        lam = ellipticity_report(u, F, coeffs=carried[0]).min_lambda
         records.append(TraceRecord(1.0, 0, res_sup, lam, True, 0))
         trace = ContinuityTrace(tuple(records))
         return SolveReport(u, trace, verify(u, F))
@@ -372,12 +394,13 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
         F_tau = continuity_datum(F, tau_try)
-        ok, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg)
-        lam = ellipticity_report(u_new if ok else u, F_tau).min_lambda
+        ok, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg, carried)
+        if ok:
+            u = u_new
+        lam = ellipticity_report(u, F_tau, coeffs=carried[0] if carried else None).min_lambda
         records.append(TraceRecord(tau_try, iters, rsup, lam, ok, krylov))
         if ok:
             tau = tau_try
-            u = u_new
             if iters <= 3:
                 step = min(2.0 * step, 1.0)
         else:

@@ -242,6 +242,17 @@ class TestDumpFormat:
         )
         assert float(lines[5]) == 0.0  # then y increments, x resets
 
+    def test_text_matches_per_value_formatting(self, tmp_path):
+        g = GridSpec(6, 4, 4, L_x=math.sqrt(5.0), L_t=0.3)
+        values = np.random.default_rng(17).standard_normal(g.shape)
+        values[0, 0, 0], values[1, 0, 0] = -0.0, 5e-324
+        values[2, 0, 0], values[3, 0, 0] = 1e-300, 1e300
+        path = tmp_path / "u.field"
+        write_field(ScalarField(g, values), path)
+        lines = [f"6 4 4 {math.sqrt(5.0):.17g} 1 0.29999999999999999"]
+        lines.extend(f"{v:.17g}" for v in values.ravel(order="F"))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.field"
         path.write_text("4 4\n")

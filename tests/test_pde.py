@@ -258,6 +258,11 @@ class TestEllipticityReport:
         rep = ellipticity_report(u0, F)
         assert rep.min_lambda <= min(rep.min_p, rep.min_q) + 1e-12
 
+    def test_given_coefficients_match_fresh_linearization(self, grid16):
+        u = random_band_limited(grid16, np.random.default_rng(13), max_mode=3, amplitude=0.003)
+        F = random_band_limited(grid16, np.random.default_rng(14), max_mode=3, amplitude=0.2)
+        assert ellipticity_report(u, F, coeffs=linearize(u)) == ellipticity_report(u, F)
+
 
 class TestSolutionTest:
     def test_flat_is_solution(self, grid8):

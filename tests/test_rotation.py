@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from ktcy.cli import manufacture
-from ktcy.field import GridSpec, ScalarField, evaluate, random_band_limited, sample
+from ktcy.field import GridSpec, ScalarField, evaluate, integrate, random_band_limited, sample
 from ktcy.rotation import (
     RationalAngle,
     base_point_values,
     pullback_datum,
     rotated_grid,
-    rotated_problem,
     solve_rotated,
 )
 from ktcy.solver import SolverConfig, solve
@@ -64,11 +63,38 @@ class TestPullback:
         G = pullback_datum(F, RationalAngle(1, 1), grid)
         assert np.max(np.abs(G.values)) < 1e-13
 
-    def test_identity_angle(self, rng):
-        F = random_band_limited(GridSpec(16, 16, 16), rng, max_mode=3)
-        grid = rotated_grid(RationalAngle(1, 0), 16, 16, 16)
-        G = pullback_datum(F, RationalAngle(1, 0), grid)
-        assert np.max(np.abs(G.values - F.values)) <= 1e-12
+    def test_identity_angle(self):
+        # white noise: every mode of F, Nyquist included, must come back
+        F = ScalarField(GridSpec(16, 12, 8), np.random.default_rng(3).standard_normal((16, 12, 8)))
+        angle = RationalAngle(1, 0)
+        G = pullback_datum(F, angle, rotated_grid(angle, 16, 12, 8))
+        assert np.max(np.abs(G.values - F.values)) <= 1e-14 * np.max(np.abs(F.values))
+
+    @pytest.mark.parametrize(
+        "data,m,n,cell",
+        [
+            ((16, 16, 16), 1, 1, (24, 24, 16)),
+            ((16, 16, 16), 2, 1, (36, 36, 16)),
+            ((12, 8, 6), -1, 2, (20, 14, 10)),    # non-cubic data, cell n_t above F's
+            ((8, 12, 10), 3, -2, (30, 26, 4)),    # cell n_t below F's
+            ((16, 16, 8), 0, 1, (16, 16, 8)),
+            ((16, 16, 16), 1, 1, (8, 8, 8)),      # cell grid coarser than F's
+            ((10, 10, 12), 2, 1, (12, 18, 20)),
+            ((8, 8, 8), 1, -1, (6, 10, 6)),
+        ],
+    )
+    def test_equals_interpolant_at_cell_points(self, data, m, n, cell):
+        # white noise fills every mode of F, Nyquist included, and most cells
+        # here alias the remapped band, so this pins the remap to point
+        # evaluation of the interpolant on the full band
+        F = ScalarField(GridSpec(*data), np.random.default_rng(5).standard_normal(data))
+        angle = RationalAngle(m, n)
+        grid = rotated_grid(angle, *cell)
+        G = pullback_datum(F, angle, grid)
+        c, s = angle.cos_theta, angle.sin_theta
+        p, q, t = grid.meshgrid()
+        want = evaluate(F, np.mod(c * p + s * q, 1.0), np.mod(-s * p + c * q, 1.0), t)
+        assert np.max(np.abs(G.values - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_wrong_cell(self, rng):
         F = random_band_limited(GridSpec(16, 16, 16), rng, max_mode=3)
@@ -116,8 +142,9 @@ class TestPullback:
     def test_cell_normalization_counts_coverings(self, m, n):
         F, _ = _admissible_datum()
         angle = RationalAngle(m, n)
-        problem = rotated_problem(F, angle, rotated_grid(angle, 32, 32, 16))
-        assert problem.cell_normalization == pytest.approx(float(m * m + n * n), abs=1e-10)
+        G = pullback_datum(F, angle, rotated_grid(angle, 32, 32, 16))
+        cell_normalization = integrate(G.with_values(np.exp(G.values)))
+        assert cell_normalization == pytest.approx(float(m * m + n * n), abs=1e-10)
 
 
 class TestSolveRotated:

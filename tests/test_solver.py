@@ -41,6 +41,22 @@ def cfg16(grid16):
     return SolverConfig(grid=grid16)
 
 
+@pytest.fixture
+def step_calls(monkeypatch):
+    """List that grows by one per ``newton_step`` call the solver makes."""
+    import ktcy.solver as solver_module
+
+    calls = []
+    step = solver_module.newton_step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "newton_step", counting_step)
+    return calls
+
+
 class TestSolverConfig:
     def test_defaults_valid(self, grid16):
         cfg = SolverConfig(grid=grid16)
@@ -157,6 +173,20 @@ class TestNewtonStep:
         with pytest.raises(Exception, match="grid"):
             newton_step(ScalarField.zeros(grid8), ScalarField.zeros(grid8), cfg16)
 
+    @pytest.mark.parametrize("damping", [True, False])
+    def test_carried_coefficients_are_those_of_the_next_state(self, grid16, rng, damping):
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
+        cfg = SolverConfig(grid=grid16, damping=DampingConfig(enabled=damping))
+        first = newton_step(ScalarField.zeros(grid16), F, cfg)
+        fresh = linearize(first.u_next)
+        for name in "PQRS":
+            assert np.array_equal(getattr(first.coeffs, name).values, getattr(fresh, name).values)
+        # reusing them gives the step a fresh linearization would give
+        reused = newton_step(first.u_next, F, cfg, coeffs=first.coeffs)
+        recomputed = newton_step(first.u_next, F, cfg)
+        assert np.array_equal(reused.u_next.values, recomputed.u_next.values)
+        assert reused.residual_sup == recomputed.residual_sup
+
 
 class TestSolve:
     def test_trivial_datum(self, grid16, cfg16):
@@ -244,6 +274,24 @@ class TestSolve:
         cfg = SolverConfig(grid=grid16, newton_max_iters=1)
         with pytest.raises(NewtonStalled):
             newton_solve(ScalarField.zeros(grid16), F, cfg)
+
+    def test_newton_budget_caps_steps(self, grid16, rng, step_calls):
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
+        cfg = SolverConfig(grid=grid16, newton_max_iters=1)
+        with pytest.raises(NewtonStalled, match="after 1 iterations"):
+            newton_solve(ScalarField.zeros(grid16), F, cfg)
+        assert len(step_calls) == 1
+
+    def test_convergence_on_the_last_budgeted_step_succeeds(self, grid16, rng, step_calls):
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.3))
+        u0 = ScalarField.zeros(grid16)
+        free = newton_solve(u0, F, SolverConfig(grid=grid16))
+        needed = len(step_calls)
+        assert needed >= 2
+        step_calls.clear()
+        capped = newton_solve(u0, F, SolverConfig(grid=grid16, newton_max_iters=needed))
+        assert len(step_calls) == needed
+        assert np.array_equal(capped.values, free.values)
 
 
 class TestGridRefinement:
