@@ -47,12 +47,15 @@ from .geometry import (
 from .pde import (
     EllipticityReport,
     LinearizedCoeffs,
+    NonPositiveLHS,
     apply_linearized,
     continuity_datum,
     ellipticity_report,
     is_solution,
     linearize,
     ma_lhs,
+    manufacture,
+    renormalize,
     residual,
     symbol_eigenvalues,
 )
@@ -87,8 +90,4 @@ from .rotation import (
     rotated_grid,
     solve_rotated,
 )
-from .cli import (
-    NonPositiveLHS,
-    manufacture,
-    renormalize,
-)
+from . import cli  # loaded with the package, so ``ktcy.cli.main`` needs no extra import

@@ -23,18 +23,8 @@ import time
 import numpy as np
 
 from .estimates import EstimateReport, verify
-from .field import (
-    GridSpec,
-    ScalarField,
-    integrate,
-    mean,
-    project_mean_zero,
-    read_field,
-    sample,
-    write_field,
-)
-
-from .pde import ellipticity_report, ma_lhs, residual
+from .field import GridSpec, ScalarField, integrate, mean, read_field, sample, write_field
+from .pde import NonPositiveLHS, ellipticity_report, manufacture, renormalize, residual
 from .rotation import RationalAngle, rotated_grid, solve_rotated
 from .solver import (
     ContinuationStalled,
@@ -45,10 +35,7 @@ from .solver import (
 )
 
 __all__ = [
-    "NonPositiveLHS",
     "ExpressionError",
-    "manufacture",
-    "renormalize",
     "evaluate_expression",
     "builtin_field",
     "write_csv_slice",
@@ -65,42 +52,8 @@ EXIT_NONPOSITIVE = 5
 EXIT_IO = 6
 
 
-class NonPositiveLHS(ValueError):
-    """The manufactured left-hand side is not positive, so log is undefined."""
-
-    def __init__(self, min_value: float, index: tuple):
-        self.min_value = min_value
-        self.index = index
-        super().__init__(
-            f"ma_lhs(u_star) has minimum {min_value:.6g} at grid index {index}; "
-            "the amplitude is too large for a positive volume ratio"
-        )
-
-
 class ExpressionError(ValueError):
     """Rejected datum expression."""
-
-
-def manufacture(u_star: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Manufactured-solution datum: F = log(ma_lhs(project_mean_zero(u_star))).
-
-    By the discrete mean identity, the integral of e^F equals the box volume
-    exactly at quadrature level, so the result is solver-ready.  Returns
-    (F, projected u_star).
-    """
-    u0 = project_mean_zero(u_star)
-    lhs = ma_lhs(u0)
-    min_value = float(np.min(lhs.values))
-    if min_value <= 0.0:
-        index = tuple(int(i) for i in np.unravel_index(np.argmin(lhs.values), lhs.values.shape))
-        raise NonPositiveLHS(min_value, index)
-    return lhs.with_values(np.log(lhs.values)), u0
-
-
-def renormalize(F: ScalarField) -> ScalarField:
-    """Shift F by a constant so the integral of e^F equals the box volume."""
-    shift = float(np.log(mean(F.with_values(np.exp(F.values)))))
-    return F - shift
 
 
 # -- datum expression grammar ---------------------------------------------
@@ -294,13 +247,34 @@ def write_csv_slice(u: ScalarField, path, axis: str, index: int) -> None:
 
 # -- configuration -----------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "grid", "periods", "datum_builtin", "datum_expr", "datum_field", "angle",
-    "renormalize", "out", "solution",
-    "newton_tol", "newton_max_iters", "krylov_tol", "krylov_max_iters",
-    "tau_initial_step", "tau_min_step",
-    "damping_enabled", "damping_factor", "damping_max_backtracks",
+# Command-line flag (argparse dest) -> setting key.  A config file takes
+# these keys plus the solver keys below.
+_FLAG_KEYS = {
+    "grid": "grid", "periods": "periods", "angle": "angle", "renormalize": "renormalize",
+    "builtin": "datum_builtin", "expr": "datum_expr", "field": "datum_field",
+    "out": "out", "solution": "solution",
+    "format": "format", "slice_axis": "slice_axis", "slice_index": "slice_index",
 }
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected boolean, got {text!r}")
+
+
+# Solver keys -> parser; the defaults live in SolverConfig and DampingConfig.
+_SOLVER_KEYS = {
+    "newton_tol": float, "newton_max_iters": int, "krylov_tol": float,
+    "krylov_max_iters": int, "tau_initial_step": float, "tau_min_step": float,
+}
+_DAMPING_KEYS = {
+    "damping_enabled": _parse_bool, "damping_factor": float, "damping_max_backtracks": int,
+}
+_CONFIG_KEYS = set(_FLAG_KEYS.values()) | set(_SOLVER_KEYS) | set(_DAMPING_KEYS)
 
 
 def parse_config_file(path) -> dict:
@@ -320,27 +294,8 @@ def parse_config_file(path) -> dict:
     return items
 
 
-def _parse_triple_int(text: str, what: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ValueError(f"{what} needs three integers, got {text!r}")
-    return tuple(int(p) for p in parts)
-
-
-def _parse_triple_float(text: str, what: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ValueError(f"{what} needs three reals, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected boolean, got {text!r}")
+def _describe(grid: GridSpec) -> str:
+    return f"{grid.shape} with periods {grid.periods}"
 
 
 class RunConfig:
@@ -357,53 +312,79 @@ class RunConfig:
                 )
         if settings.get("angle") and command != "rotate":
             raise ValueError("angle is only valid with the rotate command")
+        if "periods" in settings and command == "rotate":
+            raise ValueError("periods is not valid with rotate: the angle fixes the cell")
+        self.renormalize = _parse_bool(settings.get("renormalize", "false"))
+        if self.renormalize and command in ("manufacture", "export"):
+            raise ValueError(f"renormalize is not valid with the {command} command")
         self.datum_source = sources[0] if sources else None
 
-    def grid_shape(self, default=None):
-        if "grid" in self.settings:
-            return _parse_triple_int(self.settings["grid"], "grid")
-        if default is None:
-            raise ValueError("grid is required (use --grid NX,NY,NT)")
-        return default
+    def _numbers(self, key: str, count: int, kind) -> tuple:
+        text = self.settings[key]
+        parts = text.replace(",", " ").split()
+        if len(parts) != count:
+            noun = "integers" if kind is int else "reals"
+            raise ValueError(f"{key} needs {count} {noun}, got {text!r}")
+        return tuple(kind(p) for p in parts)
 
-    def periods(self):
-        if "periods" in self.settings:
-            return _parse_triple_float(self.settings["periods"], "periods")
-        return (1.0, 1.0, 1.0)
+    def grid(self, dump: GridSpec | None = None) -> GridSpec:
+        """The grid of --grid and --periods.
+
+        Given the grid of a dump, an omitted flag takes the dump's value and
+        a given flag must agree with it.
+        """
+        s = self.settings
+        if "grid" in s:
+            shape = self._numbers("grid", 3, int)
+        elif dump is not None:
+            shape = dump.shape
+        else:
+            raise ValueError("grid is required (use --grid NX,NY,NT)")
+        if "periods" in s:
+            periods = self._numbers("periods", 3, float)
+        else:
+            periods = (1.0, 1.0, 1.0) if dump is None else dump.periods
+        grid = GridSpec(*shape, *periods)
+        if dump is not None and grid != dump:
+            raise ValueError(
+                f"--grid/--periods give {_describe(grid)}, the dump holds {_describe(dump)}"
+            )
+        return grid
 
     def angle(self) -> RationalAngle:
         if "angle" not in self.settings:
             raise ValueError("rotate requires --angle M,N")
-        parts = [p for p in self.settings["angle"].replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ValueError(f"angle needs two integers, got {self.settings['angle']!r}")
-        return RationalAngle(int(parts[0]), int(parts[1]))
+        return RationalAngle(*self._numbers("angle", 2, int))
 
     def solver_config(self, grid: GridSpec) -> SolverConfig:
+        """Solver settings from the keys given; the others keep their defaults."""
         s = self.settings
-        damping = DampingConfig(
-            enabled=_parse_bool(s.get("damping_enabled", "true")),
-            factor=float(s.get("damping_factor", 0.5)),
-            max_backtracks=int(s.get("damping_max_backtracks", 10)),
-        )
-        return SolverConfig(
-            grid=grid,
-            newton_tol=float(s.get("newton_tol", 1e-11)),
-            newton_max_iters=int(s.get("newton_max_iters", 30)),
-            krylov_tol=float(s.get("krylov_tol", 1e-9)),
-            krylov_max_iters=int(s.get("krylov_max_iters", 600)),
-            tau_initial_step=float(s.get("tau_initial_step", 0.25)),
-            tau_min_step=float(s.get("tau_min_step", 1e-4)),
-            damping=damping,
-        )
+        damping = {
+            key.removeprefix("damping_"): parse(s[key])
+            for key, parse in _DAMPING_KEYS.items() if key in s
+        }
+        solver = {key: parse(s[key]) for key, parse in _SOLVER_KEYS.items() if key in s}
+        return SolverConfig(grid=grid, damping=DampingConfig(**damping), **solver)
 
-    def datum(self, grid: GridSpec) -> ScalarField:
-        source = self.datum_source
-        if source == "datum_builtin":
-            return builtin_field(self.settings["datum_builtin"], grid)
-        if source == "datum_expr":
-            return evaluate_expression(self.settings["datum_expr"], grid)
-        return read_field(self.settings["datum_field"])
+    def datum(self, grid: GridSpec | None = None) -> ScalarField:
+        """The datum from its one source, renormalized when asked.
+
+        A builtin or an expression is sampled on ``grid``, by default the
+        grid of the flags.  A dump brings its own grid, which must equal
+        ``grid`` when one is given.
+        """
+        source, text = self.datum_source, self.settings[self.datum_source]
+        if source == "datum_field":
+            F = read_field(text)
+            if grid is not None and F.grid != grid:
+                raise ValueError(
+                    f"the datum dump holds {_describe(F.grid)}, expected {_describe(grid)}"
+                )
+        elif source == "datum_builtin":
+            F = builtin_field(text, grid or self.grid())
+        else:
+            F = evaluate_expression(text, grid or self.grid())
+        return renormalize(F) if self.renormalize else F
 
     def echo(self) -> dict:
         return {k: self.settings[k] for k in sorted(self.settings)}
@@ -443,14 +424,8 @@ def _finish(report: RunReport, out, started: float, u=None, datum=None) -> int:
 
 def cmd_solve(config: RunConfig) -> int:
     started = time.perf_counter()
-    renorm = _parse_bool(config.settings.get("renormalize", "false"))
-    if config.datum_source == "datum_field":
-        F = config.datum(None)
-    else:
-        F = config.datum(GridSpec(*config.grid_shape(), *config.periods()))
-    if renorm:
-        F = renormalize(F)
-    cfg = config.solver_config(F.grid)
+    F = config.datum()
+    cfg = config.solver_config(config.grid(F.grid))
     out = _ensure_out(config.settings)
     report = _begin_report(config)
     report.add_grid(F.grid)
@@ -468,9 +443,7 @@ def cmd_verify(config: RunConfig) -> int:
     if not solution_path:
         raise ValueError("verify requires --solution PATH (a field dump)")
     u = read_field(solution_path)
-    F = config.datum(u.grid)
-    if F.grid != u.grid:
-        raise ValueError("datum grid does not match the solution grid")
+    F = config.datum(config.grid(u.grid))
     out = _ensure_out(config.settings)
     report = _begin_report(config)
     report.add_grid(u.grid)
@@ -483,17 +456,8 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_rotate(config: RunConfig) -> int:
     started = time.perf_counter()
     angle = config.angle()
-    shape = config.grid_shape()
-    renorm = _parse_bool(config.settings.get("renormalize", "false"))
-    if config.datum_source == "datum_field":
-        F = config.datum(None)
-    else:
-        F = config.datum(GridSpec(*shape))
-    if F.grid.periods != (1.0, 1.0, 1.0):
-        raise ValueError("rotate expects the datum on the unit box")
-    if renorm:
-        F = renormalize(F)
-    grid = rotated_grid(angle, *shape)
+    grid = rotated_grid(angle, *config.grid().shape)
+    F = config.datum()
     cfg = config.solver_config(grid)
     out = _ensure_out(config.settings)
     report = _begin_report(config)
@@ -511,14 +475,12 @@ def cmd_rotate(config: RunConfig) -> int:
 
 def cmd_manufacture(config: RunConfig) -> int:
     started = time.perf_counter()
-    if config.datum_source == "datum_field":
-        u_star = config.datum(None)
-    else:
-        u_star = config.datum(GridSpec(*config.grid_shape(), *config.periods()))
+    u_star = config.datum()
+    grid = config.grid(u_star.grid)
     F, u0 = manufacture(u_star)
     out = _ensure_out(config.settings)
     report = _begin_report(config)
-    report.add_grid(F.grid)
+    report.add_grid(grid)
     report.add("manufacture.min_lhs", float(np.min(np.exp(F.values))))
     report.add("manufacture.datum_integral", integrate(F.with_values(np.exp(F.values))))
     report.add("manufacture.volume", F.grid.volume())
@@ -574,43 +536,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--expr", help="closed-form datum expression in x, y, t")
         p.add_argument("--field", help="field-dump datum path")
         p.add_argument("--angle", help="rational angle M,N (rotate only)")
-        p.add_argument("--renormalize", action="store_true",
+        p.add_argument("--renormalize", action="store_true", default=None,
                        help="shift the datum so the integral of e^F matches the volume")
         p.add_argument("--out", help="output directory for report and field dumps")
         if name == "verify":
             p.add_argument("--solution", help="solution field dump to audit")
         if name == "export":
             p.add_argument("--format", choices=("field-dump", "csv-slice"),
-                           default="field-dump")
-            p.add_argument("--slice-axis", choices=("x", "y", "t"), default="t")
-            p.add_argument("--slice-index", type=int, default=0)
+                           help="output format (default field-dump)")
+            p.add_argument("--slice-axis", choices=("x", "y", "t"),
+                           help="fixed axis of a csv-slice (default t)")
+            p.add_argument("--slice-index", type=int,
+                           help="sample index along the fixed axis (default 0)")
     return parser
 
 
 def _merge_settings(args) -> dict:
-    settings = {}
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    overrides = {
-        "grid": args.grid,
-        "periods": args.periods,
-        "datum_builtin": args.builtin,
-        "datum_expr": args.expr,
-        "datum_field": args.field,
-        "angle": args.angle,
-        "out": args.out,
-    }
-    if args.renormalize:
-        overrides["renormalize"] = "true"
-    if getattr(args, "solution", None):
-        overrides["solution"] = args.solution
-    if getattr(args, "format", None):
-        overrides["format"] = args.format
-        overrides["slice_axis"] = args.slice_axis
-        overrides["slice_index"] = str(args.slice_index)
-    for key, value in overrides.items():
+    settings = parse_config_file(args.config) if args.config else {}
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
         if value is not None:
-            settings[key] = value
+            settings[key] = "true" if value is True else str(value)
     return settings
 
 

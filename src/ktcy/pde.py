@@ -1,4 +1,4 @@
-"""The reduced scalar operator, its continuity path and its linearization.
+"""The reduced scalar operator, its data, its continuity path and its linearization.
 
 The nonlinear operator is
 
@@ -17,6 +17,9 @@ from per-axis spectral derivatives.  :func:`apply_linearized` takes one
 ``right_inverse`` symbol of an operator M, it multiplies the spectrum of w by
 that symbol between the two, applying L M^{-1} in the same five transforms:
 this is how the solver's right preconditioning runs.
+
+:func:`renormalize` and :func:`manufacture` make solver-ready data: the
+integral of e^F equals the box volume, and :func:`continuity_datum` keeps it.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridMismatchError, ScalarField, derivative, operator_symbols
+from .field import GridMismatchError, ScalarField, derivative, mean, operator_symbols, project_mean_zero
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,40 @@ def continuity_datum(F: ScalarField, tau: float) -> ScalarField:
     if tau == 1.0:
         return F  # keep the endpoint datum bitwise exact
     return F.with_values(np.log1p(tau * np.expm1(F.values)))
+
+
+def renormalize(F: ScalarField) -> ScalarField:
+    """Shift F by a constant so the integral of e^F equals the box volume."""
+    shift = float(np.log(mean(F.with_values(np.exp(F.values)))))
+    return F - shift
+
+
+class NonPositiveLHS(ValueError):
+    """The manufactured left-hand side is not positive, so log is undefined."""
+
+    def __init__(self, min_value: float, index: tuple):
+        self.min_value = min_value
+        self.index = index
+        super().__init__(
+            f"ma_lhs(u_star) has minimum {min_value:.6g} at grid index {index}; "
+            "the amplitude is too large for a positive volume ratio"
+        )
+
+
+def manufacture(u_star: ScalarField) -> tuple[ScalarField, ScalarField]:
+    """Manufactured-solution datum: F = log(ma_lhs(project_mean_zero(u_star))).
+
+    By the discrete mean identity, the integral of e^F equals the box volume
+    exactly at quadrature level, so the result is solver-ready.  Returns
+    (F, projected u_star).
+    """
+    u0 = project_mean_zero(u_star)
+    lhs = ma_lhs(u0)
+    min_value = float(np.min(lhs.values))
+    if min_value <= 0.0:
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(lhs.values), lhs.values.shape))
+        raise NonPositiveLHS(min_value, index)
+    return lhs.with_values(np.log(lhs.values)), u0
 
 
 def apply_linearized(

@@ -156,10 +156,10 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     solver runs unchanged on the transformed datum (the rotated equation is
     the base equation with relabeled axes, covered by the grid-period
     generalization); the report includes the rotated-frame estimate audit
-    with the first-axis gradient bound sup |v_p| <= L.
+    with the first-axis gradient bound sup |v_p| <= L.  An unnormalized F
+    fails in :func:`solve` with NormalizationError, since the cell integral
+    of e^G is L^2 times the integral of e^F.
     """
-    if abs(integrate(F.with_values(np.exp(F.values))) - 1.0) > 1e-10:
-        raise ValueError("solve_rotated expects a normalized unit-box datum")
     _check_rotated_grid(angle, cfg.grid)
     G = pullback_datum(F, angle, cfg.grid)
     report = solve(G, cfg)

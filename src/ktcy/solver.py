@@ -375,7 +375,7 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     if abs(datum_integral - volume) > 1e-10 * volume:
         raise NormalizationError(
             f"integral of e^F is {datum_integral:.15g}, expected {volume:.15g}; "
-            "renormalize the datum first"
+            "the datum is not normalized, renormalize it first"
         )
 
     u = ScalarField.zeros(F.grid)

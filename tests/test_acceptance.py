@@ -31,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from ktcy.cli import NonPositiveLHS, manufacture, renormalize
+from ktcy.pde import NonPositiveLHS, manufacture, renormalize
 from ktcy.estimates import uniqueness_probe
 from ktcy.field import (
     GridSpec,

@@ -1,5 +1,6 @@
 """Tests for the batch front door: library operations and command line."""
 
+import dataclasses
 import math
 import re
 
@@ -13,19 +14,27 @@ from ktcy.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ExpressionError,
-    NonPositiveLHS,
+    RunConfig,
     builtin_field,
     evaluate_expression,
     grid_checksum,
     main,
-    manufacture,
     parse_config_file,
-    renormalize,
     write_csv_slice,
 )
-from ktcy.field import GridSpec, ScalarField, integrate, read_field, sample
+from ktcy.field import GridSpec, ScalarField, integrate, read_field, sample, write_field
+from ktcy.pde import NonPositiveLHS, manufacture, renormalize
+from ktcy.solver import DampingConfig, SolverConfig
 
 TAU = 2.0 * np.pi
+
+
+@pytest.fixture
+def zero_dump(tmp_path):
+    """Dump of the zero field on the unit 8^3 grid."""
+    path = tmp_path / "u.field"
+    write_field(ScalarField.zeros(GridSpec(8, 8, 8)), path)
+    return path
 
 
 class TestManufacture:
@@ -184,6 +193,17 @@ class TestConfigFile:
             parse_config_file(cfg)
 
 
+class TestSolverSettings:
+    def test_no_keys_give_the_library_defaults(self, grid8):
+        config = RunConfig("solve", {"datum_builtin": "zero", "grid": "8,8,8"})
+        assert config.solver_config(grid8) == SolverConfig(grid=grid8)
+
+    def test_one_key_changes_one_setting(self, grid8):
+        config = RunConfig("solve", {"datum_builtin": "zero", "damping_factor": "0.25"})
+        want = dataclasses.replace(SolverConfig(grid=grid8), damping=DampingConfig(factor=0.25))
+        assert config.solver_config(grid8) == want
+
+
 class TestMainCommands:
     def test_solve_zero(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -327,6 +347,83 @@ class TestMainCommands:
         code = main(["solve", "--config", str(cfg)])
         assert code == 4
         assert "stalled" in capsys.readouterr().err
+
+    def test_rotate_unnormalized_exits_3(self, capsys):
+        code = main(["rotate", "--grid", "16,16,16", "--angle", "1,1",
+                     "--expr", "0.1*sin(2*pi*x)+0.2"])
+        assert code == EXIT_NORMALIZATION
+        assert "integral of e^F" in capsys.readouterr().err
+
+    def test_verify_honours_renormalize(self, tmp_path):
+        datum = ["--grid", "8,8,8", "--expr", "0.3*sin(2*pi*x)*cos(2*pi*t) + 1", "--renormalize"]
+        sdir, vdir = tmp_path / "s", tmp_path / "v"
+        assert main(["solve", *datum, "--out", str(sdir)]) == EXIT_OK
+        assert main(["verify", "--solution", str(sdir / "solution.field"), *datum,
+                     "--out", str(vdir)]) == EXIT_OK
+        solve_text = (sdir / "report.txt").read_text()
+        verify_text = (vdir / "report.txt").read_text()
+        assert "estimate.passed = true" in verify_text
+        margins = [
+            [line for line in text.splitlines() if ".margin = " in line]
+            for text in (solve_text, verify_text)
+        ]
+        assert len(margins[0]) == 10
+        assert margins[0] == margins[1]
+
+    @pytest.mark.parametrize("command", ["manufacture", "export"])
+    def test_renormalize_rejected_where_meaningless(self, command, zero_dump, tmp_path, capsys):
+        code = main([command, "--field", str(zero_dump), "--renormalize",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "renormalize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags, given",
+        [
+            ("solve", ["--grid", "16,16,16"], "(16, 16, 16) with periods (1.0, 1.0, 1.0)"),
+            ("solve", ["--periods", "2,1,1"], "(8, 8, 8) with periods (2.0, 1.0, 1.0)"),
+            ("manufacture", ["--grid", "8,8,16"], "(8, 8, 16) with periods (1.0, 1.0, 1.0)"),
+            ("verify", ["--builtin", "zero", "--grid", "16,16,16"],
+             "(16, 16, 16) with periods (1.0, 1.0, 1.0)"),
+        ],
+        ids=["solve-grid", "solve-periods", "manufacture-grid", "verify-grid"],
+    )
+    def test_grid_flags_must_match_the_dump(self, command, flags, given, zero_dump, capsys):
+        source = "--solution" if command == "verify" else "--field"
+        code = main([command, source, str(zero_dump), *flags])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"give {given}" in err
+        assert "holds (8, 8, 8) with periods (1.0, 1.0, 1.0)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--field"],
+            ["manufacture", "--field"],
+            ["verify", "--builtin", "zero", "--solution"],
+        ],
+        ids=["solve", "manufacture", "verify"],
+    )
+    def test_matching_grid_flag_accepted(self, argv, zero_dump, tmp_path):
+        code = main([*argv, str(zero_dump), "--grid", "8,8,8", "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+
+    def test_rotate_rejects_periods(self, capsys):
+        code = main(["rotate", "--grid", "16,16,16", "--angle", "1,1", "--builtin", "zero",
+                     "--periods", "1,1,1"])
+        assert code == EXIT_USAGE
+        assert "periods" in capsys.readouterr().err
+
+    def test_export_from_config_file(self, zero_dump, tmp_path):
+        out = tmp_path / "exp"
+        cfg = tmp_path / "export.cfg"
+        cfg.write_text(
+            f"datum_field = {zero_dump}\nformat = csv-slice\n"
+            f"slice_axis = y\nslice_index = 2\nout = {out}\n"
+        )
+        assert main(["export", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "slice_y2.csv").read_text().splitlines()[0] == "x,t,value"
 
     def test_verify_requires_solution(self, capsys):
         code = main(["verify", "--builtin", "zero"])

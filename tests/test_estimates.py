@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ktcy.cli import manufacture, renormalize
+from ktcy.pde import manufacture, renormalize
 from ktcy.estimates import uniqueness_probe, verify
 from ktcy.field import ScalarField, random_band_limited, sample
 from ktcy.solver import SolverConfig, solve

@@ -193,7 +193,7 @@ class TestMetricField:
         # a manufactured pair, where e^F equals the determinant ratio exactly;
         # the closed-form root subtracts two O(1) squares under the sqrt, so
         # its accuracy floor near eigenvalue coalescence is sqrt(eps) ~ 1e-8
-        from ktcy.cli import manufacture
+        from ktcy.pde import manufacture
 
         u_star = sample(
             lambda x, y, t: 0.01 * np.sin(TAU * x) + 0.005 * np.cos(TAU * y) * np.sin(TAU * t),

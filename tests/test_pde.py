@@ -62,7 +62,7 @@ class TestResidual:
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_mean_residual_vanishes_for_normalized_data(self, grid16, seed):
-        from ktcy.cli import renormalize
+        from ktcy.pde import renormalize
 
         rng = np.random.default_rng(seed)
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.05)
@@ -70,7 +70,7 @@ class TestResidual:
         assert abs(mean(residual(u, F))) <= 1e-12
 
     def test_manufactured_residual_is_zero(self, grid16):
-        from ktcy.cli import manufacture
+        from ktcy.pde import manufacture
 
         u_star = sample(lambda x, y, t: 0.01 * np.sin(TAU * x), grid16)
         F, u0 = manufacture(u_star)
@@ -100,7 +100,7 @@ class TestContinuityDatum:
 
     @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
     def test_normalization_preserved(self, grid16, rng, tau):
-        from ktcy.cli import renormalize
+        from ktcy.pde import renormalize
 
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.8))
         Ft = continuity_datum(F, tau)
@@ -249,7 +249,7 @@ class TestEllipticityReport:
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_lambda_below_p_and_q_on_manufactured_pairs(self, grid16, seed):
-        from ktcy.cli import manufacture
+        from ktcy.pde import manufacture
 
         u_star = random_band_limited(
             grid16, np.random.default_rng(seed), max_mode=2, amplitude=0.002

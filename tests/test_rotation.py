@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ktcy.cli import manufacture
+from ktcy.pde import manufacture
 from ktcy.field import GridSpec, ScalarField, evaluate, integrate, random_band_limited, sample
 from ktcy.rotation import (
     RationalAngle,
@@ -14,7 +14,7 @@ from ktcy.rotation import (
     rotated_grid,
     solve_rotated,
 )
-from ktcy.solver import SolverConfig, solve
+from ktcy.solver import NormalizationError, SolverConfig, solve
 
 TAU = 2.0 * np.pi
 
@@ -177,7 +177,7 @@ class TestSolveRotated:
     def test_rejects_unnormalized_datum(self, rng):
         F = ScalarField.constant(GridSpec(16, 16, 16), 0.5)
         angle = RationalAngle(1, 1)
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(NormalizationError, match="normalized"):
             solve_rotated(F, angle, SolverConfig(grid=rotated_grid(angle, 16, 16, 16)))
 
     def test_base_point_values_invert_pullback(self, rng):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ktcy.cli import manufacture, renormalize
+from ktcy.pde import manufacture, renormalize
 from ktcy.field import (
     GridSpec,
     ScalarField,
