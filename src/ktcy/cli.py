@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimates import EstimateReport, verify
 from .field import GridSpec, ScalarField, integrate, mean, read_field, sample, write_field
-from .pde import NonPositiveLHS, ellipticity_report, manufacture, renormalize, residual
+from .pde import NonPositiveLHS, ellipticity_report, linearize, manufacture, renormalize, residual
 from .rotation import RationalAngle, rotated_grid, solve_rotated
 from .solver import (
     ContinuationStalled,
@@ -152,6 +152,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _shape_text(shape) -> str:
+    return " ".join(map(str, shape))
+
+
 def grid_checksum(grid: GridSpec) -> str:
     header = f"{grid.n_x} {grid.n_y} {grid.n_t} {grid.L_x:.17g} {grid.L_y:.17g} {grid.L_t:.17g}"
     return hashlib.sha256(header.encode()).hexdigest()[:16]
@@ -171,19 +175,20 @@ class RunReport:
             self.add(f"config.{key}", items[key])
 
     def add_grid(self, grid: GridSpec):
-        self.add("grid.shape", f"{grid.n_x} {grid.n_y} {grid.n_t}")
+        self.add("grid.shape", _shape_text(grid.shape))
         self.add("grid.periods", f"{grid.L_x:.17g} {grid.L_y:.17g} {grid.L_t:.17g}")
         self.add("grid.checksum", grid_checksum(grid))
 
-    def add_residual_norms(self, u, F):
-        r = residual(u, F)
+    def add_residual_norms(self, u, F, coeffs):
+        """Residual norms of u, from ``coeffs = linearize(u)``."""
+        r = residual(u, F, coeffs)
         self.add("residual.sup", float(np.max(np.abs(r.values))))
         scale = u.grid.volume() / r.values.size
         self.add("residual.l2", float(np.sqrt(np.sum(r.values**2) * scale)))
         self.add("residual.mean", mean(r))
 
-    def add_ellipticity(self, u, F):
-        e = ellipticity_report(u, F)
+    def add_ellipticity(self, u, F, coeffs):
+        e = ellipticity_report(u, F, coeffs=coeffs)
         self.add("ellipticity.min_q", e.min_q)
         self.add("ellipticity.min_p", e.min_p)
         self.add("ellipticity.min_trace", e.min_trace)
@@ -214,6 +219,14 @@ class RunReport:
             self.add(f"trace.{i}.lambda_min", r.lambda_min)
             self.add(f"trace.{i}.accepted", r.accepted)
             self.add(f"trace.{i}.krylov_applications", r.krylov_applications)
+            self.add(f"trace.{i}.grid", _shape_text(r.grid))
+
+    def add_resolution(self, solve_report):
+        """The coarse grid and sup |u - prolonged coarse u| of a sequenced
+        solve, ``none`` when the continuation ran on the requested grid."""
+        coarse, sup = solve_report.coarse_grid, solve_report.coarse_fine_sup
+        self.add("resolution.coarse_grid", "none" if coarse is None else _shape_text(coarse))
+        self.add("resolution.coarse_fine_sup", "none" if sup is None else sup)
 
     def text(self) -> str:
         return "\n".join(f"{k} = {v}" for k, v in self.pairs) + "\n"
@@ -431,8 +444,10 @@ def cmd_solve(config: RunConfig) -> int:
     report.add_grid(F.grid)
     solve_report = solve(F, cfg)
     report.add_trace(solve_report.trace)
-    report.add_residual_norms(solve_report.u, F)
-    report.add_ellipticity(solve_report.u, F)
+    report.add_resolution(solve_report)
+    coeffs = linearize(solve_report.u)
+    report.add_residual_norms(solve_report.u, F, coeffs)
+    report.add_ellipticity(solve_report.u, F, coeffs)
     report.add_estimates(solve_report.estimates)
     return _finish(report, out, started, u=solve_report.u, datum=F)
 
@@ -447,9 +462,10 @@ def cmd_verify(config: RunConfig) -> int:
     out = _ensure_out(config.settings)
     report = _begin_report(config)
     report.add_grid(u.grid)
-    report.add_residual_norms(u, F)
-    report.add_ellipticity(u, F)
-    report.add_estimates(verify(u, F))
+    coeffs = linearize(u)
+    report.add_residual_norms(u, F, coeffs)
+    report.add_ellipticity(u, F, coeffs)
+    report.add_estimates(verify(u, F, coeffs=coeffs))
     return _finish(report, out, started)
 
 
@@ -469,6 +485,7 @@ def cmd_rotate(config: RunConfig) -> int:
     report.add("rotation.cell_normalization", rotated.cell_normalization)
     report.add("rotation.sup_vp", rotated.sup_vp)
     report.add_trace(rotated.report.trace)
+    report.add_resolution(rotated.report)
     report.add_estimates(rotated.report.estimates)
     return _finish(report, out, started, u=rotated.report.u)
 

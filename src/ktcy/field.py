@@ -39,8 +39,10 @@ class GridSpec:
     def __post_init__(self):
         for name in ("n_x", "n_y", "n_t"):
             n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 4 or n % 2 != 0:
-                raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
+            if not isinstance(n, (int, np.integer)) or n < (4 if n % 2 == 0 else 5):
+                raise ValueError(
+                    f"{name} must be an even integer >= 4 or an odd integer >= 5, got {n!r}"
+                )
             object.__setattr__(self, name, int(n))
         for name in ("L_x", "L_y", "L_t"):
             L = float(getattr(self, name))
@@ -175,13 +177,15 @@ def _factor(n: int, L: float, order: int, half: bool = True) -> np.ndarray:
     """Fourier factor (2 pi i m / L)^order of an order-1 or order-2 derivative.
 
     The modes m are those of an rfft (``half``) or of a full fft of length
-    n, with the Nyquist mode of the odd order zeroed.
+    n.  On an even grid the Nyquist mode of the odd order is zeroed; an odd
+    grid has no Nyquist mode.
     """
     m = np.fft.rfftfreq(n, d=1.0 / n) if half else np.fft.fftfreq(n, d=1.0 / n)
     k = 2.0 * np.pi * m / L
     if order == 1:
         fac = 1j * k
-        fac[n // 2] = 0.0  # Nyquist
+        if n % 2 == 0:
+            fac[n // 2] = 0.0  # Nyquist
     else:
         fac = -(k * k)
     return fac
@@ -190,9 +194,9 @@ def _factor(n: int, L: float, order: int, half: bool = True) -> np.ndarray:
 def derivative(u: ScalarField, axis: str, order: int) -> ScalarField:
     """Fourier-spectral partial derivative along one axis.
 
-    Exact for trigonometric polynomials resolved by the grid.  The Nyquist
-    mode of odd-order derivatives is zeroed so derivative fields stay real
-    and the discrete operator is skew.
+    Exact for trigonometric polynomials resolved by the grid.  On even grids
+    the Nyquist mode of odd-order derivatives is zeroed so derivative fields
+    stay real and the discrete operator is skew.
     """
     if axis not in _AXIS_INDEX:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
@@ -253,9 +257,12 @@ def project_mean_zero(u: ScalarField) -> ScalarField:
     return u.with_values(u.values - np.mean(u.values))
 
 
-def norms(u: ScalarField) -> dict:
-    """Sup and L2 norms of the field and of its spectral gradient."""
-    ux, uy, ut = gradient(u)
+def norms(u: ScalarField, grad: tuple | None = None) -> dict:
+    """Sup and L2 norms of the field and of its spectral gradient.
+
+    A caller that already holds ``gradient(u)`` passes it as ``grad``.
+    """
+    ux, uy, ut = gradient(u) if grad is None else grad
     grad_sq = ux.values**2 + uy.values**2 + ut.values**2
     scale = u.grid.volume() / u.values.size
     return {
@@ -275,10 +282,10 @@ def random_band_limited(
     """Random mean-zero field with modes below max_mode per axis, given sup norm.
 
     Used for property-test corpora and solver warm-start perturbations.
-    Keeps well clear of the Nyquist mode so all discrete integration-by-parts
-    identities hold exactly.
+    Keeps clear of the Nyquist mode of even grids so all discrete
+    integration-by-parts identities hold exactly.
     """
-    if any(max_mode >= n // 2 for n in grid.shape):
+    if any(max_mode > (n - 1) // 2 for n in grid.shape):
         raise ValueError("max_mode must stay below every Nyquist mode")
     noise = rng.standard_normal(grid.shape)
     spec = np.fft.fftn(noise)
@@ -299,58 +306,81 @@ def random_band_limited(
 # -- spectral resampling and point evaluation ----------------------------
 
 
-def _transfer_matrix(n_old: int, n_new: int) -> np.ndarray:
-    """Fourier-coefficient transfer for one axis (trig interpolation).
+def _split_modes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed modes of one FFT axis, with an even grid's Nyquist mode split.
 
-    Maps unnormalized FFT coefficients on n_old samples to coefficients on
-    n_new samples of the same band-limited interpolant.  The Nyquist mode is
-    split (upsampling) or folded (downsampling) to keep interpolants real.
+    Returns (source index, signed mode, weight): every FFT index once with
+    weight 1.  On an even grid the Nyquist index appears twice more, as
+    -n/2 and +n/2 with weight 1/2 each (the real cosine branch of
+    :func:`evaluate`), and not as itself; an odd grid has no Nyquist mode.
     """
-    T = np.zeros((n_new, n_old))
-    half = min(n_old, n_new) // 2
-    for m in range(-half + 1, half):
-        T[m % n_new, m % n_old] = 1.0
-    if n_new > n_old:
-        T[half % n_new, half] += 0.5
-        T[-half % n_new, half] += 0.5
-    elif n_new < n_old:
-        T[half, half] += 1.0
-        T[half, -half % n_old] += 1.0
-    else:
-        T[half, half] = 1.0
-        # n even: -half aliases to half, already covered
-    return T * (n_new / n_old)
+    index = np.arange(n)
+    mode = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    weight = np.ones(n)
+    if n % 2 == 0:
+        index = np.append(index, n // 2)
+        mode = np.append(mode, n // 2)
+        weight = np.append(weight, 0.5)
+        weight[n // 2] = 0.5
+    return index, mode, weight
+
+
+def interpolant_modes(u: ScalarField) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Coefficients of the trigonometric interpolant of u by signed mode.
+
+    Returns the coefficient array and the signed modes of its three axes,
+    from :func:`_split_modes`.  Summing coeffs * e^{2 pi i k.x / L} over all
+    entries gives the interpolant that :func:`evaluate` evaluates.
+    """
+    spec = np.fft.fftn(u.values) / u.values.size
+    (ix, kx, wx), (iy, ky, wy), (it, kt, wt) = (_split_modes(n) for n in u.grid.shape)
+    weight = wx[:, None, None] * wy[None, :, None] * wt[None, None, :]
+    return spec[np.ix_(ix, iy, it)] * weight, (kx, ky, kt)
+
+
+def synthesize(grid: GridSpec, coeffs: np.ndarray, target: tuple) -> ScalarField:
+    """Field on ``grid`` whose FFT index ``target`` holds the sum of coeffs.
+
+    ``target`` indexes the grid's ``fftn`` layout; coefficients that land
+    on the same index add up.  The inverse of :func:`interpolant_modes`
+    when target is each signed mode taken modulo the grid size.
+    """
+    spec = np.zeros(grid.shape, dtype=complex)
+    np.add.at(spec, target, coeffs)
+    return ScalarField(grid, np.fft.ifftn(spec).real * spec.size)
 
 
 def resample(u: ScalarField, grid: GridSpec) -> ScalarField:
     """Spectral interpolation onto a grid with the same periods.
 
-    Exact for fields resolved by both grids; downsampling truncates
-    unresolved modes.
+    A Fourier index remap on each axis: the interpolant's modes with
+    |m| <= n_new / 2 move to index m mod n_new and the others are dropped.
+    Upsampling thus splits an even grid's Nyquist mode into its +-n/2
+    halves, and downsampling truncates, folding +-n_new/2 into an even
+    target's Nyquist mode.  Exact for fields resolved by both grids.
     """
     if u.grid.periods != grid.periods:
         raise GridMismatchError("resample requires identical periods")
     if u.grid == grid:
         return u
-    spec = np.fft.fftn(u.values)
-    Tx = _transfer_matrix(u.grid.n_x, grid.n_x)
-    Ty = _transfer_matrix(u.grid.n_y, grid.n_y)
-    Tt = _transfer_matrix(u.grid.n_t, grid.n_t)
-    spec = np.einsum("ai,bj,ck,ijk->abc", Tx, Ty, Tt, spec, optimize=True)
-    return ScalarField(grid, np.fft.ifftn(spec).real)
+    coeffs, modes = interpolant_modes(u)
+    keep = [np.abs(k) <= n // 2 for k, n in zip(modes, grid.shape)]
+    target = np.ix_(*(k[kept] % n for k, kept, n in zip(modes, keep, grid.shape)))
+    return synthesize(grid, coeffs[np.ix_(*keep)], target)
 
 
 def _phase_matrix(coords: np.ndarray, n: int, L: float) -> np.ndarray:
     """Evaluation matrix of the band-limited interpolant basis at coords.
 
-    Column j carries mode m_j in FFT ordering; the Nyquist column is the
-    real cosine branch, matching the convention that odd-order derivatives
-    kill the Nyquist mode.
+    Column j carries mode m_j in FFT ordering.  On an even grid the Nyquist
+    column is the real cosine branch, matching the convention that
+    odd-order derivatives kill the Nyquist mode; on an odd grid +-(n-1)/2
+    are ordinary modes.
     """
     m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     A = np.exp((2j * np.pi / L) * np.outer(coords, m)) / n
-    nyq = np.where(m == -(n // 2))[0][0]
-    A[:, nyq] = np.cos((2.0 * np.pi * (n // 2) / L) * coords) / n
+    if n % 2 == 0:
+        A[:, n // 2] = np.cos((2.0 * np.pi * (n // 2) / L) * coords) / n
     return A
 
 

@@ -28,8 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridSpec, ScalarField, derivative, evaluate, integrate
-from .solver import SolveReport, SolverConfig, solve
+from .field import (
+    GridSpec,
+    ScalarField,
+    derivative,
+    evaluate,
+    integrate,
+    interpolant_modes,
+    synthesize,
+)
+from .solver import SolveReport, SolverConfig, check_normalization, solve
 
 
 @dataclass(frozen=True)
@@ -83,52 +91,33 @@ def _check_rotated_grid(angle: RationalAngle, grid: GridSpec) -> None:
         )
 
 
-def _split_nyquist(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed modes of one FFT axis with the Nyquist mode split in two.
-
-    Returns (source index, signed mode, weight) over n + 1 entries: every
-    FFT index once with weight 1, except the Nyquist index, which appears as
-    -n/2 and +n/2 with weight 1/2 each, the real cosine branch of
-    :func:`~ktcy.field.evaluate`.
-    """
-    index = np.append(np.arange(n), n // 2)
-    mode = np.append(np.fft.fftfreq(n, d=1.0 / n).astype(int), n // 2)
-    weight = np.ones(n + 1)
-    weight[[n // 2, n]] = 0.5
-    return index, mode, weight
-
-
 def pullback_datum(F: ScalarField, angle: RationalAngle, grid: GridSpec) -> ScalarField:
     """Transplant a unit-box datum to the rotated cell: G(p, q, t) = F(x, y, t).
 
-    Exact Fourier index remap: each coefficient of F at (k_x, k_y, k_t) is
-    added into the cell spectrum at ((m k_x - n k_y) mod n_p,
-    (n k_x + m k_y) mod n_q, k_t mod n_t), colliding coefficients summing.
-    Nyquist modes of F are first split into +-n/2 halves of weight 1/2 on
-    every axis.  The wrap and the split make G equal, up to rounding, to
-    sampling the trigonometric interpolant of F (as :func:`evaluate` does)
-    at the rotated cell points wrapped modulo 1, including the aliasing of
-    cells too coarse for F and a cell n_t different from that of F.  The
-    result is (L, L, 1)-periodic because the rotated lattice contains (L, 0)
-    and (0, L).
+    Exact Fourier index remap: each coefficient of F's interpolant at
+    (k_x, k_y, k_t) is added into the cell spectrum at ((m k_x - n k_y) mod
+    n_p, (n k_x + m k_y) mod n_q, k_t mod n_t), colliding coefficients
+    summing.  Nyquist modes of F (even axes) are split into +-n/2 halves of
+    weight 1/2 by :func:`~ktcy.field.interpolant_modes`, as in
+    :func:`~ktcy.field.resample`.  The wrap and the split make G equal, up
+    to rounding, to sampling the trigonometric interpolant of F (as
+    :func:`evaluate` does) at the rotated cell points wrapped modulo 1,
+    including the aliasing of cells too coarse for F and a cell n_t
+    different from that of F.  The result is (L, L, 1)-periodic because the
+    rotated lattice contains (L, 0) and (0, L).
     """
     if F.grid.periods != (1.0, 1.0, 1.0):
         raise ValueError("pullback_datum expects the datum on the unit box")
     _check_rotated_grid(angle, grid)
-    spec = np.fft.fftn(F.values) / F.values.size
-    (ix, kx, wx), (iy, ky, wy), (it, kt, wt) = (_split_nyquist(n) for n in F.grid.shape)
-    weight = wx[:, None, None] * wy[None, :, None] * wt[None, None, :]
-    coeffs = spec[np.ix_(ix, iy, it)] * weight
-    KX, KY, KT = np.meshgrid(kx, ky, kt, indexing="ij")
+    coeffs, modes = interpolant_modes(F)
+    KX, KY, KT = np.meshgrid(*modes, indexing="ij")
     n_p, n_q, n_t = grid.shape
-    cell = np.zeros(grid.shape, dtype=complex)
     target = (
         (angle.m * KX - angle.n * KY) % n_p,
         (angle.n * KX + angle.m * KY) % n_q,
         KT % n_t,
     )
-    np.add.at(cell, target, coeffs)
-    return ScalarField(grid, np.fft.ifftn(cell).real * cell.size)
+    return synthesize(grid, coeffs, target)
 
 
 @dataclass(frozen=True)
@@ -157,10 +146,11 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     the base equation with relabeled axes, covered by the grid-period
     generalization); the report includes the rotated-frame estimate audit
     with the first-axis gradient bound sup |v_p| <= L.  An unnormalized F
-    fails in :func:`solve` with NormalizationError, since the cell integral
-    of e^G is L^2 times the integral of e^F.
+    fails with NormalizationError, naming the integral of e^F itself (the
+    cell integral of e^G is L^2 times larger).
     """
     _check_rotated_grid(angle, cfg.grid)
+    check_normalization(F)
     G = pullback_datum(F, angle, cfg.grid)
     report = solve(G, cfg)
     sup_vp = float(np.max(np.abs(derivative(report.u, "x", 1).values)))

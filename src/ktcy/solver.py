@@ -1,7 +1,21 @@
-"""Continuity-method solver with damped inexact Newton and preconditioned Krylov steps.
+"""Grid-sequenced continuity-method solver with damped inexact Newton and
+preconditioned Krylov steps.
 
 The path datum is F_tau = log(1 - tau + tau e^F), starting from the exact
-solution u = 0 at tau = 0 and marching adaptively to tau = 1.  Each Newton
+solution u = 0 at tau = 0 and marching adaptively to tau = 1.
+
+The march need not run on the requested grid.  Each datum has exactly one
+solution, so any good start will do (nested iteration, as in Kelley's and
+Deuflhard's Newton texts).  When F is resolved on an odd grid of about half
+the size per axis (restriction then prolongation gives F back to
+newton_tol), ``solve`` marches there, spectrally prolongs the solution and
+finishes with one Newton attempt on the requested grid.  Odd grids have no
+Nyquist mode, so discrete integration by parts holds exactly there and the
+coarse march has no mean-residual floor.  If the datum is not resolved, or
+either stage fails, the march runs on the requested grid from u = 0, so the
+sequencing never loses a solve.
+
+Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
 subspace by restarted GMRES, right-preconditioned by the constant-coefficient
 operator
@@ -36,7 +50,7 @@ An attempt takes at most ``newton_max_iters`` Newton steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -48,6 +62,7 @@ from .field import (
     integrate,
     operator_symbols,
     project_mean_zero,
+    resample,
 )
 from .pde import (
     LinearizedCoeffs,
@@ -55,6 +70,7 @@ from .pde import (
     continuity_datum,
     ellipticity_report,
     linearize,
+    renormalize,
     residual,
 )
 
@@ -143,6 +159,7 @@ class TraceRecord:
     lambda_min: float
     accepted: bool
     krylov_applications: int  # operator applications over the attempt's linear solves
+    grid: tuple  # shape of the grid the attempt ran on
 
 
 @dataclass(frozen=True)
@@ -164,6 +181,8 @@ class SolveReport:
     u: ScalarField
     trace: ContinuityTrace
     estimates: "EstimateReport"  # noqa: F821  (estimates module)
+    coarse_grid: tuple | None = None  # shape of the continuation grid when sequenced
+    coarse_fine_sup: float | None = None  # sup |u - prolonged coarse u| when sequenced
 
     @property
     def final_residual_sup(self) -> float:
@@ -357,19 +376,9 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     return u
 
 
-def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
-    """Continuity-method solve of ma_lhs(u) = e^F with mean-zero u.
-
-    Requires the datum normalization: the integral of e^F over the box must
-    equal the box volume (within 1e-10 relative).  Advances tau adaptively:
-    doubles the step after any tau accepted with <= 3 Newton iterations,
-    halves on failure, and fails below tau_min_step.  The returned report
-    carries the full a-priori estimate audit.
-    """
-    from .estimates import verify
-
-    if F.grid != cfg.grid:
-        raise GridMismatchError("solve: datum grid differs from config grid")
+def check_normalization(F: ScalarField) -> None:
+    """Raise NormalizationError unless the integral of e^F equals the box
+    volume within 1e-10 relative."""
     volume = F.grid.volume()
     datum_integral = integrate(F.with_values(np.exp(F.values)))
     if abs(datum_integral - volume) > 1e-10 * volume:
@@ -378,17 +387,17 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
             "the datum is not normalized, renormalize it first"
         )
 
+
+def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
+    """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``.
+
+    Appends one record per tau attempt to ``records``, also when it raises.
+    Doubles the step after any tau accepted with <= 3 Newton iterations,
+    halves on failure, and raises ContinuationStalled below tau_min_step.
+    Returns u and ``linearize(u)``.
+    """
     u = ScalarField.zeros(F.grid)
     carried = [linearize(u)]  # linearize(u) between tau attempts, or empty
-    records = []
-
-    res_sup = _sup(carried[0].lhs() - F.with_values(np.exp(F.values)))
-    if res_sup <= cfg.newton_tol:
-        lam = ellipticity_report(u, F, coeffs=carried[0]).min_lambda
-        records.append(TraceRecord(1.0, 0, res_sup, lam, True, 0))
-        trace = ContinuityTrace(tuple(records))
-        return SolveReport(u, trace, verify(u, F))
-
     tau = 0.0
     step = cfg.tau_initial_step
     while tau < 1.0:
@@ -398,7 +407,7 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
         if ok:
             u = u_new
         lam = ellipticity_report(u, F_tau, coeffs=carried[0] if carried else None).min_lambda
-        records.append(TraceRecord(tau_try, iters, rsup, lam, ok, krylov))
+        records.append(TraceRecord(tau_try, iters, rsup, lam, ok, krylov, F.grid.shape))
         if ok:
             tau = tau_try
             if iters <= 3:
@@ -412,5 +421,82 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
                     f"at tau = {tau_try:.6f}; for large data the sup-residual "
                     "rounding floor scales with sup e^F)"
                 )
-    trace = ContinuityTrace(tuple(records))
-    return SolveReport(u, trace, verify(u, F))
+    return u, carried[0]
+
+
+def _coarse_grid(grid: GridSpec) -> GridSpec | None:
+    """The odd grid of about half the size that sequencing continues on.
+
+    Each axis gets n//2, or n//2 + 1 when n//2 is even, and at least 5.
+    None when that does not make every axis smaller.
+    """
+    shape = tuple(max(5, (n // 2) | 1) for n in grid.shape)
+    if any(c >= n for c, n in zip(shape, grid.shape)):
+        return None
+    return GridSpec(*shape, *grid.periods)
+
+
+def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
+    """Continuation on the coarse grid, then one Newton attempt on cfg.grid.
+
+    Appends the records of both stages to ``records``.  Returns (u,
+    linearize(u), coarse grid shape, sup |u - prolonged coarse u|), or None
+    when F is not resolved on the coarse grid or either stage fails.
+    """
+    coarse = _coarse_grid(F.grid)
+    if coarse is None:
+        return None
+    F_coarse = resample(F, coarse)
+    if _sup(resample(F_coarse, F.grid) - F) > cfg.newton_tol:
+        return None
+    try:
+        u_coarse, _ = _continuation(renormalize(F_coarse), replace(cfg, grid=coarse), records)
+    except SolverError:
+        return None
+    u0 = project_mean_zero(resample(u_coarse, F.grid))
+    carried = []
+    ok, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
+    lam = ellipticity_report(u, F, coeffs=carried[0] if carried else None).min_lambda
+    records.append(TraceRecord(1.0, iters, rsup, lam, ok, krylov, F.grid.shape))
+    if not ok:
+        return None
+    return u, carried[0], coarse.shape, _sup(u - u0)
+
+
+def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
+    """Solve ma_lhs(u) = e^F for mean-zero u by grid sequencing, or by
+    continuation alone.
+
+    Requires the datum normalization (:func:`check_normalization`).  A datum
+    that u = 0 already solves returns at once.  When F is resolved on the
+    coarse grid (restriction then prolongation reproduces it to newton_tol),
+    the tau continuation runs on that grid for the renormalized restriction
+    of F, its solution is spectrally prolonged to cfg.grid, and one Newton
+    attempt finishes there.  If F is not resolved, the coarse continuation
+    fails or the fine Newton attempt fails, the continuation runs on cfg.grid
+    from u = 0.  Either way the result meets newton_tol on cfg.grid; the
+    trace keeps every attempt, each with its grid.  The returned report
+    carries the full a-priori estimate audit.
+    """
+    from .estimates import verify
+
+    if F.grid != cfg.grid:
+        raise GridMismatchError("solve: datum grid differs from config grid")
+    check_normalization(F)
+
+    res_sup = _sup(F.with_values(1.0 - np.exp(F.values)))  # ma_lhs(0) = 1
+    if res_sup <= cfg.newton_tol:
+        u = ScalarField.zeros(F.grid)
+        lam = ellipticity_report(u, F).min_lambda
+        trace = ContinuityTrace((TraceRecord(1.0, 0, res_sup, lam, True, 0, F.grid.shape),))
+        return SolveReport(u, trace, verify(u, F))
+
+    records = []
+    sequenced = _sequenced(F, cfg, records)
+    if sequenced is None:
+        u, coeffs = _continuation(F, cfg, records)
+        coarse_grid = coarse_fine_sup = None
+    else:
+        u, coeffs, coarse_grid, coarse_fine_sup = sequenced
+    estimates = verify(u, F, coeffs=coeffs)
+    return SolveReport(u, ContinuityTrace(tuple(records)), estimates, coarse_grid, coarse_fine_sup)

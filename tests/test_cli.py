@@ -354,6 +354,63 @@ class TestMainCommands:
         assert code == EXIT_NORMALIZATION
         assert "integral of e^F" in capsys.readouterr().err
 
+    def test_rotate_unnormalized_names_the_datum_integral(self, capsys):
+        # the user's own integral of e^F, not the L^2 = 2 times larger one of
+        # the cell datum
+        grid = GridSpec(16, 16, 16)
+        F = sample(lambda x, y, t: 0.1 * np.sin(TAU * x) + 0.2, grid)
+        integral = integrate(F.with_values(np.exp(F.values)))
+        assert integral == pytest.approx(1.2244, abs=1e-4)
+        code = main(["rotate", "--grid", "16,16,16", "--angle", "1,1",
+                     "--expr", "0.1*sin(2*pi*x)+0.2"])
+        assert code == EXIT_NORMALIZATION
+        err = capsys.readouterr().err
+        assert f"integral of e^F is {integral:.15g}, expected 1;" in err
+
+    @pytest.mark.parametrize(
+        "datum,coarse",
+        [
+            (["--builtin", "triple_sine:amplitude=0.1"], "9 9 9"),
+            # the log of a trigonometric polynomial has a spectral tail
+            (["--expr", "log(1 + 0.2*sin(2*pi*x)*cos(2*pi*t))"], "none"),
+        ],
+        ids=["sequenced", "unresolved"],
+    )
+    def test_solve_reports_grids_and_resolution(self, tmp_path, datum, coarse):
+        out = tmp_path / "run"
+        assert main(["solve", "--grid", "16,16,16", *datum, "--renormalize",
+                     "--out", str(out)]) == EXIT_OK
+        report = dict(
+            line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()
+        )
+        records = int(report["trace.records"])
+        grids = [report[f"trace.{i}.grid"] for i in range(1, records + 1)]
+        assert grids[-1] == "16 16 16" and report[f"trace.{records}.tau"] == "1"
+        assert report["resolution.coarse_grid"] == coarse
+        if coarse == "none":
+            assert set(grids) == {"16 16 16"}
+            assert report["resolution.coarse_fine_sup"] == "none"
+        else:
+            assert set(grids) == {coarse, "16 16 16"}
+            assert 0.0 <= float(report["resolution.coarse_fine_sup"]) < 1e-3
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ktcy", "solve", "--grid", "8,8,8", "--builtin", "zero"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK
+        assert done.stderr == ""
+        assert "estimate.passed = true" in done.stdout
+
     def test_verify_honours_renormalize(self, tmp_path):
         datum = ["--grid", "8,8,8", "--expr", "0.3*sin(2*pi*x)*cos(2*pi*t) + 1", "--renormalize"]
         sdir, vdir = tmp_path / "s", tmp_path / "v"

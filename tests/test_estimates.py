@@ -74,6 +74,45 @@ class TestVerify:
         for a, b in zip(first.checks, second.checks):
             assert a.margin == b.margin  # bitwise
 
+    def test_linearizes_once(self, grid16, rng, monkeypatch):
+        import ktcy.estimates
+        import ktcy.pde
+
+        u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.01)
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
+        fresh = verify(u, F)
+        calls, linearize = [], ktcy.pde.linearize
+
+        def counting(v):
+            calls.append(1)
+            return linearize(v)
+
+        monkeypatch.setattr(ktcy.pde, "linearize", counting)
+        monkeypatch.setattr(ktcy.estimates, "linearize", counting)
+        verify(u, F)
+        assert len(calls) == 1
+        given = verify(u, F, coeffs=linearize(u))
+        assert len(calls) == 1
+        assert [c.margin for c in given.checks] == [c.margin for c in fresh.checks]
+        assert given.informative == fresh.informative
+
+    def test_second_derivative_checks_match_direct_derivatives(self, grid16, rng):
+        # (b), (c) and sup |laplacian u| come from the linearization's
+        # coefficients; they agree with per-axis derivatives to rounding
+        from ktcy.field import derivative
+
+        u = random_band_limited(grid16, rng, max_mode=5, amplitude=0.02)
+        report = verify(u, ScalarField.zeros(grid16))
+        uxx, uyy, utt = (derivative(u, a, 2).values for a in "xyt")
+        ut = derivative(u, "t", 1).values
+        lhs_b = report.check("b_uxx_above_minus_one").lhs
+        lhs_c = report.check("c_p_factor_above_minus_one").lhs
+        assert lhs_b == pytest.approx(float(np.min(uxx)), abs=1e-14)
+        assert lhs_c == pytest.approx(float(np.min(uyy + utt + ut)), abs=1e-14)
+        assert report.sup_laplacian == pytest.approx(
+            float(np.max(np.abs(uxx + uyy + utt))), abs=1e-13
+        )
+
     def test_poincare_rescaled_label_off_unit_box(self, rng):
         from ktcy.field import GridSpec
 

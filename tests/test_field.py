@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ktcy.field import (
+    AXES,
     GridMismatchError,
     GridSpec,
     ScalarField,
@@ -32,10 +33,14 @@ class TestGridSpec:
         assert g.shape == (8, 16, 4)
         assert g.volume() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("bad", [3, 2, 7, 0, -8])
+    @pytest.mark.parametrize("bad", [3, 2, 0, -8])
     def test_rejects_bad_sample_counts(self, bad):
         with pytest.raises(ValueError, match="even integer"):
             GridSpec(bad, 8, 8)
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 25])
+    def test_accepts_odd_sample_counts(self, n):
+        assert GridSpec(n, 8, n).shape == (n, 8, n)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_bad_periods(self, bad):
@@ -196,6 +201,55 @@ class TestDiscreteIdentities:
         assert abs(integrate(u * ut)) <= max(bound, 1e-15)
 
 
+# grids of both parities: each axis even, each odd, and mixed
+PARITY_SHAPES = [(16, 16, 16), (9, 9, 9), (15, 11, 13), (8, 9, 10), (9, 8, 9)]
+
+
+def _white(shape, seed):
+    return ScalarField(GridSpec(*shape), np.random.default_rng(seed).standard_normal(shape))
+
+
+class TestParityConventions:
+    @pytest.mark.parametrize("shape", PARITY_SHAPES, ids=str)
+    def test_first_derivatives_are_skew(self, shape):
+        # integral of v d_a u = -integral of u d_a v on the full spectrum
+        u, v = _white(shape, 1), _white(shape, 2)
+        for axis in AXES:
+            left = integrate(v * derivative(u, axis, 1))
+            right = integrate(u * derivative(v, axis, 1))
+            scale = norms(u)["l2"] * norms(derivative(v, axis, 1))["l2"]
+            assert abs(left + right) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("shape", PARITY_SHAPES, ids=str)
+    def test_integration_by_parts_defect(self, shape):
+        # integral of (u_xx u_yy - u_xy^2) + (u_xx u_tt - u_xt^2) vanishes for
+        # every u on an odd grid; on white noise over a grid with an even axis
+        # the Nyquist planes leave an order-one defect
+        u = _white(shape, 3)
+        ux = derivative(u, "x", 1)
+        uxx = derivative(u, "x", 2)
+        terms = (
+            uxx * derivative(u, "y", 2),
+            -(derivative(ux, "y", 1) * derivative(ux, "y", 1)),
+            uxx * derivative(u, "t", 2),
+            -(derivative(ux, "t", 1) * derivative(ux, "t", 1)),
+        )
+        defect = abs(integrate(terms[0] + terms[1] + terms[2] + terms[3]))
+        scale = sum(integrate(t.with_values(np.abs(t.values))) for t in terms)
+        if all(n % 2 for n in shape):
+            assert defect <= 1e-13 * scale
+        else:
+            assert defect >= 1e-2 * scale
+
+    @pytest.mark.parametrize("shape,max_mode", [((9, 9, 9), 4), ((8, 9, 10), 3)])
+    def test_band_limited_guard_by_parity(self, rng, shape, max_mode):
+        grid = GridSpec(*shape)
+        u = random_band_limited(grid, rng, max_mode=max_mode)
+        assert abs(mean(u)) <= 1e-15
+        with pytest.raises(ValueError, match="Nyquist"):
+            random_band_limited(grid, rng, max_mode=max_mode + 1)
+
+
 class TestArithmeticAndCompatibility:
     def test_grid_mismatch_raises(self, grid8, grid16):
         a = ScalarField.zeros(grid8)
@@ -281,6 +335,30 @@ class TestResample:
         u = random_band_limited(g1, rng, max_mode=3)
         v = resample(resample(u, g2), g1)
         assert np.allclose(v.values, u.values, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "coarse,fine",
+        [((9, 9, 9), (16, 17, 20)), ((8, 9, 10), (11, 12, 13)), ((9, 8, 7), (25, 16, 14))],
+        ids=str,
+    )
+    def test_round_trip_both_parities(self, coarse, fine):
+        # white noise on the coarse grid: its even axes carry a Nyquist mode,
+        # which upsampling splits and downsampling folds back
+        u = _white(coarse, 4)
+        g = GridSpec(*fine)
+        v = resample(u, g)
+        assert np.max(np.abs(v.values - evaluate(u, *g.meshgrid()))) <= 1e-13
+        assert np.max(np.abs(resample(v, u.grid).values - u.values)) <= 1e-13
+
+    @pytest.mark.parametrize("fine,coarse", [((16, 16, 16), (9, 9, 9)), ((12, 9, 10), (7, 5, 6))], ids=str)
+    def test_downsampling_truncates(self, fine, coarse):
+        # resolved modes pass exactly, modes above the coarse band vanish
+        g_fine, g_coarse = GridSpec(*fine), GridSpec(*coarse)
+        kept = sample(lambda x, y, t: np.cos(TAU * 2 * x) * np.sin(TAU * y + 0.3), g_fine)
+        dropped = sample(lambda x, y, t: np.sin(TAU * 5 * x) * np.cos(TAU * 4 * t), g_fine)
+        want = sample(lambda x, y, t: np.cos(TAU * 2 * x) * np.sin(TAU * y + 0.3), g_coarse)
+        got = resample(kept + dropped, g_coarse)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
 
     def test_period_mismatch_rejected(self, grid8, rng):
         u = random_band_limited(grid8, rng)

@@ -157,12 +157,15 @@ class TestLinearize:
             GridSpec(16, 16, 16),
             GridSpec(12, 8, 6, L_x=1.5, L_y=0.7, L_t=2.0),
             GridSpec(18, 18, 8, L_x=math.sqrt(5.0), L_y=math.sqrt(5.0)),
+            GridSpec(9, 9, 9),
+            GridSpec(15, 8, 7, L_x=1.5, L_y=0.7, L_t=2.0),
         ],
-        ids=["16^3", "12x8x6", "18x18x8-sqrt5"],
+        ids=["16^3", "12x8x6", "18x18x8-sqrt5", "9^3", "15x8x7"],
     )
     def test_apply_matches_per_axis_composition(self, grid, rng):
         # white noise excites every mode, Nyquist included, so the symbol
-        # table must reproduce the per-axis Nyquist conventions exactly
+        # table must reproduce the per-axis Nyquist conventions exactly, on
+        # even axes and on odd ones, which have no Nyquist mode
         def d(f, a, k=1):
             return derivative(f, a, k)
 

@@ -81,6 +81,9 @@ class TestPullback:
             ((16, 16, 16), 1, 1, (8, 8, 8)),      # cell grid coarser than F's
             ((10, 10, 12), 2, 1, (12, 18, 20)),
             ((8, 8, 8), 1, -1, (6, 10, 6)),
+            ((9, 9, 9), 1, 1, (13, 13, 9)),       # odd data and cell
+            ((9, 8, 7), 2, 1, (21, 22, 8)),       # mixed parity
+            ((8, 8, 8), 1, 1, (11, 11, 7)),       # even data, odd cell
         ],
     )
     def test_equals_interpolant_at_cell_points(self, data, m, n, cell):

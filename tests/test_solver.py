@@ -225,10 +225,11 @@ class TestSolve:
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
         report = solve(F, cfg16)
         accepted = report.trace.accepted
-        taus = [r.tau for r in accepted]
-        assert taus == sorted(taus)
-        assert len(set(taus)) == len(taus)
-        assert taus[-1] == 1.0
+        for shape in {r.grid for r in accepted}:
+            taus = [r.tau for r in accepted if r.grid == shape]
+            assert all(a < b for a, b in zip(taus, taus[1:]))
+        last = report.trace.records[-1]
+        assert (last.grid, last.tau, last.accepted) == (grid16.shape, 1.0, True)
         assert all(r.lambda_min > 0 for r in accepted)
 
     def test_forcing_terms_match_fixed_tolerance_newton(self, grid16, cfg16, rng):
@@ -292,6 +293,83 @@ class TestSolve:
         capped = newton_solve(u0, F, SolverConfig(grid=grid16, newton_max_iters=needed))
         assert len(step_calls) == needed
         assert np.array_equal(capped.values, free.values)
+
+
+def _band_limited_datum(n):
+    grid = GridSpec(n, n, n)
+    return renormalize(random_band_limited(grid, np.random.default_rng(5), max_mode=3, amplitude=0.6))
+
+
+def _continuation_only(F, cfg):
+    """The solve of F with sequencing unavailable."""
+    import ktcy.solver as solver_module
+
+    original = solver_module._coarse_grid
+    solver_module._coarse_grid = lambda grid: None
+    try:
+        return solve(F, cfg)
+    finally:
+        solver_module._coarse_grid = original
+
+
+class TestGridSequencing:
+    def test_agrees_with_continuation_only(self):
+        F = _band_limited_datum(24)
+        cfg = SolverConfig(grid=F.grid)
+        report = solve(F, cfg)
+        assert report.coarse_grid == (13, 13, 13)
+        assert {r.grid for r in report.trace.records} == {(13, 13, 13), (24, 24, 24)}
+        assert report.final_residual_sup <= cfg.newton_tol
+        assert report.estimates.passed and not report.estimates.informative
+        full = _continuation_only(F, cfg)
+        assert full.coarse_grid is None and full.coarse_fine_sup is None
+        assert _sup(report.u.values - full.u.values) <= 1e-12
+        assert 0.0 < report.coarse_fine_sup <= 1e-3 * _sup(report.u.values)
+
+    @pytest.mark.parametrize("stage", ["coarse", "fine"])
+    def test_failed_stage_falls_back_bitwise(self, monkeypatch, stage):
+        import ktcy.solver as solver_module
+
+        F = _band_limited_datum(24)
+        cfg = SolverConfig(grid=F.grid)
+        full = _continuation_only(F, cfg)
+        continuation, attempt, fine_calls = solver_module._continuation, solver_module._newton_attempt, []
+
+        def failing_continuation(F_, cfg_, records):
+            if cfg_.grid != cfg.grid:
+                raise ContinuationStalled("forced")
+            return continuation(F_, cfg_, records)
+
+        def failing_attempt(u0, F_target, cfg_, carried):
+            if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
+                fine_calls.append(1)
+                return False, u0, 1, 1.0, 0
+            return attempt(u0, F_target, cfg_, carried)
+
+        if stage == "coarse":
+            monkeypatch.setattr(solver_module, "_continuation", failing_continuation)
+        else:
+            monkeypatch.setattr(solver_module, "_newton_attempt", failing_attempt)
+        report = solve(F, cfg)
+        assert report.coarse_grid is None and report.coarse_fine_sup is None
+        assert np.array_equal(report.u.values, full.u.values)
+        assert [c.margin for c in report.estimates.checks] == [c.margin for c in full.estimates.checks]
+        fine = [r for r in report.trace.records if r.grid == F.grid.shape]
+        assert fine[-len(full.trace.records):] == list(full.trace.records)
+
+    def test_unresolved_datum_takes_the_continuation_path(self, grid16, cfg16):
+        # log of a trigonometric polynomial has a spectral tail far above
+        # newton_tol on the 9^3 grid
+        u_star = sample(
+            lambda x, y, t: 0.01 * np.sin(TAU * x)
+            + 0.005 * np.cos(TAU * y) * np.sin(TAU * t),
+            grid16,
+        )
+        F, _ = manufacture(u_star)
+        report = solve(F, cfg16)
+        assert report.coarse_grid is None and report.coarse_fine_sup is None
+        assert all(r.grid == grid16.shape for r in report.trace.records)
+        assert np.array_equal(report.u.values, _continuation_only(F, cfg16).u.values)
 
 
 class TestGridRefinement:
