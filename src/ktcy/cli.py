@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import os
 import sys
@@ -23,8 +24,8 @@ import time
 import numpy as np
 
 from .estimates import EstimateReport, verify
-from .field import GridSpec, ScalarField, integrate, mean, read_field, sample, write_field
-from .pde import NonPositiveLHS, ellipticity_report, linearize, manufacture, renormalize, residual
+from .field import GridSpec, ScalarField, integrate, read_field, sample, write_field
+from .pde import NonPositiveLHS, manufacture, renormalize
 from .rotation import RationalAngle, rotated_grid, solve_rotated
 from .solver import (
     ContinuationStalled,
@@ -179,25 +180,14 @@ class RunReport:
         self.add("grid.periods", f"{grid.L_x:.17g} {grid.L_y:.17g} {grid.L_t:.17g}")
         self.add("grid.checksum", grid_checksum(grid))
 
-    def add_residual_norms(self, u, F, coeffs):
-        """Residual norms of u, from ``coeffs = linearize(u)``."""
-        r = residual(u, F, coeffs)
-        self.add("residual.sup", float(np.max(np.abs(r.values))))
-        scale = u.grid.volume() / r.values.size
-        self.add("residual.l2", float(np.sqrt(np.sum(r.values**2) * scale)))
-        self.add("residual.mean", mean(r))
-
-    def add_ellipticity(self, u, F, coeffs):
-        e = ellipticity_report(u, F, coeffs=coeffs)
-        self.add("ellipticity.min_q", e.min_q)
-        self.add("ellipticity.min_p", e.min_p)
-        self.add("ellipticity.min_trace", e.min_trace)
-        self.add("ellipticity.min_lambda", e.min_lambda)
-        self.add("ellipticity.trace_floor", e.trace_floor)
-        self.add("ellipticity.sqrt_clamped", e.sqrt_clamped)
-        self.add("ellipticity.q_positive", e.q_positive)
-        self.add("ellipticity.p_positive", e.p_positive)
-        self.add("ellipticity.trace_bound_ok", e.trace_bound_ok)
+    def add_audit(self, est: EstimateReport):
+        """Residual norms, ellipticity and estimates of one audit."""
+        self.add("residual.sup", est.residual_sup)
+        self.add("residual.l2", est.residual_l2)
+        self.add("residual.mean", est.check("j_mean_residual").lhs)
+        for key, value in dataclasses.asdict(est.ellipticity).items():
+            self.add(f"ellipticity.{key}", value)
+        self.add_estimates(est)
 
     def add_estimates(self, est: EstimateReport):
         self.add("estimate.informative", est.informative)
@@ -445,10 +435,7 @@ def cmd_solve(config: RunConfig) -> int:
     solve_report = solve(F, cfg)
     report.add_trace(solve_report.trace)
     report.add_resolution(solve_report)
-    coeffs = linearize(solve_report.u)
-    report.add_residual_norms(solve_report.u, F, coeffs)
-    report.add_ellipticity(solve_report.u, F, coeffs)
-    report.add_estimates(solve_report.estimates)
+    report.add_audit(solve_report.estimates)
     return _finish(report, out, started, u=solve_report.u, datum=F)
 
 
@@ -462,10 +449,7 @@ def cmd_verify(config: RunConfig) -> int:
     out = _ensure_out(config.settings)
     report = _begin_report(config)
     report.add_grid(u.grid)
-    coeffs = linearize(u)
-    report.add_residual_norms(u, F, coeffs)
-    report.add_ellipticity(u, F, coeffs)
-    report.add_estimates(verify(u, F, coeffs=coeffs))
+    report.add_audit(verify(u, F))
     return _finish(report, out, started)
 
 

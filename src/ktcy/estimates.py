@@ -25,7 +25,9 @@ from .field import (
     project_mean_zero,
     random_band_limited,
 )
-from .pde import LinearizedCoeffs, ellipticity_report, is_solution, linearize, residual
+from .pde import (
+    EllipticityReport, LinearizedCoeffs, ellipticity_report, is_solution, linearize, residual
+)
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,9 @@ class EstimateReport:
     informative: bool       # True when u is not a converged solution
     sup_u: float            # informational, no computable threshold
     sup_laplacian: float    # informational, no computable threshold
+    ellipticity: EllipticityReport
+    residual_sup: float     # sup |ma_lhs(u) - e^F|
+    residual_l2: float      # L2 norm of ma_lhs(u) - e^F; its mean is check j
 
     @property
     def passed(self) -> bool:
@@ -103,12 +108,13 @@ def verify(
     grid = u.grid
     c = linearize(u) if coeffs is None else coeffs
     ux, _, ut = grad = gradient(u)
-    uxx = c.Q.values - 1.0
-    p_factor = c.P.values - 1.0  # u_yy + u_tt + u_t
+    uxx = c.Q - 1.0
+    p_factor = c.P - 1.0  # u_yy + u_tt + u_t
     nrm = norms(u, grad)
     ef = np.exp(F.values)
     sup_one_plus_ef = float(np.max(np.abs(1.0 + ef)))
     res = residual(u, F, c)
+    scale = grid.volume() / res.values.size
     ell = ellipticity_report(u, F, coeffs=c)
 
     max_period = max(grid.periods)
@@ -139,6 +145,9 @@ def verify(
         informative=not is_solution(u, F, solution_tol_factor, coeffs=c),
         sup_u=nrm["sup"],
         sup_laplacian=float(np.max(np.abs(uxx + p_factor - ut.values))),
+        ellipticity=ell,
+        residual_sup=float(np.max(np.abs(res.values))),
+        residual_l2=float(np.sqrt(np.sum(res.values**2) * scale)),
     )
 
 

@@ -252,7 +252,7 @@ def metric_field(u: ScalarField) -> MetricField:
         [ S   0  -R   Q ]
     """
     c = linearize(u)
-    P, Q, R, S = c.P, c.Q, c.R, c.S
+    P, Q, R, S = (u.with_values(a) for a in (c.P, c.Q, c.R, c.S))
     zero = ScalarField.zeros(u.grid)
     negR = -R
     return MetricField([

@@ -11,7 +11,9 @@ is the second-order operator
 
 with P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt, and
 ma_lhs(u) = Q P - R^2 - S^2.  Only :func:`linearize` computes P, Q, R, S,
-from per-axis spectral derivatives.  :func:`apply_linearized` takes one
+from per-axis spectral derivatives, as read-only arrays: what is computed
+from them stays an array, and fields are built only where a function
+returns one.  :func:`apply_linearized` takes one
 ``rfftn`` of w and one ``irfftn`` per derivative group against the cached
 :func:`~ktcy.field.operator_symbols` table.  Given a Fourier-diagonal
 ``right_inverse`` symbol of an operator M, it multiplies the spectrum of w by
@@ -27,40 +29,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridMismatchError, ScalarField, derivative, mean, operator_symbols, project_mean_zero
+from .field import (
+    GridMismatchError, GridSpec, ScalarField, derivative, mean, operator_symbols, project_mean_zero
+)
 
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
-    """Coefficient fields of the linearized operator at a state u."""
+    """Coefficient arrays of the linearized operator at a state u, read-only."""
 
-    P: ScalarField
-    Q: ScalarField
-    R: ScalarField
-    S: ScalarField
+    grid: GridSpec
+    P: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    S: np.ndarray
 
-    @property
-    def grid(self):
-        return self.P.grid
+    def __post_init__(self):
+        for a in (self.P, self.Q, self.R, self.S):
+            a.flags.writeable = False
 
-    def lhs(self) -> ScalarField:
+    def lhs(self) -> np.ndarray:
         """ma_lhs at the state the coefficients were taken from."""
         return self.Q * self.P - self.R * self.R - self.S * self.S
 
 
 def linearize(u: ScalarField) -> LinearizedCoeffs:
+    def d(f, axis, order):
+        return derivative(f, axis, order).values
+
     ux = derivative(u, "x", 1)
     return LinearizedCoeffs(
-        P=derivative(u, "y", 2) + derivative(u, "t", 2) + derivative(u, "t", 1) + 1.0,
-        Q=derivative(u, "x", 2) + 1.0,
-        R=derivative(ux, "y", 1),
-        S=derivative(ux, "t", 1),
+        grid=u.grid,
+        P=d(u, "y", 2) + d(u, "t", 2) + d(u, "t", 1) + 1.0,
+        Q=d(u, "x", 2) + 1.0,
+        R=d(ux, "y", 1),
+        S=d(ux, "t", 1),
     )
 
 
 def ma_lhs(u: ScalarField) -> ScalarField:
     """Left-hand side of the reduced equation."""
-    return linearize(u).lhs()
+    return u.with_values(linearize(u).lhs())
 
 
 def residual(u: ScalarField, F: ScalarField, coeffs: LinearizedCoeffs | None = None) -> ScalarField:
@@ -68,8 +77,8 @@ def residual(u: ScalarField, F: ScalarField, coeffs: LinearizedCoeffs | None = N
     it as ``coeffs``."""
     if u.grid != F.grid:
         raise GridMismatchError("residual: u and F live on different grids")
-    lhs = ma_lhs(u) if coeffs is None else coeffs.lhs()
-    return lhs - F.with_values(np.exp(F.values))
+    c = linearize(u) if coeffs is None else coeffs
+    return u.with_values(c.lhs() - np.exp(F.values))
 
 
 def continuity_datum(F: ScalarField, tau: float) -> ScalarField:
@@ -142,10 +151,10 @@ def apply_linearized(
         return np.fft.irfftn(spec * symbol, s=shape, axes=(0, 1, 2))
 
     return w.with_values(
-        c.P.values * part(symbols.xx)
-        + c.Q.values * part(symbols.yy_tt_t)
-        - 2.0 * (c.R.values * part(symbols.xy))
-        - 2.0 * (c.S.values * part(symbols.xt))
+        c.P * part(symbols.xx)
+        + c.Q * part(symbols.yy_tt_t)
+        - 2.0 * (c.R * part(symbols.xy))
+        - 2.0 * (c.S * part(symbols.xt))
     )
 
 
@@ -162,12 +171,12 @@ def symbol_eigenvalues(u: ScalarField):
     always real and satisfy lam_minus <= Q <= lam_plus.
     """
     c = linearize(u)
-    P, Q, R, S = c.P.values, c.Q.values, c.R.values, c.S.values
+    P, Q, R, S = c.P, c.Q, c.R, c.S
     half_sum = 0.5 * (P + Q)
     half_disc = 0.5 * np.sqrt((P - Q) ** 2 + 4.0 * R**2 + 4.0 * S**2)
     lam_minus = u.with_values(half_sum - half_disc)
     lam_plus = u.with_values(half_sum + half_disc)
-    return lam_minus, lam_plus, c.Q
+    return lam_minus, lam_plus, u.with_values(Q)
 
 
 @dataclass(frozen=True)
@@ -208,9 +217,9 @@ def ellipticity_report(
     if u.grid != F.grid:
         raise GridMismatchError("ellipticity_report: grid mismatch")
     c = linearize(u) if coeffs is None else coeffs
-    min_q = float(np.min(c.Q.values))
-    min_p = float(np.min(c.P.values))
-    trace = c.P.values + c.Q.values
+    min_q = float(np.min(c.Q))
+    min_p = float(np.min(c.P))
+    trace = c.P + c.Q
     min_trace = float(np.min(trace))
     ef = np.exp(F.values)
     disc = trace * trace - 4.0 * ef

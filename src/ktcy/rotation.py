@@ -31,7 +31,6 @@ import numpy as np
 from .field import (
     GridSpec,
     ScalarField,
-    derivative,
     evaluate,
     integrate,
     interpolant_modes,
@@ -153,11 +152,10 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     check_normalization(F)
     G = pullback_datum(F, angle, cfg.grid)
     report = solve(G, cfg)
-    sup_vp = float(np.max(np.abs(derivative(report.u, "x", 1).values)))
     return RotatedSolveReport(
         angle=angle,
         report=report,
-        sup_vp=sup_vp,
+        sup_vp=report.estimates.check("a_sup_ux_bound").lhs,
         cell_normalization=integrate(G.with_values(np.exp(G.values))),
     )
 

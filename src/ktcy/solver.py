@@ -45,7 +45,10 @@ call without a forcing term solves to it.
 Each state is linearized once.  The coefficients of an accepted state
 travel with it to the next Newton step, into the next tau attempt (they do
 not depend on the datum) and into the ellipticity report of the attempt.
-An attempt takes at most ``newton_max_iters`` Newton steps.
+After a failed attempt, the state kept is linearized for its record, and
+that starts the next attempt.  A Newton step works on the coefficient
+arrays and builds fields only for new states and the linear solve's
+right-hand side.  An attempt takes at most ``newton_max_iters`` steps.
 """
 from __future__ import annotations
 
@@ -189,8 +192,8 @@ class SolveReport:
         return self.trace.accepted[-1].final_residual_sup
 
 
-def _sup(u: ScalarField) -> float:
-    return float(np.max(np.abs(u.values)))
+def _sup(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def _precond_inverse_symbol(grid: GridSpec, pbar: float, qbar: float) -> np.ndarray:
@@ -222,8 +225,8 @@ def solve_linearized(
     grid = rhs.grid
     shape = grid.shape
     n = rhs.values.size
-    pbar = float(np.mean(coeffs.P.values))
-    qbar = float(np.mean(coeffs.Q.values))
+    pbar = float(np.mean(coeffs.P))
+    qbar = float(np.mean(coeffs.Q))
     inv_symbol = _precond_inverse_symbol(grid, pbar, qbar)
 
     applications = [0]
@@ -239,7 +242,7 @@ def solve_linearized(
         return (out - np.mean(out)).ravel()
 
     A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    b = project_mean_zero(rhs).values.ravel()
+    b = (rhs.values - np.mean(rhs.values)).ravel()
     restart = min(50, cfg.krylov_max_iters)
     maxiter = math.ceil(cfg.krylov_max_iters / restart)
     if rtol is None:
@@ -276,10 +279,10 @@ def newton_step(
     """
     if u.grid != cfg.grid:
         raise GridMismatchError("newton_step: state grid differs from config grid")
-    ef = F_target.with_values(np.exp(F_target.values))
+    ef = np.exp(F_target.values)
     if coeffs is None:
         coeffs = linearize(u)
-    min_q, min_p = float(np.min(coeffs.Q.values)), float(np.min(coeffs.P.values))
+    min_q, min_p = float(np.min(coeffs.Q)), float(np.min(coeffs.P))
     if not (min_q > 0.0 and min_p > 0.0):
         raise EllipticityLost(
             f"min(u_xx + 1) = {min_q:.3e}, "
@@ -292,26 +295,19 @@ def newton_step(
     rtol = cfg.krylov_tol
     if forcing is not None:
         rtol = max(forcing, rtol, 0.5 * cfg.newton_tol / res_sup)
-    w, krylov_iters = solve_linearized(coeffs, -res, cfg, rtol=rtol)
+    w, krylov_iters = solve_linearized(coeffs, u.with_values(-res), cfg, rtol=rtol)
 
-    if not cfg.damping.enabled:
-        u_next = project_mean_zero(u + w)
-        next_coeffs = linearize(u_next)
-        res_next = _sup(next_coeffs.lhs() - ef)
-        return NewtonStepResult(
-            u_next, krylov_iters, _sup(w), res_next, res_sup, rtol, next_coeffs
-        )
-
-    s = 1.0
+    s = 1.0  # without damping, the first trial is taken as it is
     for _ in range(cfg.damping.max_backtracks + 1):
-        u_try = project_mean_zero(u + s * w)
+        v = u.values + s * w.values
+        u_try = u.with_values(v - np.mean(v))
         trial = linearize(u_try)
-        if np.min(trial.Q.values) > 0.0 and np.min(trial.P.values) > 0.0:
-            res_try = _sup(trial.lhs() - ef)
-            if res_try < res_sup or res_try <= cfg.newton_tol:
-                return NewtonStepResult(
-                    u_try, krylov_iters, s * _sup(w), res_try, res_sup, rtol, trial
-                )
+        res_try = _sup(trial.lhs() - ef)
+        decrease = res_try < res_sup or res_try <= cfg.newton_tol
+        if not cfg.damping.enabled or (decrease and min(trial.Q.min(), trial.P.min()) > 0.0):
+            return NewtonStepResult(
+                u_try, krylov_iters, s * _sup(w.values), res_try, res_sup, rtol, trial
+            )
         s *= cfg.damping.factor
     raise LineSearchFailed(
         f"no admissible decrease down to step factor {s / cfg.damping.factor:.3e}"
@@ -350,7 +346,7 @@ def _newton_attempt(u0, F_target, cfg, carried):
             step = newton_step(u, F_target, cfg, forcing=eta, coeffs=coeffs)
         except SolverError:
             if res_sup is None:  # the first step failed: report the start residual
-                res_sup = _sup(residual(u, F_target))
+                res_sup = _sup(residual(u, F_target, coeffs).values)
             return False, u, it, res_sup, krylov
         if step.krylov_iters == 0:  # the start state already meets newton_tol
             carried.append(step.coeffs)
@@ -393,11 +389,11 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
 
     Appends one record per tau attempt to ``records``, also when it raises.
     Doubles the step after any tau accepted with <= 3 Newton iterations,
-    halves on failure, and raises ContinuationStalled below tau_min_step.
-    Returns u and ``linearize(u)``.
+    halves on failure, and raises ContinuationStalled below tau_min_step
+    with the failed attempt's residual.  Returns u and ``linearize(u)``.
     """
     u = ScalarField.zeros(F.grid)
-    carried = [linearize(u)]  # linearize(u) between tau attempts, or empty
+    carried = [linearize(u)]  # linearize(u) between tau attempts
     tau = 0.0
     step = cfg.tau_initial_step
     while tau < 1.0:
@@ -406,7 +402,9 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
         ok, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg, carried)
         if ok:
             u = u_new
-        lam = ellipticity_report(u, F_tau, coeffs=carried[0] if carried else None).min_lambda
+        else:  # the attempt dropped the coefficients of the state kept
+            carried.append(linearize(u))
+        lam = ellipticity_report(u, F_tau, coeffs=carried[0]).min_lambda
         records.append(TraceRecord(tau_try, iters, rsup, lam, ok, krylov, F.grid.shape))
         if ok:
             tau = tau_try
@@ -415,11 +413,13 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
         else:
             step *= 0.5
             if step < cfg.tau_min_step:
+                res = residual(u_new, F_tau).values
+                res_mean = float(np.mean(res))
                 raise ContinuationStalled(
-                    f"tau step underflow at tau = {tau:.6f} "
-                    f"(residual {rsup:.3e} vs newton_tol {cfg.newton_tol:.1e} "
-                    f"at tau = {tau_try:.6f}; for large data the sup-residual "
-                    "rounding floor scales with sup e^F)"
+                    f"tau step underflow at tau = {tau:.6f}: the attempt at "
+                    f"tau = {tau_try:.6f} ended with residual sup {rsup:.3e} "
+                    f"(newton_tol {cfg.newton_tol:.1e}), mean {res_mean:.3e} and "
+                    f"sup |residual - mean| {_sup(res - res_mean):.3e}"
                 )
     return u, carried[0]
 
@@ -447,7 +447,7 @@ def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
     if coarse is None:
         return None
     F_coarse = resample(F, coarse)
-    if _sup(resample(F_coarse, F.grid) - F) > cfg.newton_tol:
+    if _sup(resample(F_coarse, F.grid).values - F.values) > cfg.newton_tol:
         return None
     try:
         u_coarse, _ = _continuation(renormalize(F_coarse), replace(cfg, grid=coarse), records)
@@ -460,7 +460,7 @@ def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
     records.append(TraceRecord(1.0, iters, rsup, lam, ok, krylov, F.grid.shape))
     if not ok:
         return None
-    return u, carried[0], coarse.shape, _sup(u - u0)
+    return u, carried[0], coarse.shape, _sup(u.values - u0.values)
 
 
 def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
@@ -484,12 +484,12 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
         raise GridMismatchError("solve: datum grid differs from config grid")
     check_normalization(F)
 
-    res_sup = _sup(F.with_values(1.0 - np.exp(F.values)))  # ma_lhs(0) = 1
+    res_sup = _sup(1.0 - np.exp(F.values))  # ma_lhs(0) = 1
     if res_sup <= cfg.newton_tol:
         u = ScalarField.zeros(F.grid)
-        lam = ellipticity_report(u, F).min_lambda
-        trace = ContinuityTrace((TraceRecord(1.0, 0, res_sup, lam, True, 0, F.grid.shape),))
-        return SolveReport(u, trace, verify(u, F))
+        estimates = verify(u, F)
+        record = TraceRecord(1.0, 0, res_sup, estimates.ellipticity.min_lambda, True, 0, F.grid.shape)
+        return SolveReport(u, ContinuityTrace((record,)), estimates)
 
     records = []
     sequenced = _sequenced(F, cfg, records)

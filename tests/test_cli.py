@@ -488,6 +488,55 @@ class TestMainCommands:
         assert "solution" in capsys.readouterr().err
 
 
+def _report_lines(path, prefixes):
+    return [line for line in path.read_text().splitlines() if line.startswith(prefixes)]
+
+
+class TestAuditReport:
+    """``solve`` and ``verify`` print residual, ellipticity and estimates
+    from the one audit the library already made."""
+
+    @pytest.fixture
+    def datum_dump(self, tmp_path):
+        grid = GridSpec(16, 16, 16)
+        path = tmp_path / "F.field"
+        write_field(renormalize(builtin_field("triple_sine:amplitude=0.3", grid)), path)
+        return path
+
+    def test_solve_and_verify_print_the_same_audit(self, datum_dump, tmp_path):
+        sdir, vdir = tmp_path / "s", tmp_path / "v"
+        assert main(["solve", "--field", str(datum_dump), "--out", str(sdir)]) == EXIT_OK
+        assert main(["verify", "--solution", str(sdir / "solution.field"),
+                     "--field", str(sdir / "datum.field"), "--out", str(vdir)]) == EXIT_OK
+        prefixes = ("residual.", "ellipticity.", "estimate.")
+        solved = _report_lines(sdir / "report.txt", prefixes)
+        assert len(_report_lines(sdir / "report.txt", ("residual.",))) == 3
+        assert len(_report_lines(sdir / "report.txt", ("ellipticity.",))) == 9
+        assert solved == _report_lines(vdir / "report.txt", prefixes)
+
+    def test_solve_linearizes_as_often_as_the_library(self, datum_dump, tmp_path, monkeypatch):
+        import sys
+
+        import ktcy.pde
+        from ktcy.solver import solve
+
+        calls, linearize = [], ktcy.pde.linearize
+
+        def counting(u):
+            calls.append(1)
+            return linearize(u)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ktcy") and getattr(module, "linearize", None) is linearize:
+                monkeypatch.setattr(module, "linearize", counting)
+        F = read_field(datum_dump)
+        solve(F, SolverConfig(grid=F.grid))
+        library = len(calls)
+        calls.clear()
+        assert main(["solve", "--field", str(datum_dump), "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert library > 0 and len(calls) == library
+
+
 class TestReportDeterminism:
     def test_grid_checksum_stable(self):
         g1 = GridSpec(16, 16, 16)

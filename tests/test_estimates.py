@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ktcy.pde import manufacture, renormalize
+from ktcy.pde import ellipticity_report, manufacture, renormalize, residual
 from ktcy.estimates import uniqueness_probe, verify
 from ktcy.field import ScalarField, random_band_limited, sample
 from ktcy.solver import SolverConfig, solve
@@ -95,6 +95,23 @@ class TestVerify:
         assert len(calls) == 1
         assert [c.margin for c in given.checks] == [c.margin for c in fresh.checks]
         assert given.informative == fresh.informative
+
+    @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
+    def test_carries_ellipticity_and_residual_norms(self, grid16, rng, solved):
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
+        if solved:
+            u = solve(F, SolverConfig(grid=grid16)).u
+        else:
+            u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.01)
+        report = verify(u, F)
+        assert report.ellipticity == ellipticity_report(u, F)
+        res = residual(u, F).values
+        assert report.residual_sup == float(np.max(np.abs(res)))
+        assert report.residual_l2 == pytest.approx(float(np.sqrt(np.mean(res**2))), rel=1e-14, abs=0.0)
+        assert report.check("j_mean_residual").lhs == pytest.approx(
+            float(np.mean(res)), rel=1e-12, abs=1e-30
+        )
+        assert report.informative == (not solved)
 
     def test_second_derivative_checks_match_direct_derivatives(self, grid16, rng):
         # (b), (c) and sup |laplacian u| come from the linearization's

@@ -110,10 +110,10 @@ class TestContinuityDatum:
 class TestLinearize:
     def test_flat_coefficients(self, grid8):
         c = linearize(ScalarField.zeros(grid8))
-        assert np.allclose(c.P.values, 1.0, atol=1e-15)
-        assert np.allclose(c.Q.values, 1.0, atol=1e-15)
-        assert np.max(np.abs(c.R.values)) < 1e-15
-        assert np.max(np.abs(c.S.values)) < 1e-15
+        assert np.allclose(c.P, 1.0, atol=1e-15)
+        assert np.allclose(c.Q, 1.0, atol=1e-15)
+        assert np.max(np.abs(c.R)) < 1e-15
+        assert np.max(np.abs(c.S)) < 1e-15
 
     def test_flat_apply_is_heat_like(self, grid8):
         c = linearize(ScalarField.zeros(grid8))
@@ -140,11 +140,29 @@ class TestLinearize:
             assert rel_err <= eps**2
             assert rel_err <= 1e-9
 
+    def test_coefficients_are_read_only_arrays(self, grid16, rng):
+        u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.05)
+        c = linearize(u)
+        assert c.grid == grid16
+        for name in "PQRS":
+            a = getattr(c, name)
+            assert isinstance(a, np.ndarray) and a.shape == grid16.shape
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (9, 9, 9)], ids=["16^3", "9^3"])
+    def test_lhs_is_ma_lhs_bitwise(self, shape, rng):
+        u = random_band_limited(GridSpec(*shape), rng, max_mode=3, amplitude=0.05)
+        lhs = linearize(u).lhs()
+        assert isinstance(lhs, np.ndarray)
+        assert np.array_equal(lhs, ma_lhs(u).values)
+
     def test_coefficients_vanish_for_x_only_states(self, grid8):
         u = sample(lambda x, y, t: 0.01 * np.sin(TAU * x), grid8)
         c = linearize(u)
-        assert np.max(np.abs(c.R.values)) < 1e-14
-        assert np.max(np.abs(c.S.values)) < 1e-14
+        assert np.max(np.abs(c.R)) < 1e-14
+        assert np.max(np.abs(c.S)) < 1e-14
 
     def test_grid_mismatch(self, grid8, grid16):
         c = linearize(ScalarField.zeros(grid8))
@@ -211,8 +229,8 @@ class TestSymbolEigenvalues:
         )
         lam_minus, lam_plus, q = symbol_eigenvalues(u)
         c = linearize(u)
-        lo = np.minimum(c.P.values, c.Q.values)
-        hi = np.maximum(c.P.values, c.Q.values)
+        lo = np.minimum(c.P, c.Q)
+        hi = np.maximum(c.P, c.Q)
         assert np.allclose(lam_minus.values, lo, atol=1e-12)
         assert np.allclose(lam_plus.values, hi, atol=1e-12)
 

@@ -180,7 +180,7 @@ class TestNewtonStep:
         first = newton_step(ScalarField.zeros(grid16), F, cfg)
         fresh = linearize(first.u_next)
         for name in "PQRS":
-            assert np.array_equal(getattr(first.coeffs, name).values, getattr(fresh, name).values)
+            assert np.array_equal(getattr(first.coeffs, name), getattr(fresh, name))
         # reusing them gives the step a fresh linearization would give
         reused = newton_step(first.u_next, F, cfg, coeffs=first.coeffs)
         recomputed = newton_step(first.u_next, F, cfg)
@@ -370,6 +370,50 @@ class TestGridSequencing:
         assert report.coarse_grid is None and report.coarse_fine_sup is None
         assert all(r.grid == grid16.shape for r in report.trace.records)
         assert np.array_equal(report.u.values, _continuation_only(F, cfg16).u.values)
+
+
+class TestContinuation:
+    def test_failed_attempt_hands_its_kept_state_on(self, monkeypatch):
+        # the linearization taken for a failed attempt's record starts the
+        # next attempt, so every Newton step gets the coefficients of its state
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(9, 9, 9)
+        F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
+        cfg = SolverConfig(grid=grid, newton_max_iters=5, tau_initial_step=1.0)
+        given, step = [], solver_module.newton_step
+
+        def checking(u, F_target, cfg_, forcing=None, coeffs=None):
+            fresh = linearize(u)
+            given.append(coeffs is not None and all(
+                np.array_equal(getattr(coeffs, name), getattr(fresh, name)) for name in "PQRS"
+            ))
+            return step(u, F_target, cfg_, forcing=forcing, coeffs=coeffs)
+
+        monkeypatch.setattr(solver_module, "newton_step", checking)
+        records = []
+        solver_module._continuation(F, cfg, records)
+        assert not records[0].accepted and records[-1].accepted
+        assert len(given) > 1 and all(given)
+
+    def test_stall_reports_the_measured_residual(self):
+        # on this even grid the failed attempt's residual is all mean (the
+        # Nyquist mean floor), which the message shows instead of guessing
+        import re
+
+        F = _band_limited_datum(16)
+        with pytest.raises(ContinuationStalled) as info:
+            solve(F, SolverConfig(grid=F.grid))
+        message = str(info.value)
+        assert "rounding floor" not in message
+        found = re.search(
+            r"residual sup (\S+) \(newton_tol \S+\), mean (\S+) and sup \|residual - mean\| (\S+)$",
+            message,
+        )
+        sup, res_mean, spread = (float(g) for g in found.groups())
+        assert sup > SolverConfig(grid=F.grid).newton_tol
+        assert res_mean == pytest.approx(sup, rel=1e-3)
+        assert spread <= 1e-3 * sup
 
 
 class TestGridRefinement:
