@@ -240,16 +240,12 @@ def ellipticity_report(
     )
 
 
-def is_solution(
-    u: ScalarField,
-    F: ScalarField,
-    tol_factor: float = 1e-10,
-    coeffs: LinearizedCoeffs | None = None,
-) -> bool:
-    """Solution test: sup |residual| <= tol_factor * max(1, sup e^F).
+def is_solution(u: ScalarField, F: ScalarField, tol_factor: float = 1e-10) -> bool:
+    """Solution test: sup |residual| <= :func:`solution_residual_bound`."""
+    r = residual(u, F)
+    return float(np.max(np.abs(r.values))) <= solution_residual_bound(F, tol_factor)
 
-    A caller that already holds ``linearize(u)`` passes it as ``coeffs``.
-    """
-    r = residual(u, F, coeffs)
-    scale = max(1.0, float(np.max(np.exp(F.values))))
-    return float(np.max(np.abs(r.values))) <= tol_factor * scale
+
+def solution_residual_bound(F: ScalarField, tol_factor: float = 1e-10) -> float:
+    """tol_factor * max(1, sup e^F): the largest sup residual of a solution."""
+    return tol_factor * max(1.0, float(np.max(np.exp(F.values))))

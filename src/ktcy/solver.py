@@ -17,19 +17,25 @@ sequencing never loses a solve.
 
 Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
-subspace by restarted GMRES, right-preconditioned by the constant-coefficient
-operator
+subspace by restarted GMRES, right-preconditioned by K = M^{-1} D^{-1}.
+M is the constant-coefficient operator
 
     M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
 
-with Pbar, Qbar the grid means of the linearization coefficients.  M is
+with Pbar, Qbar the grid means of the linearization coefficients.  It is
 diagonal in Fourier space, built from the same ``operator_symbols`` table
 as the linearized apply, and nonsingular on mean-zero functions; its zero
-mode is pinned to 0.  The first-order term makes L non-symmetric, hence a
-residual-minimizing Krylov method.  GMRES runs on L M^{-1}: the inverse
-symbol of M is passed to ``apply_linearized``, which applies it between its
-forward and inverse transforms, and w = M^{-1} y is recovered once at the
-end.  GMRES therefore stops on the true linear residual ||b - L w||_2.
+mode is pinned to 0.  D multiplies by the trace ratio
+d = (P + Q) / (Pbar + Qbar), which M cannot see: where P and Q vary
+together, L is close to d M, so L K is close to the identity; on the flat
+state d = 1 and K = M^{-1}.  On large data this about halves the Krylov work
+(Saad, *Iterative Methods for Sparse Linear Systems*, 2003, section 9.3, on
+right preconditioning).  The first-order term makes L non-symmetric, hence a
+residual-minimizing Krylov method.  GMRES runs on L K: each application
+divides its vector by d and passes the inverse symbol of M to
+``apply_linearized``, which applies it between its forward and inverse
+transforms, and w = M^{-1}(y / d) is recovered once at the end.  GMRES
+therefore stops on the true linear residual ||b - L w||_2.
 
 The Newton loop solves each system only as accurately as the step needs
 (inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
@@ -56,7 +62,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .field import (
     GridMismatchError,
@@ -218,26 +223,35 @@ def solve_linearized(
 ) -> tuple[ScalarField, int]:
     """Solve L w = rhs for mean-zero w by right-preconditioned restarted GMRES.
 
-    Stops once ||b - L w||_2 <= rtol ||b||_2, b the mean-zero part of rhs;
-    rtol defaults to ``cfg.krylov_tol``.  Returns the solution and the number
-    of operator applications.
+    GMRES runs on L K with K = M^{-1} D^{-1}: D multiplies by the trace ratio
+    d = (P + Q) / (Pbar + Qbar), and M is the grid-mean operator.  Where P and
+    Q vary together L is close to d M, and on the flat state d = 1.  Raises
+    EllipticityLost when min(P + Q) <= 0, where D^{-1} is undefined.  Stops
+    once ||b - L w||_2 <= rtol ||b||_2, b the mean-zero part of rhs; rtol
+    defaults to ``cfg.krylov_tol``.  Returns the solution and the number of
+    operator applications.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     grid = rhs.grid
     shape = grid.shape
     n = rhs.values.size
-    pbar = float(np.mean(coeffs.P))
-    qbar = float(np.mean(coeffs.Q))
-    inv_symbol = _precond_inverse_symbol(grid, pbar, qbar)
+    trace = coeffs.P + coeffs.Q
+    min_trace = float(np.min(trace))
+    if not min_trace > 0.0:
+        raise EllipticityLost(f"min(P + Q) = {min_trace:.3e}: no trace-scaled preconditioner")
+    d = trace / float(np.mean(trace))
+    inv_symbol = _precond_inverse_symbol(grid, float(np.mean(coeffs.P)), float(np.mean(coeffs.Q)))
 
     applications = [0]
 
     def matvec(v):
-        # restriction of L M^{-1} to the mean-zero subspace: without the
-        # output projection, Nyquist-mode aliasing leaks a tiny constant
-        # component that the mean-pinned M^{-1} can never remove, and GMRES
-        # stalls just above tolerance
+        # restriction of L K to the mean-zero subspace: without the output
+        # projection, Nyquist-mode aliasing leaks a tiny constant component
+        # that the mean-pinned M^{-1} can never remove, and GMRES stalls just
+        # above tolerance
         applications[0] += 1
-        y = ScalarField(grid, v.reshape(shape))
+        y = ScalarField(grid, v.reshape(shape) / d)
         out = apply_linearized(coeffs, y, right_inverse=inv_symbol).values
         return (out - np.mean(out)).ravel()
 
@@ -252,7 +266,7 @@ def solve_linearized(
         raise KrylovStalled(
             f"GMRES returned info={info} after {applications[0]} operator applications"
         )
-    spec = np.fft.rfftn(y.reshape(shape)) * inv_symbol
+    spec = np.fft.rfftn(y.reshape(shape) / d) * inv_symbol
     w = np.fft.irfftn(spec, s=shape, axes=(0, 1, 2))
     return project_mean_zero(ScalarField(grid, w)), applications[0]
 
@@ -424,15 +438,27 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
     return u, carried[0]
 
 
+def _is_odd_5_smooth(m: int) -> bool:
+    for p in (3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 def _coarse_grid(grid: GridSpec) -> GridSpec | None:
     """The odd grid of about half the size that sequencing continues on.
 
-    Each axis gets n//2, or n//2 + 1 when n//2 is even, and at least 5.
-    None when that does not make every axis smaller.
+    Each axis of n samples gets the odd 5-smooth size 3^a 5^b nearest n/2
+    (ties to the larger), at least 5 and below n: pocketfft is slow on prime
+    lengths such as the 17 that n//2 rounded to odd gives for 32 and 34.
+    None when some axis has no such size.
     """
-    shape = tuple(max(5, (n // 2) | 1) for n in grid.shape)
-    if any(c >= n for c, n in zip(shape, grid.shape)):
-        return None
+    shape = []
+    for n in grid.shape:
+        sizes = [m for m in range(5, n, 2) if _is_odd_5_smooth(m)]
+        if not sizes:
+            return None
+        shape.append(min(sizes, key=lambda m: (abs(2 * m - n), -m)))
     return GridSpec(*shape, *grid.periods)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ktcy.pde import ellipticity_report, manufacture, renormalize, residual
+from ktcy.pde import ellipticity_report, is_solution, manufacture, renormalize, residual
 from ktcy.estimates import uniqueness_probe, verify
 from ktcy.field import ScalarField, random_band_limited, sample
 from ktcy.solver import SolverConfig, solve
@@ -95,6 +95,28 @@ class TestVerify:
         assert len(calls) == 1
         assert [c.margin for c in given.checks] == [c.margin for c in fresh.checks]
         assert given.informative == fresh.informative
+
+    @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
+    def test_takes_the_residual_once(self, grid16, rng, monkeypatch, solved):
+        import ktcy.estimates
+        import ktcy.pde
+
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
+        if solved:
+            u = solve(F, SolverConfig(grid=grid16)).u
+        else:
+            u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.01)
+        calls, res = [], ktcy.pde.residual
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return res(*args, **kwargs)
+
+        monkeypatch.setattr(ktcy.pde, "residual", counting)
+        monkeypatch.setattr(ktcy.estimates, "residual", counting)
+        report = verify(u, F)
+        assert len(calls) == 1
+        assert report.informative == (not is_solution(u, F))
 
     @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
     def test_carries_ellipticity_and_residual_norms(self, grid16, rng, solved):

@@ -126,6 +126,43 @@ class TestKrylov:
         r = apply_linearized(coeffs, w).values - rhs.values
         assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
 
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-9])
+    def test_true_residual_meets_rtol_at_large_amplitude(self, large_state, rng, rtol):
+        # P + Q spans 0.5 to 6.8 here: the trace scaling acts, and the right
+        # preconditioner still leaves GMRES stopping on ||b - L w||_2
+        cfg, coeffs = large_state
+        rhs = project_mean_zero(random_band_limited(cfg.grid, rng, max_mode=4))
+        w, _ = solve_linearized(coeffs, rhs, cfg, rtol=rtol)
+        r = apply_linearized(coeffs, w).values - rhs.values
+        assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
+        assert abs(mean(w)) < 1e-15
+
+    def test_trace_scaling_cuts_krylov_work(self, large_state, rng):
+        # the grid-mean operator alone takes 46 applications here, the trace
+        # scaled one 22
+        cfg, coeffs = large_state
+        rhs = project_mean_zero(random_band_limited(cfg.grid, rng, max_mode=4))
+        _, applications = solve_linearized(coeffs, rhs, cfg)
+        assert applications <= 32
+
+    def test_refuses_nonpositive_trace(self, grid16, cfg16, rng):
+        # P + Q = 2 - 6 sin 2 pi x sin 2 pi y reaches -4
+        u = sample(lambda x, y, t: 3.0 / TAU**2 * np.sin(TAU * x) * np.sin(TAU * y), grid16)
+        rhs = random_band_limited(grid16, rng, max_mode=4)
+        with pytest.raises(EllipticityLost, match="P \\+ Q"):
+            solve_linearized(linearize(u), rhs, cfg16)
+
+
+@pytest.fixture(scope="module")
+def large_state():
+    """Config and coefficients at the 15^3 solution of 3 sin 2 pi x sin 2 pi y sin 2 pi t."""
+    grid = GridSpec(15, 15, 15)
+    F = renormalize(
+        sample(lambda x, y, t: 3.0 * np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid)
+    )
+    cfg = SolverConfig(grid=grid)
+    return cfg, linearize(solve(F, cfg).u)
+
 
 class TestNewtonStep:
     def test_zero_residual_returns_input(self, grid16, cfg16):
@@ -317,8 +354,8 @@ class TestGridSequencing:
         F = _band_limited_datum(24)
         cfg = SolverConfig(grid=F.grid)
         report = solve(F, cfg)
-        assert report.coarse_grid == (13, 13, 13)
-        assert {r.grid for r in report.trace.records} == {(13, 13, 13), (24, 24, 24)}
+        assert report.coarse_grid == (15, 15, 15)
+        assert {r.grid for r in report.trace.records} == {(15, 15, 15), (24, 24, 24)}
         assert report.final_residual_sup <= cfg.newton_tol
         assert report.estimates.passed and not report.estimates.informative
         full = _continuation_only(F, cfg)
@@ -424,3 +461,22 @@ class TestGridRefinement:
         u32 = solve(renormalize(sample(f, g32)), SolverConfig(grid=g32)).u
         diff = _sup(resample(u16, g32).values - u32.values)
         assert diff <= 1e-6
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # GMRES is imported by the linear solve that runs it, so the commands
+    # that solve nothing (verify, manufacture, export) do not pay for it
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ktcy; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
