@@ -427,6 +427,11 @@ def write_field(u: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
+    """Read the dump format of :func:`write_field`, bitwise.
+
+    The values are parsed in one C-level call; any token that is not a
+    number raises ValueError naming the path.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 6:
@@ -434,7 +439,14 @@ def read_field(path) -> ScalarField:
         nx, ny, nt = (int(w) for w in header[:3])
         Lx, Ly, Lt = (float(w) for w in header[3:])
         grid = GridSpec(nx, ny, nt, Lx, Ly, Lt)
-        values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+        text = fh.read()
+    # fromstring reads whitespace alone as the single value -1
+    if text.isspace():
+        text = ""
+    try:
+        values = np.fromstring(text, dtype=np.float64, sep=" ")
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed field dump values ({exc})") from None
     if values.size != nx * ny * nt:
         raise ValueError(
             f"{path}: expected {nx * ny * nt} values, found {values.size}"

@@ -1,8 +1,14 @@
-"""Grid-sequenced continuity-method solver with damped inexact Newton and
-preconditioned Krylov steps.
+"""Grid-sequenced damped inexact Newton solver with preconditioned Krylov
+steps and a continuity-method fallback.
 
-The path datum is F_tau = log(1 - tau + tau e^F), starting from the exact
-solution u = 0 at tau = 0 and marching adaptively to tau = 1.
+The path datum is F_tau = log(1 - tau + tau e^F), whose solution at tau = 0
+is u = 0.  The march tries the whole path first: its first attempt is a
+damped Newton solve of the full datum (tau = 1) from u = 0, which converges
+on most data.  Only a failed attempt halves the tau step, and an attempt of
+at most three Newton iterations doubles it again.  The path is the proof's
+device, not a requirement: the solution is unique, so any start that
+converges gives it (Deuflhard's globalized Newton, with continuation kept as
+the fallback).
 
 The march need not run on the requested grid.  Each datum has exactly one
 solution, so any good start will do (nested iteration, as in Kelley's and
@@ -131,7 +137,7 @@ class SolverConfig:
     newton_max_iters: int = 30
     krylov_tol: float = 1e-9
     krylov_max_iters: int = 600
-    tau_initial_step: float = 0.25
+    tau_initial_step: float = 1.0
     tau_min_step: float = 1e-4
     damping: DampingConfig = dataclass_field(default_factory=DampingConfig)
 
@@ -165,9 +171,13 @@ class TraceRecord:
     newton_iters: int
     final_residual_sup: float
     lambda_min: float
-    accepted: bool
+    failure: str | None  # SolverError class that ended the attempt, None if accepted
     krylov_applications: int  # operator applications over the attempt's linear solves
     grid: tuple  # shape of the grid the attempt ran on
+
+    @property
+    def accepted(self) -> bool:
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -349,37 +359,40 @@ def _newton_attempt(u0, F_target, cfg, carried):
     returned state.  Handing them over this way keeps no reference to the
     start coefficients alive past the first accepted step; a caller holding
     its own would keep four more grid fields through every linear solve of
-    the attempt.  Returns (ok, u, iters, residual_sup, krylov_applications).
-    The start residual comes from the first ``newton_step``, which returns a
-    converged start state unchanged.
+    the attempt.  Returns (failure, u, iters, residual_sup,
+    krylov_applications), where failure is None on success, the class name of
+    the ``SolverError`` a step raised, or ``"NewtonStalled"`` when the step
+    budget ran out; u is then the last state reached.  The start residual
+    comes from the first ``newton_step``, which returns a converged start
+    state unchanged.
     """
     u, res_sup, eta, krylov = u0, None, _ETA_MAX, 0
     coeffs = carried.pop() if carried else None
     for it in range(cfg.newton_max_iters):
         try:
             step = newton_step(u, F_target, cfg, forcing=eta, coeffs=coeffs)
-        except SolverError:
+        except SolverError as exc:
             if res_sup is None:  # the first step failed: report the start residual
                 res_sup = _sup(residual(u, F_target, coeffs).values)
-            return False, u, it, res_sup, krylov
+            return type(exc).__name__, u, it, res_sup, krylov
         if step.krylov_iters == 0:  # the start state already meets newton_tol
             carried.append(step.coeffs)
-            return True, u, it, step.residual_sup, krylov
+            return None, u, it, step.residual_sup, krylov
         krylov += step.krylov_iters
         eta = _forcing_term(step.residual_sup, step.start_residual_sup, step.krylov_rtol)
         u, res_sup, coeffs = step.u_next, step.residual_sup, step.coeffs
         if res_sup <= cfg.newton_tol:
             carried.append(coeffs)
-            return True, u, it + 1, res_sup, krylov
-    return False, u, cfg.newton_max_iters, res_sup, krylov
+            return None, u, it + 1, res_sup, krylov
+    return NewtonStalled.__name__, u, cfg.newton_max_iters, res_sup, krylov
 
 
 def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> ScalarField:
     """Plain Newton iteration from a warm start at fixed datum (no path)."""
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
-    ok, u, iters, res_sup, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg, [])
-    if not ok:
+    failure, u, iters, res_sup, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg, [])
+    if failure is not None:
         raise NewtonStalled(
             f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
         )
@@ -401,10 +414,12 @@ def check_normalization(F: ScalarField) -> None:
 def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
     """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``.
 
-    Appends one record per tau attempt to ``records``, also when it raises.
-    Doubles the step after any tau accepted with <= 3 Newton iterations,
-    halves on failure, and raises ContinuationStalled below tau_min_step
-    with the failed attempt's residual.  Returns u and ``linearize(u)``.
+    The first attempt is at tau = ``tau_initial_step`` (by default 1, the
+    full datum).  Appends one record per tau attempt to ``records``, with
+    the failure that ended it, also when it raises.  Doubles the step after
+    any tau accepted with <= 3 Newton iterations, halves on failure, and
+    raises ContinuationStalled below tau_min_step with the failed attempt's
+    residual.  Returns u and ``linearize(u)``.
     """
     u = ScalarField.zeros(F.grid)
     carried = [linearize(u)]  # linearize(u) between tau attempts
@@ -413,14 +428,14 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
         F_tau = continuity_datum(F, tau_try)
-        ok, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg, carried)
-        if ok:
+        failure, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg, carried)
+        if failure is None:
             u = u_new
         else:  # the attempt dropped the coefficients of the state kept
             carried.append(linearize(u))
         lam = ellipticity_report(u, F_tau, coeffs=carried[0]).min_lambda
-        records.append(TraceRecord(tau_try, iters, rsup, lam, ok, krylov, F.grid.shape))
-        if ok:
+        records.append(TraceRecord(tau_try, iters, rsup, lam, failure, krylov, F.grid.shape))
+        if failure is None:
             tau = tau_try
             if iters <= 3:
                 step = min(2.0 * step, 1.0)
@@ -481,10 +496,10 @@ def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
         return None
     u0 = project_mean_zero(resample(u_coarse, F.grid))
     carried = []
-    ok, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
+    failure, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
     lam = ellipticity_report(u, F, coeffs=carried[0] if carried else None).min_lambda
-    records.append(TraceRecord(1.0, iters, rsup, lam, ok, krylov, F.grid.shape))
-    if not ok:
+    records.append(TraceRecord(1.0, iters, rsup, lam, failure, krylov, F.grid.shape))
+    if failure is not None:
         return None
     return u, carried[0], coarse.shape, _sup(u.values - u0.values)
 
@@ -514,7 +529,7 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     if res_sup <= cfg.newton_tol:
         u = ScalarField.zeros(F.grid)
         estimates = verify(u, F)
-        record = TraceRecord(1.0, 0, res_sup, estimates.ellipticity.min_lambda, True, 0, F.grid.shape)
+        record = TraceRecord(1.0, 0, res_sup, estimates.ellipticity.min_lambda, None, 0, F.grid.shape)
         return SolveReport(u, ContinuityTrace((record,)), estimates)
 
     records = []

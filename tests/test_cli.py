@@ -22,7 +22,15 @@ from ktcy.cli import (
     parse_config_file,
     write_csv_slice,
 )
-from ktcy.field import GridSpec, ScalarField, integrate, read_field, sample, write_field
+from ktcy.field import (
+    GridSpec,
+    ScalarField,
+    integrate,
+    random_band_limited,
+    read_field,
+    sample,
+    write_field,
+)
 from ktcy.pde import NonPositiveLHS, manufacture, renormalize
 from ktcy.solver import DampingConfig, SolverConfig
 
@@ -513,6 +521,18 @@ class TestAuditReport:
         assert len(_report_lines(sdir / "report.txt", ("residual.",))) == 3
         assert len(_report_lines(sdir / "report.txt", ("ellipticity.",))) == 9
         assert solved == _report_lines(vdir / "report.txt", prefixes)
+
+    def test_solve_prints_why_an_attempt_failed(self, tmp_path):
+        # the Newton finish from the prolonged 9^3 solution leaves the cone
+        grid = GridSpec(17, 17, 17)
+        path, out = tmp_path / "F.field", tmp_path / "s"
+        F = random_band_limited(grid, np.random.default_rng(5), max_mode=3, amplitude=3.0)
+        write_field(renormalize(F), path)
+        assert main(["solve", "--field", str(path), "--out", str(out)]) == EXIT_OK
+        report = dict(line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines())
+        failures = [report[f"trace.{i}.failure"] for i in range(1, int(report["trace.records"]) + 1)]
+        assert failures == ["none", "EllipticityLost", "none"]
+        assert report["trace.2.accepted"] == "false"
 
     def test_solve_linearizes_as_often_as_the_library(self, datum_dump, tmp_path, monkeypatch):
         import sys

@@ -319,6 +319,32 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match="expected 64 values"):
             read_field(path)
 
+    def test_rejects_malformed_value(self, tmp_path):
+        path = tmp_path / "typo.field"
+        path.write_text("4 4 4 1 1 1\n" + "0.0\n" * 40 + "0.O\n" + "0.0\n" * 23)
+        with pytest.raises(ValueError, match="typo.field: malformed field dump values"):
+            read_field(path)
+
+    def test_blank_body_has_no_values(self, tmp_path):
+        path = tmp_path / "blank.field"
+        path.write_text("4 4 4 1 1 1\n \n")
+        with pytest.raises(ValueError, match="expected 64 values, found 0"):
+            read_field(path)
+
+    def test_round_trip_random_bit_patterns(self, tmp_path):
+        # every finite double, subnormals, signed zeros and the extremes
+        # included, comes back with the same bits
+        g = GridSpec(16, 16, 16)
+        bits = np.random.default_rng(29).integers(0, 2**64, size=g.shape, dtype=np.uint64)
+        values = bits.view(np.float64).copy()
+        values[~np.isfinite(values)] = 1.0
+        tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        values.reshape(-1)[:8] = [0.0, -0.0, 5e-324, -5e-324, tiny, tiny - 5e-324, big, -big]
+        path = tmp_path / "bits.field"
+        write_field(ScalarField(g, values), path)
+        back = read_field(path).values
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
 
 class TestResample:
     def test_upsample_band_limited_exact(self, rng):

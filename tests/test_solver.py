@@ -380,7 +380,7 @@ class TestGridSequencing:
         def failing_attempt(u0, F_target, cfg_, carried):
             if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
                 fine_calls.append(1)
-                return False, u0, 1, 1.0, 0
+                return "NewtonStalled", u0, 1, 1.0, 0
             return attempt(u0, F_target, cfg_, carried)
 
         if stage == "coarse":
@@ -432,6 +432,47 @@ class TestContinuation:
         solver_module._continuation(F, cfg, records)
         assert not records[0].accepted and records[-1].accepted
         assert len(given) > 1 and all(given)
+
+    def test_exhausted_budget_reads_newton_stalled(self, grid16, rng):
+        import ktcy.solver as solver_module
+
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
+        cfg = SolverConfig(grid=grid16, newton_max_iters=1, tau_min_step=0.1)
+        records = []
+        with pytest.raises(ContinuationStalled):
+            solver_module._continuation(F, cfg, records)
+        assert records and {r.failure for r in records} == {"NewtonStalled"}
+        assert not any(r.accepted for r in records)
+
+    def test_starts_with_the_full_datum(self):
+        # this datum walked tau = 0.25, 0.5, 0.75, 1 on the coarse grid while
+        # the march started at a quarter step (65 Krylov applications); it
+        # takes one attempt at tau = 1 there and the Newton finish on 16^3
+        F = renormalize(random_band_limited(
+            GridSpec(16, 16, 16), np.random.default_rng(21), max_mode=2, amplitude=0.6
+        ))
+        report = solve(F, SolverConfig(grid=F.grid))
+        records = report.trace.records
+        assert [(r.grid, r.tau, r.failure) for r in records] == [
+            ((9, 9, 9), 1.0, None), ((16, 16, 16), 1.0, None),
+        ]
+        assert sum(r.krylov_applications for r in records) <= 28
+        assert report.estimates.passed and not report.estimates.informative
+
+    def test_failed_attempt_names_its_failure(self):
+        # the start prolonged from the 9^3 solution has min P = -0.31 on the
+        # 17^3 grid, so the Newton finish is refused at its first step and
+        # the continuation runs on 17^3 from u = 0
+        F = renormalize(random_band_limited(
+            GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
+        ))
+        cfg = SolverConfig(grid=F.grid)
+        report = solve(F, cfg)
+        fine = [r for r in report.trace.records if r.grid == F.grid.shape]
+        assert (fine[0].failure, fine[0].newton_iters, fine[0].accepted) == ("EllipticityLost", 0, False)
+        assert all(r.failure is None for r in fine[1:])
+        assert report.coarse_grid is None
+        assert report.final_residual_sup <= cfg.newton_tol and report.estimates.passed
 
     def test_stall_reports_the_measured_residual(self):
         # on this even grid the failed attempt's residual is all mean (the
