@@ -208,7 +208,7 @@ class RunReport:
             self.add(f"trace.{i}.residual_sup", r.final_residual_sup)
             self.add(f"trace.{i}.lambda_min", r.lambda_min)
             self.add(f"trace.{i}.accepted", r.accepted)
-            self.add(f"trace.{i}.failure", "none" if r.failure is None else r.failure)
+            self.add(f"trace.{i}.failure", r.failure or "none")
             self.add(f"trace.{i}.krylov_applications", r.krylov_applications)
             self.add(f"trace.{i}.grid", _shape_text(r.grid))
 
