@@ -63,7 +63,6 @@ from .pde import (
 from .solver import (
     ContinuationStalled,
     ContinuityTrace,
-    DampingConfig,
     EllipticityLost,
     KrylovStalled,
     LineSearchFailed,

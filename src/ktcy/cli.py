@@ -23,17 +23,12 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .estimates import EstimateReport, verify
 from .field import GridSpec, ScalarField, integrate, read_field, sample, write_field
 from .pde import NonPositiveLHS, manufacture, renormalize
 from .rotation import RationalAngle, rotated_grid, solve_rotated
-from .solver import (
-    ContinuationStalled,
-    DampingConfig,
-    NormalizationError,
-    SolverConfig,
-    solve,
-)
+from .solver import ContinuationStalled, NormalizationError, SolverConfig, solve
 
 __all__ = [
     "ExpressionError",
@@ -42,8 +37,6 @@ __all__ = [
     "write_csv_slice",
     "main",
 ]
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -270,15 +263,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected boolean, got {text!r}")
 
 
-# Solver keys -> parser; the defaults live in SolverConfig and DampingConfig.
+# Solver keys -> parser: every SolverConfig field but the grid, parsed by the
+# type of its default.  The defaults live in SolverConfig only; a field of a
+# type with no parser here fails the import instead of parsing wrongly.
+_PARSERS = {float: float, int: int}
 _SOLVER_KEYS = {
-    "newton_tol": float, "newton_max_iters": int, "krylov_tol": float,
-    "krylov_max_iters": int, "tau_initial_step": float, "tau_min_step": float,
+    f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(SolverConfig) if f.name != "grid"
 }
-_DAMPING_KEYS = {
-    "damping_enabled": _parse_bool, "damping_factor": float, "damping_max_backtracks": int,
-}
-_CONFIG_KEYS = set(_FLAG_KEYS.values()) | set(_SOLVER_KEYS) | set(_DAMPING_KEYS)
+_CONFIG_KEYS = set(_FLAG_KEYS.values()) | set(_SOLVER_KEYS)
 
 
 def parse_config_file(path) -> dict:
@@ -363,12 +355,8 @@ class RunConfig:
     def solver_config(self, grid: GridSpec) -> SolverConfig:
         """Solver settings from the keys given; the others keep their defaults."""
         s = self.settings
-        damping = {
-            key.removeprefix("damping_"): parse(s[key])
-            for key, parse in _DAMPING_KEYS.items() if key in s
-        }
         solver = {key: parse(s[key]) for key, parse in _SOLVER_KEYS.items() if key in s}
-        return SolverConfig(grid=grid, damping=DampingConfig(**damping), **solver)
+        return SolverConfig(grid=grid, **solver)
 
     def datum(self, grid: GridSpec | None = None) -> ScalarField:
         """The datum from its one source, renormalized when asked.
@@ -406,7 +394,7 @@ def _ensure_out(settings) -> str | None:
 def _begin_report(config: RunConfig) -> RunReport:
     report = RunReport()
     report.add("tool", "ktcy")
-    report.add("version", TOOL_VERSION)
+    report.add("version", __version__)
     report.add("command", config.command)
     report.add_config_echo(config.echo())
     return report

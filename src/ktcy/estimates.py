@@ -90,7 +90,6 @@ def _identity(name, value, note=""):
 def verify(
     u: ScalarField,
     F: ScalarField,
-    solution_tol_factor: float = 1e-10,
     coeffs: LinearizedCoeffs | None = None,
 ) -> EstimateReport:
     """Audit a candidate solution of ma_lhs(u) = e^F against all ten bounds.
@@ -149,7 +148,7 @@ def verify(
     )
     return EstimateReport(
         checks=checks,
-        informative=not res_sup <= solution_residual_bound(F, solution_tol_factor),
+        informative=not res_sup <= solution_residual_bound(F),
         sup_u=nrm["sup"],
         sup_laplacian=float(np.max(np.abs(uxx + p_factor - ut.values))),
         ellipticity=ell,

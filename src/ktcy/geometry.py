@@ -24,6 +24,8 @@ from .field import GridSpec, ScalarField, derivative, mean
 from .pde import linearize
 
 _TWO_FORM_BASIS = ("c12", "c13", "c14", "c23", "c24", "c34")
+_J_INVARIANCE_TOL = 1e-12  # largest J-violation of an invariant two-form
+_MEAN_TOL = 1e-10  # relative mean that alpha_from_u warns about
 
 
 def _dx(f):
@@ -90,8 +92,8 @@ class TwoForm:
             getattr(self, n) - getattr(other, n) for n in _TWO_FORM_BASIS
         ])
 
-    def is_j_invariant(self, tol: float = 1e-12) -> bool:
-        return check_j_invariance(self)["max_violation"] <= tol
+    def is_j_invariant(self) -> bool:
+        return check_j_invariance(self)["max_violation"] <= _J_INVARIANCE_TOL
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ class MetricField:
         return float(np.min(eigs))
 
 
-def alpha_from_u(u: ScalarField, mean_tol: float = 1e-10) -> OneForm:
+def alpha_from_u(u: ScalarField) -> OneForm:
     """Potential 1-form of the scalar reduction.
 
     With the J table above, the twisted differential expands to
@@ -161,7 +163,7 @@ def alpha_from_u(u: ScalarField, mean_tol: float = 1e-10) -> OneForm:
     The expansion is validated by the exterior_d unit tests, which must
     reproduce the (1,1) curvature coefficients coefficient-by-coefficient.
     """
-    if abs(mean(u)) > mean_tol * (1.0 + float(np.max(np.abs(u.values)))):
+    if abs(mean(u)) > _MEAN_TOL * (1.0 + float(np.max(np.abs(u.values)))):
         warnings.warn("alpha_from_u: u is not mean-zero", stacklevel=2)
     zero = ScalarField.zeros(u.grid)
     return OneForm(a1=-(_dt(u) + u), a2=zero, a3=_dy(u), a4=-_dx(u))

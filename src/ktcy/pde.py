@@ -33,6 +33,9 @@ from .field import (
     GridMismatchError, GridSpec, ScalarField, derivative, mean, operator_symbols, project_mean_zero
 )
 
+_TRACE_TOL = 1e-8  # relative slack of the trace-floor test, as in the estimate audit
+_SOLUTION_TOL_FACTOR = 1e-10  # sup residual of a solution, relative to max(1, sup e^F)
+
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
@@ -201,7 +204,7 @@ class EllipticityReport:
     sqrt_clamped: bool
     q_positive: bool      # u_xx + 1 > 0 everywhere
     p_positive: bool      # u_yy + u_tt + u_t + 1 > 0 everywhere
-    trace_bound_ok: bool  # min_trace >= trace_floor (within tolerance)
+    trace_bound_ok: bool  # min_trace >= trace_floor within 1e-8 (1 + trace_floor)
 
     @property
     def admissible(self) -> bool:
@@ -211,7 +214,6 @@ class EllipticityReport:
 def ellipticity_report(
     u: ScalarField,
     F: ScalarField,
-    tol: float = 1e-8,
     coeffs: LinearizedCoeffs | None = None,
 ) -> EllipticityReport:
     if u.grid != F.grid:
@@ -236,16 +238,16 @@ def ellipticity_report(
         sqrt_clamped=clamped,
         q_positive=min_q > 0.0,
         p_positive=min_p > 0.0,
-        trace_bound_ok=min_trace - trace_floor >= -tol * (1.0 + abs(trace_floor)),
+        trace_bound_ok=min_trace - trace_floor >= -_TRACE_TOL * (1.0 + abs(trace_floor)),
     )
 
 
-def is_solution(u: ScalarField, F: ScalarField, tol_factor: float = 1e-10) -> bool:
+def is_solution(u: ScalarField, F: ScalarField) -> bool:
     """Solution test: sup |residual| <= :func:`solution_residual_bound`."""
     r = residual(u, F)
-    return float(np.max(np.abs(r.values))) <= solution_residual_bound(F, tol_factor)
+    return float(np.max(np.abs(r.values))) <= solution_residual_bound(F)
 
 
-def solution_residual_bound(F: ScalarField, tol_factor: float = 1e-10) -> float:
-    """tol_factor * max(1, sup e^F): the largest sup residual of a solution."""
-    return tol_factor * max(1.0, float(np.max(np.exp(F.values))))
+def solution_residual_bound(F: ScalarField) -> float:
+    """1e-10 * max(1, sup e^F): the largest sup residual of a solution."""
+    return _SOLUTION_TOL_FACTOR * max(1.0, float(np.max(np.exp(F.values))))

@@ -23,7 +23,8 @@ sequencing never loses a solve.
 
 Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
-subspace by restarted GMRES, right-preconditioned by K = M^{-1} D^{-1}.
+subspace by GMRES restarted every 50 iterations, at most 12 cycles,
+right-preconditioned by K = M^{-1} D^{-1}.
 M is the constant-coefficient operator
 
     M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
@@ -50,9 +51,17 @@ Eisenstat and Walker's choice 2 on the sup residuals r_k:
     eta_0 = 0.1,   eta_k = 0.9 (r_k / r_{k-1})^2,
 
 raised to 0.9 eta_{k-1}^2 when that exceeds 0.1, capped at 0.1, and floored
-at max(krylov_tol, 0.5 newton_tol / r_k).  ``krylov_tol`` is thus the
-tightest tolerance any linear solve is asked for; a direct ``newton_step``
-call without a forcing term solves to it.
+at max(1e-9, 0.5 newton_tol / r_k).  The constant 1e-9 is thus the tightest
+tolerance any linear solve is asked for; a direct ``newton_step`` call
+without a forcing term solves to it.  The step is damped by a backtracking
+line search that halves its length, at most 10 times, until the sup
+residual decreases and the state stays in the elliptic cone.
+
+The solver has three settings, in :class:`SolverConfig`: the accuracy
+``newton_tol`` and the budgets ``newton_max_iters`` (Newton steps per
+attempt) and ``tau_min_step`` (the smallest tau step before the march
+stalls).  The paper's solution is unique, so the rest of the policy is
+fixed: the constants below.
 
 Each state is linearized once.  The coefficients of an accepted state
 travel with it to the next Newton step, into the next tau attempt (they do
@@ -64,8 +73,7 @@ right-hand side.  An attempt takes at most ``newton_max_iters`` steps.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +95,14 @@ from .pde import (
     renormalize,
     residual,
 )
+
+_KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
+_GMRES_RESTART = 50
+_GMRES_MAX_CYCLES = 12  # at most 600 operator applications per linear solve
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 10
+_ETA_MAX = 0.1  # cap and first value of the forcing terms
+_EW_GAMMA = 0.9
 
 
 class SolverError(Exception):
@@ -118,40 +134,19 @@ class ContinuationStalled(SolverError):
 
 
 @dataclass(frozen=True)
-class DampingConfig:
-    enabled: bool = True
-    factor: float = 0.5
-    max_backtracks: int = 10
-
-    def __post_init__(self):
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     grid: GridSpec
     newton_tol: float = 1e-11
     newton_max_iters: int = 30
-    krylov_tol: float = 1e-9
-    krylov_max_iters: int = 600
-    tau_initial_step: float = 1.0
     tau_min_step: float = 1e-4
-    damping: DampingConfig = dataclass_field(default_factory=DampingConfig)
 
     def __post_init__(self):
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        if not 0.0 < self.krylov_tol < 1.0:
-            raise ValueError("krylov_tol must lie in (0, 1)")
-        for name in ("tau_initial_step", "tau_min_step"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        if self.newton_max_iters < 1 or self.krylov_max_iters < 1:
-            raise ValueError("iteration budgets must be >= 1")
+        if not 0.0 < self.tau_min_step <= 1.0:
+            raise ValueError("tau_min_step must lie in (0, 1]")
+        if self.newton_max_iters < 1:
+            raise ValueError("newton_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,11 +183,6 @@ class ContinuityTrace:
     def accepted(self) -> tuple:
         return tuple(r for r in self.records if r.accepted)
 
-    @property
-    def final_tau(self) -> float:
-        acc = self.accepted
-        return acc[-1].tau if acc else 0.0
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -228,8 +218,7 @@ def _precond_inverse_symbol(grid: GridSpec, pbar: float, qbar: float) -> np.ndar
 def solve_linearized(
     coeffs: LinearizedCoeffs,
     rhs: ScalarField,
-    cfg: SolverConfig,
-    rtol: float | None = None,
+    rtol: float = _KRYLOV_TOL,
 ) -> tuple[ScalarField, int]:
     """Solve L w = rhs for mean-zero w by right-preconditioned restarted GMRES.
 
@@ -237,9 +226,10 @@ def solve_linearized(
     d = (P + Q) / (Pbar + Qbar), and M is the grid-mean operator.  Where P and
     Q vary together L is close to d M, and on the flat state d = 1.  Raises
     EllipticityLost when min(P + Q) <= 0, where D^{-1} is undefined.  Stops
-    once ||b - L w||_2 <= rtol ||b||_2, b the mean-zero part of rhs; rtol
-    defaults to ``cfg.krylov_tol``.  Returns the solution and the number of
-    operator applications.
+    once ||b - L w||_2 <= rtol ||b||_2, b the mean-zero part of rhs, and
+    raises KrylovStalled after 12 cycles of 50 iterations.  rtol defaults to
+    1e-9, the floor of the Newton loop's forcing terms.  Returns the solution
+    and the number of operator applications.
     """
     from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -267,11 +257,7 @@ def solve_linearized(
 
     A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     b = (rhs.values - np.mean(rhs.values)).ravel()
-    restart = min(50, cfg.krylov_max_iters)
-    maxiter = math.ceil(cfg.krylov_max_iters / restart)
-    if rtol is None:
-        rtol = cfg.krylov_tol
-    y, info = gmres(A, b, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter)
+    y, info = gmres(A, b, rtol=rtol, atol=0.0, restart=_GMRES_RESTART, maxiter=_GMRES_MAX_CYCLES)
     if info != 0:
         raise KrylovStalled(
             f"GMRES returned info={info} after {applications[0]} operator applications"
@@ -291,15 +277,17 @@ def newton_step(
     """One damped Newton step toward ma_lhs(u) = e^{F_target}.
 
     Refuses to step from an inadmissible state (EllipticityLost).  The
-    backtracking line search requires a strict sup-residual decrease and
-    keeps min Q and min P positive.  One ``linearize`` per state gives the
-    admissibility test, the residual and the Newton system; ``coeffs``, when
-    given, must be ``linearize(u)`` (the ``coeffs`` of the step that produced
-    u: they do not depend on the datum) and saves that call.  The linear solve
-    runs to ``forcing``, floored at max(krylov_tol, 0.5 newton_tol / r) with
-    r the sup residual at u, or to ``krylov_tol`` when no forcing is given.
-    A state that already meets ``newton_tol`` comes back unchanged with no
-    Krylov work.
+    backtracking line search halves the step length, at most 10 times, until
+    the trial state decreases the sup residual strictly (or meets
+    ``newton_tol``) with min Q and min P positive, and raises
+    LineSearchFailed when none does: no trial state outside the cone is ever
+    returned.  One ``linearize`` per state gives the admissibility test, the
+    residual and the Newton system; ``coeffs``, when given, must be
+    ``linearize(u)`` (the ``coeffs`` of the step that produced u: they do not
+    depend on the datum) and saves that call.  The linear solve runs to
+    ``forcing``, floored at max(1e-9, 0.5 newton_tol / r) with r the sup
+    residual at u, or to 1e-9 when no forcing is given.  A state that already
+    meets ``newton_tol`` comes back unchanged with no Krylov work.
     """
     if u.grid != cfg.grid:
         raise GridMismatchError("newton_step: state grid differs from config grid")
@@ -316,30 +304,26 @@ def newton_step(
     res_sup = _sup(res)
     if res_sup <= cfg.newton_tol:
         return NewtonStepResult(u, 0, 0.0, res_sup, res_sup, 0.0, coeffs)
-    rtol = cfg.krylov_tol
+    rtol = _KRYLOV_TOL
     if forcing is not None:
         rtol = max(forcing, rtol, 0.5 * cfg.newton_tol / res_sup)
-    w, krylov_iters = solve_linearized(coeffs, u.with_values(-res), cfg, rtol=rtol)
+    w, krylov_iters = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
 
-    s = 1.0  # without damping, the first trial is taken as it is
-    for _ in range(cfg.damping.max_backtracks + 1):
+    s = 1.0
+    for _ in range(_MAX_BACKTRACKS + 1):
         v = u.values + s * w.values
         u_try = u.with_values(v - np.mean(v))
         trial = linearize(u_try)
         res_try = _sup(trial.lhs() - ef)
         decrease = res_try < res_sup or res_try <= cfg.newton_tol
-        if not cfg.damping.enabled or (decrease and min(trial.Q.min(), trial.P.min()) > 0.0):
+        if decrease and min(trial.Q.min(), trial.P.min()) > 0.0:
             return NewtonStepResult(
                 u_try, krylov_iters, s * _sup(w.values), res_try, res_sup, rtol, trial
             )
-        s *= cfg.damping.factor
+        s *= _BACKTRACK_FACTOR
     raise LineSearchFailed(
-        f"no admissible decrease down to step factor {s / cfg.damping.factor:.3e}"
+        f"no admissible decrease down to step factor {s / _BACKTRACK_FACTOR:.3e}"
     )
-
-
-_ETA_MAX = 0.1  # cap and first value of the forcing terms
-_EW_GAMMA = 0.9
 
 
 def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
@@ -360,8 +344,8 @@ def _newton_attempt(u0, F_target, cfg, carried):
     start coefficients alive past the first accepted step; a caller holding
     its own would keep four more grid fields through every linear solve of
     the attempt.  Returns (failure, u, iters, residual_sup,
-    krylov_applications), where failure is None on success, the class name of
-    the ``SolverError`` a step raised, or ``"NewtonStalled"`` when the step
+    krylov_applications), where failure is None on success, the
+    ``SolverError`` a step raised, or a ``NewtonStalled`` when the step
     budget ran out; u is then the last state reached.  The start residual
     comes from the first ``newton_step``, which returns a converged start
     state unchanged.
@@ -374,7 +358,9 @@ def _newton_attempt(u0, F_target, cfg, carried):
         except SolverError as exc:
             if res_sup is None:  # the first step failed: report the start residual
                 res_sup = _sup(residual(u, F_target, coeffs).values)
-            return type(exc).__name__, u, it, res_sup, krylov
+            # without its traceback, whose frames hold the failed step's
+            # arrays, the error keeps no grid fields alive in the caller
+            return exc.with_traceback(None), u, it, res_sup, krylov
         if step.krylov_iters == 0:  # the start state already meets newton_tol
             carried.append(step.coeffs)
             return None, u, it, step.residual_sup, krylov
@@ -384,18 +370,28 @@ def _newton_attempt(u0, F_target, cfg, carried):
         if res_sup <= cfg.newton_tol:
             carried.append(coeffs)
             return None, u, it + 1, res_sup, krylov
-    return NewtonStalled.__name__, u, cfg.newton_max_iters, res_sup, krylov
+    stalled = NewtonStalled(
+        f"sup-residual {res_sup:.3e} after {cfg.newton_max_iters} iterations "
+        f"(tol {cfg.newton_tol:.1e})"
+    )
+    return stalled, u, cfg.newton_max_iters, res_sup, krylov
+
+
+def _failure_name(failure: SolverError | None) -> str | None:
+    return None if failure is None else type(failure).__name__
 
 
 def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> ScalarField:
-    """Plain Newton iteration from a warm start at fixed datum (no path)."""
+    """Plain Newton iteration from a warm start at fixed datum (no path).
+
+    Raises the ``SolverError`` that ended the attempt: ``NewtonStalled``
+    when the step budget ran out, otherwise the error of the failed step.
+    """
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
-    failure, u, iters, res_sup, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg, [])
+    failure, u, _, _, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg, [])
     if failure is not None:
-        raise NewtonStalled(
-            f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
-        )
+        raise failure
     return u
 
 
@@ -414,17 +410,17 @@ def check_normalization(F: ScalarField) -> None:
 def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
     """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``.
 
-    The first attempt is at tau = ``tau_initial_step`` (by default 1, the
-    full datum).  Appends one record per tau attempt to ``records``, with
-    the failure that ended it, also when it raises.  Doubles the step after
-    any tau accepted with <= 3 Newton iterations, halves on failure, and
-    raises ContinuationStalled below tau_min_step with the failed attempt's
-    residual.  Returns u and ``linearize(u)``.
+    The first attempt is at tau = 1, the full datum.  Appends one record per
+    tau attempt to ``records``, with the failure that ended it, also when it
+    raises.  Doubles the step after any tau accepted with <= 3 Newton
+    iterations, halves on failure, and raises ContinuationStalled below
+    tau_min_step with the failed attempt's residual.  Returns u and
+    ``linearize(u)``.
     """
     u = ScalarField.zeros(F.grid)
     carried = [linearize(u)]  # linearize(u) between tau attempts
     tau = 0.0
-    step = cfg.tau_initial_step
+    step = 1.0
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
         F_tau = continuity_datum(F, tau_try)
@@ -434,7 +430,9 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
         else:  # the attempt dropped the coefficients of the state kept
             carried.append(linearize(u))
         lam = ellipticity_report(u, F_tau, coeffs=carried[0]).min_lambda
-        records.append(TraceRecord(tau_try, iters, rsup, lam, failure, krylov, F.grid.shape))
+        records.append(
+            TraceRecord(tau_try, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape)
+        )
         if failure is None:
             tau = tau_try
             if iters <= 3:
@@ -498,7 +496,7 @@ def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
     carried = []
     failure, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
     lam = ellipticity_report(u, F, coeffs=carried[0] if carried else None).min_lambda
-    records.append(TraceRecord(1.0, iters, rsup, lam, failure, krylov, F.grid.shape))
+    records.append(TraceRecord(1.0, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape))
     if failure is not None:
         return None
     return u, carried[0], coarse.shape, _sup(u.values - u0.values)

@@ -32,7 +32,7 @@ from ktcy.field import (
     write_field,
 )
 from ktcy.pde import NonPositiveLHS, manufacture, renormalize
-from ktcy.solver import DampingConfig, SolverConfig
+from ktcy.solver import SolverConfig
 
 TAU = 2.0 * np.pi
 
@@ -194,11 +194,20 @@ class TestConfigFile:
         items = parse_config_file(cfg)
         assert items == {"grid": "8,8,8", "newton_tol": "1e-10", "datum_builtin": "zero"}
 
-    def test_rejects_unknown_key(self, tmp_path):
+    # wibble never was a key; the others were solver settings that became
+    # constants, and a file that still names one is a usage error
+    @pytest.mark.parametrize("key", [
+        "wibble", "tau_initial_step", "krylov_tol", "krylov_max_iters",
+        "damping_enabled", "damping_factor", "damping_max_backtracks",
+    ])
+    def test_rejects_unknown_key(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("wibble = 3\n")
+        cfg.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(cfg)
+        code = main(["solve", "--config", str(cfg), "--grid", "8,8,8", "--builtin", "zero"])
+        assert code == EXIT_USAGE
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 class TestSolverSettings:
@@ -207,9 +216,21 @@ class TestSolverSettings:
         assert config.solver_config(grid8) == SolverConfig(grid=grid8)
 
     def test_one_key_changes_one_setting(self, grid8):
-        config = RunConfig("solve", {"datum_builtin": "zero", "damping_factor": "0.25"})
-        want = dataclasses.replace(SolverConfig(grid=grid8), damping=DampingConfig(factor=0.25))
+        config = RunConfig("solve", {"datum_builtin": "zero", "tau_min_step": "0.25"})
+        want = dataclasses.replace(SolverConfig(grid=grid8), tau_min_step=0.25)
         assert config.solver_config(grid8) == want
+
+    def test_keys_are_the_solver_config_fields(self, tmp_path, grid8):
+        # every SolverConfig field but the grid is a config-file key, parsed
+        # to the type of its default; there are exactly three
+        fields = [f for f in dataclasses.fields(SolverConfig) if f.name != "grid"]
+        assert {f.name for f in fields} == {"newton_tol", "newton_max_iters", "tau_min_step"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{f.name} = {f.default}\n" for f in fields))
+        config = RunConfig("solve", {"datum_builtin": "zero", **parse_config_file(cfg)})
+        got = config.solver_config(grid8)
+        assert got == SolverConfig(grid=grid8)
+        assert all(type(getattr(got, f.name)) is type(f.default) for f in fields)
 
 
 class TestMainCommands:

@@ -296,7 +296,7 @@ class TestSolutionTest:
     def test_threshold_scales_with_datum(self, grid8):
         u = ScalarField.zeros(grid8)
         F = ScalarField.constant(grid8, 0.0)
-        assert is_solution(u, F, tol_factor=1e-10)
+        assert is_solution(u, F)
         # residual 5e-9 against tolerance 1e-10 * max(1, sup e^F)
         u2 = u.with_values(u.values + 0.0)
         r = residual(u2, F)

@@ -18,7 +18,6 @@ from ktcy.field import (
 from ktcy.pde import apply_linearized, continuity_datum, linearize, residual
 from ktcy.solver import (
     ContinuationStalled,
-    DampingConfig,
     EllipticityLost,
     NewtonStalled,
     NormalizationError,
@@ -60,69 +59,59 @@ def step_calls(monkeypatch):
 class TestSolverConfig:
     def test_defaults_valid(self, grid16):
         cfg = SolverConfig(grid=grid16)
-        assert cfg.newton_tol > 0 and 0 < cfg.tau_initial_step <= 1
+        assert cfg.newton_tol > 0 and 0 < cfg.tau_min_step <= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"newton_tol": 0.0},
-            {"krylov_tol": -1e-9},
-            {"tau_initial_step": 0.0},
-            {"tau_initial_step": 1.5},
             {"tau_min_step": 0.0},
+            {"tau_min_step": 1.5},
             {"newton_max_iters": 0},
-            {"krylov_tol": 1.0},
-            {"krylov_tol": 2.0},
         ],
     )
     def test_rejects_bad_values(self, grid16, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(grid=grid16, **kwargs)
 
-    def test_damping_validation(self):
-        with pytest.raises(ValueError):
-            DampingConfig(factor=1.0)
-        with pytest.raises(ValueError):
-            DampingConfig(max_backtracks=-1)
-
 
 class TestKrylov:
-    def test_flat_case_single_iteration(self, grid16, cfg16, rng):
+    def test_flat_case_single_iteration(self, grid16, rng):
         # at u = 0 the preconditioner equals the operator, so GMRES needs one
         # inner iteration (two operator applications counting the initial
         # residual)
         rhs = random_band_limited(grid16, rng, max_mode=4)
         coeffs = linearize(ScalarField.zeros(grid16))
-        w, applications = solve_linearized(coeffs, rhs, cfg16)
+        w, applications = solve_linearized(coeffs, rhs)
         assert applications <= 2
         out = apply_linearized(coeffs, w)
         assert np.allclose(out.values, project_mean_zero(rhs).values, atol=1e-12)
 
-    def test_solution_is_mean_zero(self, grid16, cfg16, rng):
+    def test_solution_is_mean_zero(self, grid16, rng):
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.001)
         rhs = random_band_limited(grid16, rng, max_mode=3)
-        w, _ = solve_linearized(linearize(u), rhs, cfg16)
+        w, _ = solve_linearized(linearize(u), rhs)
         assert abs(mean(w)) < 1e-15
 
-    def test_variable_coefficients_converge(self, grid16, cfg16, rng):
+    def test_variable_coefficients_converge(self, grid16, rng):
         # amplitude keeps the second derivatives well inside the elliptic cone
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.001)
         coeffs = linearize(u)
         rhs = project_mean_zero(random_band_limited(grid16, rng, max_mode=4))
-        w, applications = solve_linearized(coeffs, rhs, cfg16)
+        w, applications = solve_linearized(coeffs, rhs)
         out = apply_linearized(coeffs, w)
         rel = _sup(out.values - rhs.values) / _sup(rhs.values)
         assert rel < 1e-7
         assert applications < 100
 
     @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-9])
-    def test_true_residual_meets_rtol(self, grid16, cfg16, rng, rtol):
+    def test_true_residual_meets_rtol(self, grid16, rng, rtol):
         # right preconditioning: GMRES stops on ||b - L w||_2 itself, not on
         # a preconditioned residual
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.001)
         coeffs = linearize(u)
         rhs = project_mean_zero(random_band_limited(grid16, rng, max_mode=4))
-        w, _ = solve_linearized(coeffs, rhs, cfg16, rtol=rtol)
+        w, _ = solve_linearized(coeffs, rhs, rtol=rtol)
         r = apply_linearized(coeffs, w).values - rhs.values
         assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
 
@@ -132,7 +121,7 @@ class TestKrylov:
         # preconditioner still leaves GMRES stopping on ||b - L w||_2
         cfg, coeffs = large_state
         rhs = project_mean_zero(random_band_limited(cfg.grid, rng, max_mode=4))
-        w, _ = solve_linearized(coeffs, rhs, cfg, rtol=rtol)
+        w, _ = solve_linearized(coeffs, rhs, rtol=rtol)
         r = apply_linearized(coeffs, w).values - rhs.values
         assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
         assert abs(mean(w)) < 1e-15
@@ -142,15 +131,15 @@ class TestKrylov:
         # scaled one 22
         cfg, coeffs = large_state
         rhs = project_mean_zero(random_band_limited(cfg.grid, rng, max_mode=4))
-        _, applications = solve_linearized(coeffs, rhs, cfg)
+        _, applications = solve_linearized(coeffs, rhs)
         assert applications <= 32
 
-    def test_refuses_nonpositive_trace(self, grid16, cfg16, rng):
+    def test_refuses_nonpositive_trace(self, grid16, rng):
         # P + Q = 2 - 6 sin 2 pi x sin 2 pi y reaches -4
         u = sample(lambda x, y, t: 3.0 / TAU**2 * np.sin(TAU * x) * np.sin(TAU * y), grid16)
         rhs = random_band_limited(grid16, rng, max_mode=4)
         with pytest.raises(EllipticityLost, match="P \\+ Q"):
-            solve_linearized(linearize(u), rhs, cfg16)
+            solve_linearized(linearize(u), rhs)
 
 
 @pytest.fixture(scope="module")
@@ -210,17 +199,15 @@ class TestNewtonStep:
         with pytest.raises(Exception, match="grid"):
             newton_step(ScalarField.zeros(grid8), ScalarField.zeros(grid8), cfg16)
 
-    @pytest.mark.parametrize("damping", [True, False])
-    def test_carried_coefficients_are_those_of_the_next_state(self, grid16, rng, damping):
+    def test_carried_coefficients_are_those_of_the_next_state(self, grid16, cfg16, rng):
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
-        cfg = SolverConfig(grid=grid16, damping=DampingConfig(enabled=damping))
-        first = newton_step(ScalarField.zeros(grid16), F, cfg)
+        first = newton_step(ScalarField.zeros(grid16), F, cfg16)
         fresh = linearize(first.u_next)
         for name in "PQRS":
             assert np.array_equal(getattr(first.coeffs, name), getattr(fresh, name))
         # reusing them gives the step a fresh linearization would give
-        reused = newton_step(first.u_next, F, cfg, coeffs=first.coeffs)
-        recomputed = newton_step(first.u_next, F, cfg)
+        reused = newton_step(first.u_next, F, cfg16, coeffs=first.coeffs)
+        recomputed = newton_step(first.u_next, F, cfg16)
         assert np.array_equal(reused.u_next.values, recomputed.u_next.values)
         assert reused.residual_sup == recomputed.residual_sup
 
@@ -270,7 +257,7 @@ class TestSolve:
         assert all(r.lambda_min > 0 for r in accepted)
 
     def test_forcing_terms_match_fixed_tolerance_newton(self, grid16, cfg16, rng):
-        # Newton steps to krylov_tol along the forced solve's accepted taus
+        # Newton steps to the 1e-9 floor along the forced solve's accepted taus
         # land on the same solution with more Krylov work
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
         report = solve(F, cfg16)
@@ -312,6 +299,17 @@ class TestSolve:
         cfg = SolverConfig(grid=grid16, newton_max_iters=1)
         with pytest.raises(NewtonStalled):
             newton_solve(ScalarField.zeros(grid16), F, cfg)
+
+    def test_newton_solve_raises_the_failure_that_ended_it(self):
+        # the 9^3 solution prolonged to 17^3 has min P = -0.31 there, so the
+        # first step refuses it: that is the error, not a stall after 0 steps
+        F = renormalize(random_band_limited(
+            GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
+        ))
+        coarse = GridSpec(9, 9, 9)
+        u9 = solve(renormalize(resample(F, coarse)), SolverConfig(grid=coarse)).u
+        with pytest.raises(EllipticityLost, match="min\\(u_yy"):
+            newton_solve(resample(u9, F.grid), F, SolverConfig(grid=F.grid))
 
     def test_newton_budget_caps_steps(self, grid16, rng, step_calls):
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
@@ -380,7 +378,7 @@ class TestGridSequencing:
         def failing_attempt(u0, F_target, cfg_, carried):
             if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
                 fine_calls.append(1)
-                return "NewtonStalled", u0, 1, 1.0, 0
+                return NewtonStalled("forced"), u0, 1, 1.0, 0
             return attempt(u0, F_target, cfg_, carried)
 
         if stage == "coarse":
@@ -417,7 +415,7 @@ class TestContinuation:
 
         grid = GridSpec(9, 9, 9)
         F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
-        cfg = SolverConfig(grid=grid, newton_max_iters=5, tau_initial_step=1.0)
+        cfg = SolverConfig(grid=grid, newton_max_iters=5)
         given, step = [], solver_module.newton_step
 
         def checking(u, F_target, cfg_, forcing=None, coeffs=None):
