@@ -68,6 +68,7 @@ from .solver import (
     LineSearchFailed,
     NewtonStepResult,
     NormalizationError,
+    NyquistFloor,
     SolveReport,
     SolverConfig,
     SolverError,

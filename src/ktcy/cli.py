@@ -206,8 +206,10 @@ class RunReport:
             self.add(f"trace.{i}.grid", _shape_text(r.grid))
 
     def add_resolution(self, solve_report):
-        """The coarse grid and sup |u - prolonged coarse u| of a sequenced
-        solve, ``none`` when the continuation ran on the requested grid."""
+        """The continuation grid of a sequenced solve and the sup change its
+        last Newton attempt made (for ``rotate`` started on the unit grid:
+        the unit grid's coarse grid and the change of the cell polish),
+        ``none`` when the continuation ran on the requested grid."""
         coarse, sup = solve_report.coarse_grid, solve_report.coarse_fine_sup
         self.add("resolution.coarse_grid", "none" if coarse is None else _shape_text(coarse))
         self.add("resolution.coarse_fine_sup", "none" if sup is None else sup)

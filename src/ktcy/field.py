@@ -217,23 +217,44 @@ class OperatorSymbols(NamedTuple):
     Broadcastable over the ``np.fft.rfftn`` layout and built from the
     factors of :func:`derivative`; the mixed symbols are products of the
     Nyquist-zeroed first-order factors, so they match composed transforms.
+    In a rotated frame (see :func:`operator_symbols`) the fields hold the
+    same groups for the directions d_p and d_q in place of d_x and d_y.
     """
 
-    xx: np.ndarray       # d_xx
-    yy_tt_t: np.ndarray  # d_yy + d_tt + d_t
-    xy: np.ndarray       # d_x d_y
-    xt: np.ndarray       # d_x d_t
+    xx: np.ndarray       # d_xx, or d_pp
+    yy_tt_t: np.ndarray  # d_yy + d_tt + d_t, or d_qq + d_tt + d_t
+    xy: np.ndarray       # d_x d_y, or d_p d_q
+    xt: np.ndarray       # d_x d_t, or d_p d_t
 
 
 @functools.lru_cache(maxsize=8)
-def operator_symbols(grid: GridSpec) -> OperatorSymbols:
-    """The cached :class:`OperatorSymbols` table of a grid (read-only)."""
+def operator_symbols(grid: GridSpec, angle: tuple | None = None) -> OperatorSymbols:
+    """The cached :class:`OperatorSymbols` table of a grid (read-only).
+
+    ``angle`` is a pair (c, s) = (cos theta, sin theta).  It gives the table
+    in the rotated frame d_p = c d_x - s d_y, d_q = s d_x + c d_y, in which
+    the rotated problem is the base equation: with c2 = c^2 and s2 = s^2,
+
+        pp = c2 xx + s2 yy - 2 c s xy,   qq = s2 xx + c2 yy + 2 c s xy,
+        pq = c s (xx - yy) + (c2 - s2) xy,   pt = c xt - s yt.
+
+    With no angle the table is that of the grid's own axes; (1, 0) gives the
+    same values, broadcast to the full layout.
+    """
     x1, x2 = (_factor(grid.n_x, grid.L_x, o, half=False)[:, None, None] for o in (1, 2))
     y1, y2 = (_factor(grid.n_y, grid.L_y, o, half=False)[None, :, None] for o in (1, 2))
     t1, t2 = (_factor(grid.n_t, grid.L_t, o)[None, None, :] for o in (1, 2))
-    table = OperatorSymbols(
-        xx=x2, yy_tt_t=y2 + t2 + t1, xy=(x1 * y1).real, xt=(x1 * t1).real
-    )
+    xy, xt = (x1 * y1).real, (x1 * t1).real
+    if angle is None:
+        table = OperatorSymbols(xx=x2, yy_tt_t=y2 + t2 + t1, xy=xy, xt=xt)
+    else:
+        c, s = angle
+        table = OperatorSymbols(
+            xx=c * c * x2 + s * s * y2 - 2.0 * c * s * xy,
+            yy_tt_t=s * s * x2 + c * c * y2 + 2.0 * c * s * xy + t2 + t1,
+            xy=c * s * (x2 - y2) + (c * c - s * s) * xy,
+            xt=c * xt - s * (y1 * t1).real,
+        )
     for symbol in table:
         symbol.flags.writeable = False
     return table

@@ -11,9 +11,11 @@ is the second-order operator
 
 with P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt, and
 ma_lhs(u) = Q P - R^2 - S^2.  Only :func:`linearize` computes P, Q, R, S,
-from per-axis spectral derivatives, as read-only arrays: what is computed
-from them stays an array, and fields are built only where a function
-returns one.  :func:`apply_linearized` takes one
+as read-only arrays: what is computed from them stays an array, and fields
+are built only where a function returns one.  Given an angle it takes them
+in a rotated frame, where x and y are replaced by the rotated directions p
+and q, and the coefficients carry that frame to everything that uses them.
+:func:`apply_linearized` takes one
 ``rfftn`` of w and one ``irfftn`` per derivative group against the cached
 :func:`~ktcy.field.operator_symbols` table.  Given a Fourier-diagonal
 ``right_inverse`` symbol of an operator M, it multiplies the spectrum of w by
@@ -39,13 +41,19 @@ _SOLUTION_TOL_FACTOR = 1e-10  # sup residual of a solution, relative to max(1, s
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
-    """Coefficient arrays of the linearized operator at a state u, read-only."""
+    """Coefficient arrays of the linearized operator at a state u, read-only.
+
+    ``angle`` is the frame they were taken in (see :func:`linearize`); the
+    linearized apply, the solver's preconditioner and its line search work
+    in the same frame.
+    """
 
     grid: GridSpec
     P: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     S: np.ndarray
+    angle: tuple | None = None
 
     def __post_init__(self):
         for a in (self.P, self.Q, self.R, self.S):
@@ -56,7 +64,35 @@ class LinearizedCoeffs:
         return self.Q * self.P - self.R * self.R - self.S * self.S
 
 
-def linearize(u: ScalarField) -> LinearizedCoeffs:
+def _group(spec: np.ndarray, symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """One derivative group: the inverse ``irfftn`` of spec times its symbol."""
+    return np.fft.irfftn(spec * symbol, s=grid.shape, axes=(0, 1, 2))
+
+
+def linearize(u: ScalarField, angle: tuple | None = None) -> LinearizedCoeffs:
+    """P, Q, R, S at u, in the frame of ``angle`` = (cos theta, sin theta).
+
+    In a rotated frame x and y become d_p = c d_x - s d_y and
+    d_q = s d_x + c d_y, so that the rotated problem of
+    :mod:`ktcy.rotation` is solved on the unit grid of its datum: P = u_qq +
+    u_tt + u_t + 1, Q = u_pp + 1, R = u_pq, S = u_pt, from one ``rfftn`` and
+    four ``irfftn`` against the rotated :func:`~ktcy.field.operator_symbols`
+    table.  With no angle they come from seven per-axis
+    :func:`~ktcy.field.derivative` calls, which were faster than the table
+    at 48^3.
+    """
+    if angle is not None:
+        symbols = operator_symbols(u.grid, angle)
+        spec = np.fft.rfftn(u.values)
+        return LinearizedCoeffs(
+            grid=u.grid,
+            P=_group(spec, symbols.yy_tt_t, u.grid) + 1.0,
+            Q=_group(spec, symbols.xx, u.grid) + 1.0,
+            R=_group(spec, symbols.xy, u.grid),
+            S=_group(spec, symbols.xt, u.grid),
+            angle=angle,
+        )
+
     def d(f, axis, order):
         return derivative(f, axis, order).values
 
@@ -77,7 +113,7 @@ def ma_lhs(u: ScalarField) -> ScalarField:
 
 def residual(u: ScalarField, F: ScalarField, coeffs: LinearizedCoeffs | None = None) -> ScalarField:
     """ma_lhs(u) - e^F.  A caller that already holds ``linearize(u)`` passes
-    it as ``coeffs``."""
+    it as ``coeffs``, whose frame the residual is then taken in."""
     if u.grid != F.grid:
         raise GridMismatchError("residual: u and F live on different grids")
     c = linearize(u) if coeffs is None else coeffs
@@ -141,23 +177,19 @@ def apply_linearized(
     ``right_inverse`` is an array broadcastable over the ``rfftn`` layout of
     the grid.  It multiplies the spectrum of w before the four ``irfftn``, so
     a right-preconditioned apply costs the same five transforms as a plain one.
+    The derivative groups are those of the frame of ``c``.
     """
     if c.grid != w.grid:
         raise GridMismatchError("apply_linearized: coefficient/argument grid mismatch")
-    shape = w.grid.shape
-    symbols = operator_symbols(w.grid)
+    symbols = operator_symbols(w.grid, c.angle)
     spec = np.fft.rfftn(w.values)
     if right_inverse is not None:
         spec *= right_inverse
-
-    def part(symbol):
-        return np.fft.irfftn(spec * symbol, s=shape, axes=(0, 1, 2))
-
     return w.with_values(
-        c.P * part(symbols.xx)
-        + c.Q * part(symbols.yy_tt_t)
-        - 2.0 * (c.R * part(symbols.xy))
-        - 2.0 * (c.S * part(symbols.xt))
+        c.P * _group(spec, symbols.xx, w.grid)
+        + c.Q * _group(spec, symbols.yy_tt_t, w.grid)
+        - 2.0 * (c.R * _group(spec, symbols.xy, w.grid))
+        - 2.0 * (c.S * _group(spec, symbols.xt, w.grid))
     )
 
 

@@ -18,13 +18,22 @@ cell wavenumbers a = m k_x - n k_y and b = n k_x + m k_y.  The datum is
 carried to the cell by this index remap, one FFT each way, instead of by
 point evaluation.
 
+The cell has L^2 times more unknowns than the base torus, yet the rotated
+equation is also the base equation on the unit torus with the derivative
+directions d_p = cos(theta) d_x - sin(theta) d_y and d_q = sin(theta) d_x +
+cos(theta) d_y, which act on F's own grid (the rotated frame of
+:func:`~ktcy.pde.linearize`).  :func:`solve_rotated` therefore solves there
+first, carries that solution to the cell by the same remap, and leaves the
+cell one Newton attempt: nested iteration, as the grid sequencing of
+:func:`~ktcy.solver.solve` does across grid sizes.
+
 Irrational angles admit no such periodic cell and are rejected by
 construction of :class:`RationalAngle`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,9 +43,19 @@ from .field import (
     evaluate,
     integrate,
     interpolant_modes,
+    project_mean_zero,
     synthesize,
 )
-from .solver import SolveReport, SolverConfig, check_normalization, solve
+from .estimates import verify
+from .solver import (
+    ContinuityTrace,
+    SolveReport,
+    SolverConfig,
+    _polish,
+    _sequenced,
+    check_normalization,
+    solve,
+)
 
 
 @dataclass(frozen=True)
@@ -137,21 +156,62 @@ class RotatedSolveReport:
         return self.angle.length
 
 
+def _solve_from_unit_grid(
+    F: ScalarField, G: ScalarField, angle: RationalAngle, cfg: SolverConfig, records: list
+) -> SolveReport | None:
+    """The cell solve started from F's unit grid; None if a stage fails.
+
+    Sequencing runs on F's unit grid in the rotated frame, where the rotated
+    equation is the base equation with derivative directions d_p and d_q.
+    Its solution u is remapped onto the cell by :func:`pullback_datum`,
+    which is exact for the interpolant, and one Newton attempt on the cell
+    against G polishes it.  The records of all three stages are appended to
+    ``records``; ``coarse_fine_sup`` is the sup change the polish made.
+    """
+    frame = (angle.cos_theta, angle.sin_theta)
+    sequenced = _sequenced(F, replace(cfg, grid=F.grid), records, frame)
+    if sequenced is None:
+        return None
+    u, _, unit_coarse_grid, _ = sequenced
+    v0 = project_mean_zero(pullback_datum(u, angle, cfg.grid))
+    polished = _polish(v0, G, cfg, records)
+    if polished is None:
+        return None
+    v, coeffs = polished
+    return SolveReport(
+        v, ContinuityTrace(tuple(records)), verify(v, G, coeffs=coeffs),
+        unit_coarse_grid, float(np.max(np.abs(v.values - v0.values))),
+    )
+
+
 def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> RotatedSolveReport:
     """Solve the rotated problem for a normalized unit-box datum F.
 
-    cfg.grid must be an (L, L, 1) cell grid for the given angle.  The core
-    solver runs unchanged on the transformed datum (the rotated equation is
-    the base equation with relabeled axes, covered by the grid-period
-    generalization); the report includes the rotated-frame estimate audit
-    with the first-axis gradient bound sup |v_p| <= L.  An unnormalized F
-    fails with NormalizationError, naming the integral of e^F itself (the
-    cell integral of e^G is L^2 times larger).
+    cfg.grid must be an (L, L, 1) cell grid for the given angle, and the
+    solution is returned on it.  When L > 1 and the cell has more unknowns
+    than F's grid, the solve starts on F's unit grid: grid sequencing runs
+    there in the rotated frame (continuation on the odd coarse grid, one
+    Newton attempt on F's grid), the solution is remapped onto the cell and
+    one Newton attempt against the transformed datum G finishes it.  If F is
+    not resolved on the coarse grid or any stage fails, and for L = 1 or a
+    cell no larger than F's grid, the core solver runs on G on the cell (the
+    rotated equation is the base equation with relabeled axes, covered by
+    the grid-period generalization); the trace then starts with the records
+    of the failed stages.  The report includes the rotated-frame estimate
+    audit with the first-axis gradient bound sup |v_p| <= L.  An
+    unnormalized F fails with NormalizationError, naming the integral of e^F
+    itself (the cell integral of e^G is L^2 times larger).
     """
     _check_rotated_grid(angle, cfg.grid)
     check_normalization(F)
     G = pullback_datum(F, angle, cfg.grid)
-    report = solve(G, cfg)
+    report, records = None, []
+    if angle.length > 1.0 and math.prod(cfg.grid.shape) > math.prod(F.grid.shape):
+        report = _solve_from_unit_grid(F, G, angle, cfg, records)
+    if report is None:
+        report = solve(G, cfg)
+        if records:
+            report = replace(report, trace=ContinuityTrace(tuple(records) + report.trace.records))
     return RotatedSolveReport(
         angle=angle,
         report=report,

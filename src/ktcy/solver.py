@@ -19,7 +19,11 @@ finishes with one Newton attempt on the requested grid.  Odd grids have no
 Nyquist mode, so discrete integration by parts holds exactly there and the
 coarse march has no mean-residual floor.  If the datum is not resolved, or
 either stage fails, the march runs on the requested grid from u = 0, so the
-sequencing never loses a solve.
+sequencing never loses a solve.  On a grid with an even axis, a failed
+attempt whose residual is all mean (sup |res - mean| <= newton_tol < mean)
+ends the march at once with ``NyquistFloor``: that mean is the solution's
+energy on the Nyquist planes, which the mean-zero Newton update cannot
+remove at any tau.
 
 Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
@@ -57,6 +61,11 @@ without a forcing term solves to it.  The step is damped by a backtracking
 line search that halves its length, at most 10 times, until the sup
 residual decreases and the state stays in the elliptic cone.
 
+Everything a Newton step does runs in the frame of the coefficients it is
+given (see :func:`~ktcy.pde.linearize`).  ``solve`` works in the grid's own
+frame; :func:`~ktcy.rotation.solve_rotated` starts in a rotated frame on
+the unit grid of its datum, and the sequencing below runs there too.
+
 The solver has three settings, in :class:`SolverConfig`: the accuracy
 ``newton_tol`` and the budgets ``newton_max_iters`` (Newton steps per
 attempt) and ``tau_min_step`` (the smallest tau step before the march
@@ -73,6 +82,7 @@ right-hand side.  An attempt takes at most ``newton_max_iters`` steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,6 +143,11 @@ class ContinuationStalled(SolverError):
     """tau step underflow: the datum is numerically out of reach here."""
 
 
+class NyquistFloor(ContinuationStalled):
+    """Even grid: the mean-zero part is solved, but a positive mean residual
+    stays that no tau step removes (the solution's Nyquist-plane energy)."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     grid: GridSpec
@@ -141,8 +156,8 @@ class SolverConfig:
     tau_min_step: float = 1e-4
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if not 0.0 < self.tau_min_step <= 1.0:
             raise ValueError("tau_min_step must lie in (0, 1]")
         if self.newton_max_iters < 1:
@@ -189,8 +204,12 @@ class SolveReport:
     u: ScalarField
     trace: ContinuityTrace
     estimates: "EstimateReport"  # noqa: F821  (estimates module)
-    coarse_grid: tuple | None = None  # shape of the continuation grid when sequenced
-    coarse_fine_sup: float | None = None  # sup |u - prolonged coarse u| when sequenced
+    # when sequenced: the shape of the continuation grid, and the sup change
+    # the last Newton attempt made to its start, sup |u - u0|; u0 is the
+    # prolonged coarse solution (solve) or the remapped unit-grid solution
+    # (solve_rotated, whose continuation grid is then on the unit box)
+    coarse_grid: tuple | None = None
+    coarse_fine_sup: float | None = None
 
     @property
     def final_residual_sup(self) -> float:
@@ -201,13 +220,16 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _precond_inverse_symbol(grid: GridSpec, pbar: float, qbar: float) -> np.ndarray:
+def _precond_inverse_symbol(
+    grid: GridSpec, pbar: float, qbar: float, angle: tuple | None
+) -> np.ndarray:
     """Inverse Fourier symbol of M on the rfftn layout, zero mode pinned.
 
-    Built from the symbols of the linearized apply, so M inverts the
-    flat-case linearization in a single Krylov iteration.
+    Built from the symbols of the linearized apply in the frame of
+    ``angle``, so M inverts the flat-case linearization in a single Krylov
+    iteration.
     """
-    symbols = operator_symbols(grid)
+    symbols = operator_symbols(grid, angle)
     symbol = pbar * symbols.xx + qbar * symbols.yy_tt_t
     symbol[0, 0, 0] = 1.0
     inverse = 1.0 / symbol
@@ -241,7 +263,9 @@ def solve_linearized(
     if not min_trace > 0.0:
         raise EllipticityLost(f"min(P + Q) = {min_trace:.3e}: no trace-scaled preconditioner")
     d = trace / float(np.mean(trace))
-    inv_symbol = _precond_inverse_symbol(grid, float(np.mean(coeffs.P)), float(np.mean(coeffs.Q)))
+    inv_symbol = _precond_inverse_symbol(
+        grid, float(np.mean(coeffs.P)), float(np.mean(coeffs.Q)), coeffs.angle
+    )
 
     applications = [0]
 
@@ -284,7 +308,8 @@ def newton_step(
     returned.  One ``linearize`` per state gives the admissibility test, the
     residual and the Newton system; ``coeffs``, when given, must be
     ``linearize(u)`` (the ``coeffs`` of the step that produced u: they do not
-    depend on the datum) and saves that call.  The linear solve runs to
+    depend on the datum) and saves that call.  The step runs in the frame of
+    ``coeffs``, the grid's own frame when none are given.  The linear solve runs to
     ``forcing``, floored at max(1e-9, 0.5 newton_tol / r) with r the sup
     residual at u, or to 1e-9 when no forcing is given.  A state that already
     meets ``newton_tol`` comes back unchanged with no Krylov work.
@@ -313,7 +338,7 @@ def newton_step(
     for _ in range(_MAX_BACKTRACKS + 1):
         v = u.values + s * w.values
         u_try = u.with_values(v - np.mean(v))
-        trial = linearize(u_try)
+        trial = linearize(u_try, coeffs.angle)
         res_try = _sup(trial.lhs() - ef)
         decrease = res_try < res_sup or res_try <= cfg.newton_tol
         if decrease and min(trial.Q.min(), trial.P.min()) > 0.0:
@@ -338,7 +363,8 @@ def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
 def _newton_attempt(u0, F_target, cfg, carried):
     """Inexact Newton loop to tolerance, at most ``cfg.newton_max_iters`` steps.
 
-    ``carried`` is a list holding ``linearize(u0)``, or empty.  The attempt
+    ``carried`` is a list holding ``linearize(u0)``, or empty; the attempt
+    runs in the frame of those coefficients, the grid's own when empty.  It
     takes the coefficients out of it and, on success, puts back those of the
     returned state.  Handing them over this way keeps no reference to the
     start coefficients alive past the first accepted step; a caller holding
@@ -407,18 +433,29 @@ def check_normalization(F: ScalarField) -> None:
         )
 
 
-def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
-    """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``.
+def _odd_neighbours(shape: tuple) -> str:
+    """The grids n - 1 and n + 1 on the even axes of ``shape``, if valid."""
+    grids = [tuple(n + d if n % 2 == 0 else n for n in shape) for d in (-1, 1)]
+    return " or ".join("x".join(map(str, g)) for g in grids if min(g) >= 5)
+
+
+def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None):
+    """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``, in the frame
+    of ``angle``.
 
     The first attempt is at tau = 1, the full datum.  Appends one record per
     tau attempt to ``records``, with the failure that ended it, also when it
     raises.  Doubles the step after any tau accepted with <= 3 Newton
     iterations, halves on failure, and raises ContinuationStalled below
-    tau_min_step with the failed attempt's residual.  Returns u and
-    ``linearize(u)``.
+    tau_min_step with the failed attempt's residual.  On a grid with an even
+    axis, a failed attempt whose residual is all mean, sup |res - mean| <=
+    newton_tol < mean, raises NyquistFloor at once: the mean-zero Newton
+    update cannot remove that mean at any tau.  Returns u and
+    ``linearize(u, angle)``.
     """
     u = ScalarField.zeros(F.grid)
-    carried = [linearize(u)]  # linearize(u) between tau attempts
+    carried = [linearize(u, angle)]  # linearize(u) between tau attempts
+    even = any(n % 2 == 0 for n in F.grid.shape)
     tau = 0.0
     step = 1.0
     while tau < 1.0:
@@ -428,7 +465,7 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
         if failure is None:
             u = u_new
         else:  # the attempt dropped the coefficients of the state kept
-            carried.append(linearize(u))
+            carried.append(linearize(u, angle))
         lam = ellipticity_report(u, F_tau, coeffs=carried[0]).min_lambda
         records.append(
             TraceRecord(tau_try, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape)
@@ -437,17 +474,28 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list):
             tau = tau_try
             if iters <= 3:
                 step = min(2.0 * step, 1.0)
-        else:
-            step *= 0.5
-            if step < cfg.tau_min_step:
-                res = residual(u_new, F_tau).values
-                res_mean = float(np.mean(res))
-                raise ContinuationStalled(
-                    f"tau step underflow at tau = {tau:.6f}: the attempt at "
-                    f"tau = {tau_try:.6f} ended with residual sup {rsup:.3e} "
-                    f"(newton_tol {cfg.newton_tol:.1e}), mean {res_mean:.3e} and "
-                    f"sup |residual - mean| {_sup(res - res_mean):.3e}"
-                )
+            continue
+        step *= 0.5
+        if not (even or step < cfg.tau_min_step):
+            continue
+        res = residual(u_new, F_tau, linearize(u_new, angle)).values
+        res_mean = float(np.mean(res))
+        spread = _sup(res - res_mean)
+        measured = (
+            f"the attempt at tau = {tau_try:.6f} ended with residual sup {rsup:.3e} "
+            f"(newton_tol {cfg.newton_tol:.1e}), mean {res_mean:.3e} and "
+            f"sup |residual - mean| {spread:.3e}"
+        )
+        if even and spread <= cfg.newton_tol < res_mean:
+            raise NyquistFloor(
+                f"Nyquist floor at tau = {tau:.6f} on the "
+                f"{'x'.join(map(str, F.grid.shape))} grid: the mean-zero part is "
+                "solved, and the mean left is energy of u on the Nyquist planes, "
+                "which no tau step removes (the odd grids "
+                f"{_odd_neighbours(F.grid.shape)} have none); {measured}"
+            )
+        if step < cfg.tau_min_step:
+            raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
     return u, carried[0]
 
 
@@ -475,12 +523,29 @@ def _coarse_grid(grid: GridSpec) -> GridSpec | None:
     return GridSpec(*shape, *grid.periods)
 
 
-def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
-    """Continuation on the coarse grid, then one Newton attempt on cfg.grid.
+def _polish(
+    u0: ScalarField, F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None
+):
+    """One Newton attempt on cfg.grid from u0 against F, in the frame of
+    ``angle``, recorded at tau = 1.
+
+    Returns (u, linearize(u, angle)), or None when the attempt fails.
+    """
+    carried = [linearize(u0, angle)]
+    failure, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
+    coeffs = carried[0] if failure is None else linearize(u, angle)
+    lam = ellipticity_report(u, F, coeffs=coeffs).min_lambda
+    records.append(TraceRecord(1.0, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape))
+    return None if failure is not None else (u, coeffs)
+
+
+def _sequenced(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None):
+    """Continuation on the coarse grid, then one Newton attempt on cfg.grid,
+    both in the frame of ``angle``.
 
     Appends the records of both stages to ``records``.  Returns (u,
-    linearize(u), coarse grid shape, sup |u - prolonged coarse u|), or None
-    when F is not resolved on the coarse grid or either stage fails.
+    linearize(u, angle), coarse grid shape, sup |u - prolonged coarse u|),
+    or None when F is not resolved on the coarse grid or either stage fails.
     """
     coarse = _coarse_grid(F.grid)
     if coarse is None:
@@ -489,17 +554,17 @@ def _sequenced(F: ScalarField, cfg: SolverConfig, records: list):
     if _sup(resample(F_coarse, F.grid).values - F.values) > cfg.newton_tol:
         return None
     try:
-        u_coarse, _ = _continuation(renormalize(F_coarse), replace(cfg, grid=coarse), records)
+        u_coarse, _ = _continuation(
+            renormalize(F_coarse), replace(cfg, grid=coarse), records, angle
+        )
     except SolverError:
         return None
     u0 = project_mean_zero(resample(u_coarse, F.grid))
-    carried = []
-    failure, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
-    lam = ellipticity_report(u, F, coeffs=carried[0] if carried else None).min_lambda
-    records.append(TraceRecord(1.0, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape))
-    if failure is not None:
+    polished = _polish(u0, F, cfg, records, angle)
+    if polished is None:
         return None
-    return u, carried[0], coarse.shape, _sup(u.values - u0.values)
+    u, coeffs = polished
+    return u, coeffs, coarse.shape, _sup(u.values - u0.values)
 
 
 def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:

@@ -209,6 +209,16 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    def test_non_finite_newton_tol_is_a_usage_error(self, tmp_path, capsys):
+        # NaN fails every comparison, so an unguarded tolerance would run
+        # each tau attempt to its budget and end in a stall instead
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("newton_tol = nan\n")
+        code = main(["solve", "--config", str(cfg), "--grid", "9,9,9",
+                     "--builtin", "triple_sine", "--renormalize"])
+        assert code == EXIT_USAGE
+        assert "newton_tol must be positive and finite" in capsys.readouterr().err
+
 
 class TestSolverSettings:
     def test_no_keys_give_the_library_defaults(self, grid8):
@@ -563,9 +573,9 @@ class TestAuditReport:
 
         calls, linearize = [], ktcy.pde.linearize
 
-        def counting(u):
+        def counting(u, angle=None):
             calls.append(1)
-            return linearize(u)
+            return linearize(u, angle)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("ktcy") and getattr(module, "linearize", None) is linearize:

@@ -1,5 +1,6 @@
 """Property test: every admissible band-limited datum on a small grid either
-solves with a passing audit or fails with a typed reason."""
+solves with a passing audit or fails with a typed reason.  On the even 10^3
+grid that reason is the Nyquist floor: the band-limited data solve on 9^3."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ktcy.field import GridSpec, mean, random_band_limited
 from ktcy.pde import renormalize
-from ktcy.solver import SolverConfig, SolverError, solve
+from ktcy.solver import NyquistFloor, SolverConfig, SolverError, solve
 
 
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)
@@ -26,6 +27,7 @@ def test_solves_with_a_passing_audit_or_raises_a_typed_error(n, seed, max_mode, 
         report = solve(F, cfg)
     except SolverError as exc:
         assert type(exc) is not SolverError
+        assert n % 2 == 1 or type(exc) is NyquistFloor, f"{type(exc).__name__}: {exc}"
         return
     assert report.final_residual_sup <= cfg.newton_tol
     assert report.estimates.passed and not report.estimates.informative

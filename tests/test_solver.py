@@ -21,6 +21,7 @@ from ktcy.solver import (
     EllipticityLost,
     NewtonStalled,
     NormalizationError,
+    NyquistFloor,
     SolverConfig,
     newton_solve,
     newton_step,
@@ -68,6 +69,8 @@ class TestSolverConfig:
             {"tau_min_step": 0.0},
             {"tau_min_step": 1.5},
             {"newton_max_iters": 0},
+            {"newton_tol": float("nan")},
+            {"newton_tol": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, grid16, kwargs):
@@ -370,10 +373,10 @@ class TestGridSequencing:
         full = _continuation_only(F, cfg)
         continuation, attempt, fine_calls = solver_module._continuation, solver_module._newton_attempt, []
 
-        def failing_continuation(F_, cfg_, records):
+        def failing_continuation(F_, cfg_, records, angle=None):
             if cfg_.grid != cfg.grid:
                 raise ContinuationStalled("forced")
-            return continuation(F_, cfg_, records)
+            return continuation(F_, cfg_, records, angle)
 
         def failing_attempt(u0, F_target, cfg_, carried):
             if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
@@ -490,6 +493,18 @@ class TestContinuation:
         assert sup > SolverConfig(grid=F.grid).newton_tol
         assert res_mean == pytest.approx(sup, rel=1e-3)
         assert spread <= 1e-3 * sup
+
+    def test_nyquist_floor_stops_the_march_at_once(self):
+        # the same datum: its first attempt on 16^3 solves the mean-zero part,
+        # so no tau halving is tried before the floor is named
+        import ktcy.solver as solver_module
+
+        F = _band_limited_datum(16)
+        records = []
+        with pytest.raises(NyquistFloor, match="odd grids 15x15x15 or 17x17x17") as info:
+            solver_module._continuation(F, SolverConfig(grid=F.grid), records)
+        assert [(r.tau, r.accepted) for r in records] == [(1.0, False)]
+        assert isinstance(info.value, ContinuationStalled)
 
 
 class TestGridRefinement:
