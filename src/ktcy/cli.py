@@ -180,9 +180,6 @@ class RunReport:
         self.add("residual.mean", est.check("j_mean_residual").lhs)
         for key, value in dataclasses.asdict(est.ellipticity).items():
             self.add(f"ellipticity.{key}", value)
-        self.add_estimates(est)
-
-    def add_estimates(self, est: EstimateReport):
         self.add("estimate.informative", est.informative)
         self.add("estimate.passed", est.passed)
         for c in est.checks:
@@ -461,7 +458,7 @@ def cmd_rotate(config: RunConfig) -> int:
     report.add("rotation.sup_vp", rotated.sup_vp)
     report.add_trace(rotated.report.trace)
     report.add_resolution(rotated.report)
-    report.add_estimates(rotated.report.estimates)
+    report.add_audit(rotated.report.estimates)
     return _finish(report, out, started, u=rotated.report.u)
 
 

@@ -15,7 +15,7 @@ the normalization target for the transformed datum G is L^2, not 1.
 For the same reason the pullback of a Fourier mode is again a Fourier mode:
 e^{2 pi i (k_x x + k_y y)} becomes e^{2 pi i (a p + b q) / L} with integer
 cell wavenumbers a = m k_x - n k_y and b = n k_x + m k_y.  The datum is
-carried to the cell by this index remap, one FFT each way, instead of by
+moved to the cell by this index remap, one FFT each way, instead of by
 point evaluation.
 
 The cell has L^2 times more unknowns than the base torus, yet the rotated
@@ -53,8 +53,8 @@ from .solver import (
     SolverConfig,
     _polish,
     _sequenced,
+    _solve,
     check_normalization,
-    solve,
 )
 
 
@@ -209,9 +209,7 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     if angle.length > 1.0 and math.prod(cfg.grid.shape) > math.prod(F.grid.shape):
         report = _solve_from_unit_grid(F, G, angle, cfg, records)
     if report is None:
-        report = solve(G, cfg)
-        if records:
-            report = replace(report, trace=ContinuityTrace(tuple(records) + report.trace.records))
+        report = _solve(G, cfg, records)
     return RotatedSolveReport(
         angle=angle,
         report=report,

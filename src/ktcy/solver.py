@@ -72,13 +72,16 @@ attempt) and ``tau_min_step`` (the smallest tau step before the march
 stalls).  The paper's solution is unique, so the rest of the policy is
 fixed: the constants below.
 
-Each state is linearized once.  The coefficients of an accepted state
-travel with it to the next Newton step, into the next tau attempt (they do
-not depend on the datum) and into the ellipticity report of the attempt.
-After a failed attempt, the state kept is linearized for its record, and
-that starts the next attempt.  A Newton step works on the coefficient
-arrays and builds fields only for new states and the linear solve's
-right-hand side.  An attempt takes at most ``newton_max_iters`` steps.
+Each state is linearized once.  A Newton attempt takes the coefficients
+of its start state and returns, with its trace record, those of the state it
+ended on, accepted or not.  The coefficients of an accepted state travel
+with it to the next Newton step, into the next tau attempt (they do not
+depend on the datum), into the ellipticity report of the attempt's record
+and into the audit.  After a failed attempt the march restarts from the
+state it kept, with the coefficients it kept.  A Newton step works on the
+coefficient arrays and builds fields only for new states and the linear
+solve's right-hand side.  An attempt takes at most ``newton_max_iters``
+steps.
 """
 from __future__ import annotations
 
@@ -160,8 +163,9 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive and finite")
         if not 0.0 < self.tau_min_step <= 1.0:
             raise ValueError("tau_min_step must lie in (0, 1]")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be >= 1")
+        iters = self.newton_max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"newton_max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -360,51 +364,48 @@ def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
     return min(eta, _ETA_MAX)
 
 
-def _newton_attempt(u0, F_target, cfg, carried):
-    """Inexact Newton loop to tolerance, at most ``cfg.newton_max_iters`` steps.
+def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
+    """Inexact Newton loop from u0 to tolerance, at most ``cfg.newton_max_iters``
+    steps, in the frame of ``coeffs0``, the linearization of u0.
 
-    ``carried`` is a list holding ``linearize(u0)``, or empty; the attempt
-    runs in the frame of those coefficients, the grid's own when empty.  It
-    takes the coefficients out of it and, on success, puts back those of the
-    returned state.  Handing them over this way keeps no reference to the
-    start coefficients alive past the first accepted step; a caller holding
-    its own would keep four more grid fields through every linear solve of
-    the attempt.  Returns (failure, u, iters, residual_sup,
-    krylov_applications), where failure is None on success, the
-    ``SolverError`` a step raised, or a ``NewtonStalled`` when the step
-    budget ran out; u is then the last state reached.  The start residual
-    comes from the first ``newton_step``, which returns a converged start
-    state unchanged.
+    Returns (record, failure, u, coeffs).  u is the state the attempt ended
+    on: the last accepted one, or u0 when no step was accepted.  coeffs is
+    ``linearize(u)`` and record the attempt's :class:`TraceRecord` at
+    ``tau``, whose iterations, residual and lambda_min all describe u.
+    failure is None on success, the ``SolverError`` a step raised, or a
+    ``NewtonStalled`` when the step budget ran out.  The first
+    ``newton_step`` returns a converged start state unchanged.
     """
-    u, res_sup, eta, krylov = u0, None, _ETA_MAX, 0
-    coeffs = carried.pop() if carried else None
-    for it in range(cfg.newton_max_iters):
+    u, coeffs, res_sup, eta, krylov, iters, failure = u0, coeffs0, None, _ETA_MAX, 0, 0, None
+    # from here on only ``coeffs`` refers to them: the start coefficients are
+    # freed at the first accepted step unless the caller keeps its own
+    del coeffs0
+    for _ in range(cfg.newton_max_iters):
         try:
             step = newton_step(u, F_target, cfg, forcing=eta, coeffs=coeffs)
         except SolverError as exc:
-            if res_sup is None:  # the first step failed: report the start residual
-                res_sup = _sup(residual(u, F_target, coeffs).values)
             # without its traceback, whose frames hold the failed step's
             # arrays, the error keeps no grid fields alive in the caller
-            return exc.with_traceback(None), u, it, res_sup, krylov
-        if step.krylov_iters == 0:  # the start state already meets newton_tol
-            carried.append(step.coeffs)
-            return None, u, it, step.residual_sup, krylov
-        krylov += step.krylov_iters
+            failure = exc.with_traceback(None)
+            break
+        if step.krylov_iters == 0:  # u already meets newton_tol
+            res_sup = step.residual_sup
+            break
+        iters, krylov = iters + 1, krylov + step.krylov_iters
         eta = _forcing_term(step.residual_sup, step.start_residual_sup, step.krylov_rtol)
         u, res_sup, coeffs = step.u_next, step.residual_sup, step.coeffs
         if res_sup <= cfg.newton_tol:
-            carried.append(coeffs)
-            return None, u, it + 1, res_sup, krylov
-    stalled = NewtonStalled(
-        f"sup-residual {res_sup:.3e} after {cfg.newton_max_iters} iterations "
-        f"(tol {cfg.newton_tol:.1e})"
-    )
-    return stalled, u, cfg.newton_max_iters, res_sup, krylov
-
-
-def _failure_name(failure: SolverError | None) -> str | None:
-    return None if failure is None else type(failure).__name__
+            break
+    else:
+        failure = NewtonStalled(
+            f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
+        )
+    if res_sup is None:  # the first step failed: report the start residual
+        res_sup = _sup(residual(u, F_target, coeffs).values)
+    lam = ellipticity_report(u, F_target, coeffs=coeffs).min_lambda
+    name = None if failure is None else type(failure).__name__
+    record = TraceRecord(tau, iters, res_sup, lam, name, krylov, F_target.grid.shape)
+    return record, failure, u, coeffs
 
 
 def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> ScalarField:
@@ -415,7 +416,8 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     """
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
-    failure, u, _, _, _ = _newton_attempt(project_mean_zero(u0), F_target, cfg, [])
+    u0 = project_mean_zero(u0)
+    _, failure, u, _ = _newton_attempt(u0, linearize(u0), F_target, cfg)
     if failure is not None:
         raise failure
     return u
@@ -454,49 +456,42 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     ``linearize(u, angle)``.
     """
     u = ScalarField.zeros(F.grid)
-    carried = [linearize(u, angle)]  # linearize(u) between tau attempts
+    coeffs = linearize(u, angle)
     even = any(n % 2 == 0 for n in F.grid.shape)
     tau = 0.0
     step = 1.0
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
         F_tau = continuity_datum(F, tau_try)
-        failure, u_new, iters, rsup, krylov = _newton_attempt(u, F_tau, cfg, carried)
+        record, failure, u_end, coeffs_end = _newton_attempt(u, coeffs, F_tau, cfg, tau_try)
+        records.append(record)
         if failure is None:
-            u = u_new
-        else:  # the attempt dropped the coefficients of the state kept
-            carried.append(linearize(u, angle))
-        lam = ellipticity_report(u, F_tau, coeffs=carried[0]).min_lambda
-        records.append(
-            TraceRecord(tau_try, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape)
-        )
-        if failure is None:
-            tau = tau_try
-            if iters <= 3:
+            u, coeffs, tau = u_end, coeffs_end, tau_try
+            if record.newton_iters <= 3:
                 step = min(2.0 * step, 1.0)
             continue
         step *= 0.5
-        if not (even or step < cfg.tau_min_step):
-            continue
-        res = residual(u_new, F_tau, linearize(u_new, angle)).values
-        res_mean = float(np.mean(res))
-        spread = _sup(res - res_mean)
-        measured = (
-            f"the attempt at tau = {tau_try:.6f} ended with residual sup {rsup:.3e} "
-            f"(newton_tol {cfg.newton_tol:.1e}), mean {res_mean:.3e} and "
-            f"sup |residual - mean| {spread:.3e}"
-        )
-        if even and spread <= cfg.newton_tol < res_mean:
-            raise NyquistFloor(
-                f"Nyquist floor at tau = {tau:.6f} on the "
-                f"{'x'.join(map(str, F.grid.shape))} grid: the mean-zero part is "
-                "solved, and the mean left is energy of u on the Nyquist planes, "
-                "which no tau step removes (the odd grids "
-                f"{_odd_neighbours(F.grid.shape)} have none); {measured}"
+        if even or step < cfg.tau_min_step:
+            res = residual(u_end, F_tau, coeffs_end).values
+            res_mean = float(np.mean(res))
+            spread = _sup(res - res_mean)
+            measured = (
+                f"the attempt at tau = {tau_try:.6f} ended with residual sup "
+                f"{record.final_residual_sup:.3e} (newton_tol {cfg.newton_tol:.1e}), "
+                f"mean {res_mean:.3e} and sup |residual - mean| {spread:.3e}"
             )
-        if step < cfg.tau_min_step:
-            raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
-    return u, carried[0]
+            if even and spread <= cfg.newton_tol < res_mean:
+                raise NyquistFloor(
+                    f"Nyquist floor at tau = {tau:.6f} on the "
+                    f"{'x'.join(map(str, F.grid.shape))} grid: the mean-zero part is "
+                    "solved, and the mean left is energy of u on the Nyquist planes, "
+                    "which no tau step removes (the odd grids "
+                    f"{_odd_neighbours(F.grid.shape)} have none); {measured}"
+                )
+            if step < cfg.tau_min_step:
+                raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
+        del u_end, coeffs_end  # the march restarts from u: free the failed end state
+    return u, coeffs
 
 
 def _is_odd_5_smooth(m: int) -> bool:
@@ -531,11 +526,8 @@ def _polish(
 
     Returns (u, linearize(u, angle)), or None when the attempt fails.
     """
-    carried = [linearize(u0, angle)]
-    failure, u, iters, rsup, krylov = _newton_attempt(u0, F, cfg, carried)
-    coeffs = carried[0] if failure is None else linearize(u, angle)
-    lam = ellipticity_report(u, F, coeffs=coeffs).min_lambda
-    records.append(TraceRecord(1.0, iters, rsup, lam, _failure_name(failure), krylov, F.grid.shape))
+    record, failure, u, coeffs = _newton_attempt(u0, linearize(u0, angle), F, cfg)
+    records.append(record)
     return None if failure is not None else (u, coeffs)
 
 
@@ -572,35 +564,34 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     continuation alone.
 
     Requires the datum normalization (:func:`check_normalization`).  A datum
-    that u = 0 already solves returns at once.  When F is resolved on the
-    coarse grid (restriction then prolongation reproduces it to newton_tol),
-    the tau continuation runs on that grid for the renormalized restriction
-    of F, its solution is spectrally prolonged to cfg.grid, and one Newton
-    attempt finishes there.  If F is not resolved, the coarse continuation
+    that u = 0 already solves gets one Newton attempt from u = 0, which
+    takes no step.  When F is resolved on the coarse grid (restriction then
+    prolongation reproduces it to newton_tol), the tau continuation runs on
+    that grid for the renormalized restriction of F, its solution is
+    spectrally prolonged to cfg.grid, and one Newton attempt finishes there.  If F is not resolved, the coarse continuation
     fails or the fine Newton attempt fails, the continuation runs on cfg.grid
     from u = 0.  Either way the result meets newton_tol on cfg.grid; the
     trace keeps every attempt, each with its grid.  The returned report
     carries the full a-priori estimate audit.
     """
+    return _solve(F, cfg, [])
+
+
+def _solve(F: ScalarField, cfg: SolverConfig, records: list) -> SolveReport:
+    """:func:`solve`, its trace led by the records already in ``records``."""
     from .estimates import verify
 
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
     check_normalization(F)
-
-    res_sup = _sup(1.0 - np.exp(F.values))  # ma_lhs(0) = 1
-    if res_sup <= cfg.newton_tol:
-        u = ScalarField.zeros(F.grid)
-        estimates = verify(u, F)
-        record = TraceRecord(1.0, 0, res_sup, estimates.ellipticity.min_lambda, None, 0, F.grid.shape)
-        return SolveReport(u, ContinuityTrace((record,)), estimates)
-
-    records = []
-    sequenced = _sequenced(F, cfg, records)
-    if sequenced is None:
-        u, coeffs = _continuation(F, cfg, records)
-        coarse_grid = coarse_fine_sup = None
+    coarse_grid = coarse_fine_sup = None
+    if _sup(1.0 - np.exp(F.values)) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
+        u, coeffs = _polish(ScalarField.zeros(F.grid), F, cfg, records)
     else:
-        u, coeffs, coarse_grid, coarse_fine_sup = sequenced
+        sequenced = _sequenced(F, cfg, records)
+        if sequenced is None:
+            u, coeffs = _continuation(F, cfg, records)
+        else:
+            u, coeffs, coarse_grid, coarse_fine_sup = sequenced
     estimates = verify(u, F, coeffs=coeffs)
     return SolveReport(u, ContinuityTrace(tuple(records)), estimates, coarse_grid, coarse_fine_sup)

@@ -149,10 +149,10 @@ def test_04_mean_residual_identity(corpus16):
 def test_05_linearization_vs_finite_differences():
     # the operator is quadratic, so the central difference has no eps^2
     # truncation term at all: it equals L w exactly in exact arithmetic.
-    # The measured error is pure rounding (growing like 1/eps) and sits
-    # far below the O(eps^2) envelope for every tested eps, which is the
-    # quantitative content of the criterion; a visible eps^2 decay cannot
-    # exist for this operator.
+    # The measured error is pure rounding, growing like 1/eps: 9.6e-13,
+    # 9.2e-12 and 8.4e-11 for eps = 1e-3, 1e-4 and 1e-5.  The last is 84% of
+    # its eps^2 envelope, so the envelope binds there; a visible eps^2 decay
+    # cannot exist for this operator.
     grid = GridSpec(16, 16, 16)
     rng = np.random.default_rng(2718)
     u = random_band_limited(grid, rng, max_mode=3, amplitude=0.05)

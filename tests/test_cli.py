@@ -532,8 +532,8 @@ def _report_lines(path, prefixes):
 
 
 class TestAuditReport:
-    """``solve`` and ``verify`` print residual, ellipticity and estimates
-    from the one audit the library already made."""
+    """``solve``, ``verify`` and ``rotate`` print residual, ellipticity and
+    estimates from the one audit the library already made."""
 
     @pytest.fixture
     def datum_dump(self, tmp_path):
@@ -552,6 +552,17 @@ class TestAuditReport:
         assert len(_report_lines(sdir / "report.txt", ("residual.",))) == 3
         assert len(_report_lines(sdir / "report.txt", ("ellipticity.",))) == 9
         assert solved == _report_lines(vdir / "report.txt", prefixes)
+
+    def test_rotate_prints_the_whole_audit(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["rotate", "--grid", "16,16,16", "--angle", "1,1", "--builtin",
+                     "triple_sine:amplitude=0.3", "--renormalize", "--out", str(out)]) == EXIT_OK
+        path = out / "report.txt"
+        assert len(_report_lines(path, ("residual.",))) == 3
+        assert len(_report_lines(path, ("ellipticity.",))) == 9
+        report = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+        assert float(report["residual.sup"]) <= SolverConfig.newton_tol
+        assert report["estimate.passed"] == "true"
 
     def test_solve_prints_why_an_attempt_failed(self, tmp_path):
         # the Newton finish from the prolonged 9^3 solution leaves the cone

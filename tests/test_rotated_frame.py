@@ -15,7 +15,7 @@ from ktcy.field import (
 )
 from ktcy.pde import apply_linearized, linearize, manufacture, renormalize
 from ktcy.rotation import RationalAngle, pullback_datum, rotated_grid, solve_rotated
-from ktcy.solver import ContinuationStalled, NewtonStalled, SolverConfig, solve
+from ktcy.solver import ContinuationStalled, NewtonStalled, SolverConfig, TraceRecord, solve
 
 TAU = 2.0 * np.pi
 ANGLE = RationalAngle(2, 1)
@@ -149,12 +149,13 @@ class TestUnitGridStart:
                 raise ContinuationStalled("forced")
             return continuation(F_, cfg_, records, angle)
 
-        def failing_attempt(u0, F_target, cfg_, carried):
+        def failing_attempt(u0, coeffs0, F_target, cfg_, tau=1.0):
             target = F.grid if stage == "unit" else cfg.grid
             if cfg_.grid == target and not failed:
                 failed.append(1)
-                return NewtonStalled("forced"), u0, 1, 1.0, 0
-            return attempt(u0, F_target, cfg_, carried)
+                record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
+                return record, NewtonStalled("forced"), u0, coeffs0
+            return attempt(u0, coeffs0, F_target, cfg_, tau)
 
         if stage == "coarse":
             monkeypatch.setattr(solver_module, "_continuation", failing_continuation)

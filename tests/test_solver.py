@@ -15,7 +15,7 @@ from ktcy.field import (
     resample,
     sample,
 )
-from ktcy.pde import apply_linearized, continuity_datum, linearize, residual
+from ktcy.pde import apply_linearized, continuity_datum, ellipticity_report, linearize, residual
 from ktcy.solver import (
     ContinuationStalled,
     EllipticityLost,
@@ -23,6 +23,7 @@ from ktcy.solver import (
     NormalizationError,
     NyquistFloor,
     SolverConfig,
+    TraceRecord,
     newton_solve,
     newton_step,
     solve,
@@ -57,6 +58,25 @@ def step_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def linearize_calls(monkeypatch):
+    """List that grows by one per ``linearize`` call, in every module that imports it."""
+    import sys
+
+    import ktcy.pde as pde_module
+
+    calls, original = [], pde_module.linearize
+
+    def counting_linearize(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ktcy") and getattr(module, "linearize", None) is original:
+            monkeypatch.setattr(module, "linearize", counting_linearize)
+    return calls
+
+
 class TestSolverConfig:
     def test_defaults_valid(self, grid16):
         cfg = SolverConfig(grid=grid16)
@@ -71,6 +91,8 @@ class TestSolverConfig:
             {"newton_max_iters": 0},
             {"newton_tol": float("nan")},
             {"newton_tol": float("inf")},
+            {"newton_max_iters": 2.5},
+            {"newton_max_iters": True},
         ],
     )
     def test_rejects_bad_values(self, grid16, kwargs):
@@ -213,6 +235,51 @@ class TestNewtonStep:
         recomputed = newton_step(first.u_next, F, cfg16)
         assert np.array_equal(reused.u_next.values, recomputed.u_next.values)
         assert reused.residual_sup == recomputed.residual_sup
+
+
+class TestNewtonAttempt:
+    @pytest.mark.parametrize("angle", [None, (0.6, 0.8)], ids=["axes", "rotated"])
+    def test_failed_attempt_returns_the_state_it_ended_on(self, angle):
+        # a budget of two steps stops this attempt after two accepted steps;
+        # the record, the state and the coefficients all describe that state
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(9, 9, 9)
+        F = renormalize(random_band_limited(grid, np.random.default_rng(3), max_mode=2, amplitude=1.5))
+        F_tau = continuity_datum(F, 0.5)
+        cfg = SolverConfig(grid=grid, newton_max_iters=2)
+        u0 = ScalarField.zeros(grid)
+        record, failure, u, coeffs = solver_module._newton_attempt(
+            u0, linearize(u0, angle), F_tau, cfg, 0.5
+        )
+        assert isinstance(failure, NewtonStalled) and record.failure == "NewtonStalled"
+        assert (record.tau, record.newton_iters, record.grid) == (0.5, 2, grid.shape)
+        assert record.krylov_applications > 0 and not np.array_equal(u.values, u0.values)
+        fresh = linearize(u, angle)
+        assert coeffs.angle == angle
+        for name in "PQRS":
+            assert np.array_equal(getattr(coeffs, name), getattr(fresh, name))
+        assert record.final_residual_sup == _sup(residual(u, F_tau, fresh).values) > cfg.newton_tol
+        assert record.lambda_min == ellipticity_report(u, F_tau, coeffs=fresh).min_lambda
+
+    def test_failing_solves_linearize_each_state_once(self, linearize_calls):
+        # the first 10^3 draw of the even-grid survey ends on the Nyquist
+        # floor; the 17^3 datum falls back to the continuation after its
+        # Newton finish is refused.  Linearizing a kept or an end state again
+        # after a failed attempt would raise these counts (to 51 and 19)
+        rng = np.random.default_rng(1000)
+        amplitude = 0.2 + 1.8 * rng.uniform()
+        F = renormalize(random_band_limited(GridSpec(10, 10, 10), rng, 1, amplitude))
+        with pytest.raises(NyquistFloor):
+            solve(F, SolverConfig(grid=F.grid))
+        assert len(linearize_calls) == 48
+        linearize_calls.clear()
+        F = renormalize(random_band_limited(
+            GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
+        ))
+        report = solve(F, SolverConfig(grid=F.grid))
+        assert report.coarse_grid is None and not report.trace.records[1].accepted
+        assert len(linearize_calls) == 18
 
 
 class TestSolve:
@@ -378,11 +445,12 @@ class TestGridSequencing:
                 raise ContinuationStalled("forced")
             return continuation(F_, cfg_, records, angle)
 
-        def failing_attempt(u0, F_target, cfg_, carried):
+        def failing_attempt(u0, coeffs0, F_target, cfg_, tau=1.0):
             if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
                 fine_calls.append(1)
-                return NewtonStalled("forced"), u0, 1, 1.0, 0
-            return attempt(u0, F_target, cfg_, carried)
+                record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
+                return record, NewtonStalled("forced"), u0, coeffs0
+            return attempt(u0, coeffs0, F_target, cfg_, tau)
 
         if stage == "coarse":
             monkeypatch.setattr(solver_module, "_continuation", failing_continuation)
@@ -412,8 +480,8 @@ class TestGridSequencing:
 
 class TestContinuation:
     def test_failed_attempt_hands_its_kept_state_on(self, monkeypatch):
-        # the linearization taken for a failed attempt's record starts the
-        # next attempt, so every Newton step gets the coefficients of its state
+        # the march keeps the coefficients of the state it restarts from, so
+        # after a failed attempt every Newton step still gets those of its state
         import ktcy.solver as solver_module
 
         grid = GridSpec(9, 9, 9)
