@@ -331,9 +331,11 @@ def _split_modes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed modes of one FFT axis, with an even grid's Nyquist mode split.
 
     Returns (source index, signed mode, weight): every FFT index once with
-    weight 1.  On an even grid the Nyquist index appears twice more, as
-    -n/2 and +n/2 with weight 1/2 each (the real cosine branch of
-    :func:`evaluate`), and not as itself; an odd grid has no Nyquist mode.
+    weight 1, except on an even grid the Nyquist index, which appears twice,
+    as -n/2 and +n/2 with weight 1/2 each.  The two halves sum to its real
+    cosine branch, the one Nyquist convention of :func:`evaluate`,
+    :func:`resample` and the rotated pullback.  An odd grid has no Nyquist
+    mode.
     """
     index = np.arange(n)
     mode = np.fft.fftfreq(n, d=1.0 / n).astype(int)
@@ -390,46 +392,32 @@ def resample(u: ScalarField, grid: GridSpec) -> ScalarField:
     return synthesize(grid, coeffs[np.ix_(*keep)], target)
 
 
-def _phase_matrix(coords: np.ndarray, n: int, L: float) -> np.ndarray:
-    """Evaluation matrix of the band-limited interpolant basis at coords.
-
-    Column j carries mode m_j in FFT ordering.  On an even grid the Nyquist
-    column is the real cosine branch, matching the convention that
-    odd-order derivatives kill the Nyquist mode; on an odd grid +-(n-1)/2
-    are ordinary modes.
-    """
-    m = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    A = np.exp((2j * np.pi / L) * np.outer(coords, m)) / n
-    if n % 2 == 0:
-        A[:, n // 2] = np.cos((2.0 * np.pi * (n // 2) / L) * coords) / n
-    return A
-
-
 def evaluate(u: ScalarField, x, y, t) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
     x, y, t are broadcast-compatible coordinate arrays; returns an array of
-    the broadcast shape.  Reproduces grid samples exactly at grid points.
+    the broadcast shape.  Sums the coefficients of
+    :func:`interpolant_modes`, so an even axis's Nyquist mode enters as
+    its real cosine branch.  Reproduces grid samples at grid points.
     """
     x, y, t = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(t, dtype=float)
     )
     out_shape = x.shape
-    xf = np.mod(x.ravel(), u.grid.L_x)
-    yf = np.mod(y.ravel(), u.grid.L_y)
-    tf = np.mod(t.ravel(), u.grid.L_t)
-    spec = np.fft.fftn(u.values)
-    nx, ny, nt = u.grid.shape
-    out = np.empty(xf.size)
-    chunk = max(1, 2**21 // (ny * nt))
-    for lo in range(0, xf.size, chunk):
-        hi = min(lo + chunk, xf.size)
-        Ax = _phase_matrix(xf[lo:hi], nx, u.grid.L_x)
-        Ay = _phase_matrix(yf[lo:hi], ny, u.grid.L_y)
-        At = _phase_matrix(tf[lo:hi], nt, u.grid.L_t)
-        t1 = Ax @ spec.reshape(nx, ny * nt)
-        t2 = np.einsum("sy,syt->st", Ay, t1.reshape(-1, ny, nt))
-        out[lo:hi] = np.einsum("st,st->s", At, t2).real
+    periods = u.grid.periods
+    points = [np.mod(c.ravel(), L) for c, L in zip((x, y, t), periods)]
+    coeffs, modes = interpolant_modes(u)
+    mx, my, mt = coeffs.shape
+    out = np.empty(points[0].size)
+    chunk = max(1, 2**21 // (my * mt))
+    for lo in range(0, out.size, chunk):
+        Ax, Ay, At = (
+            np.exp((2j * np.pi / L) * np.outer(p[lo:lo + chunk], k))
+            for p, k, L in zip(points, modes, periods)
+        )
+        t1 = Ax @ coeffs.reshape(mx, my * mt)
+        t2 = np.einsum("sy,syt->st", Ay, t1.reshape(-1, my, mt))
+        out[lo:lo + chunk] = np.einsum("st,st->s", At, t2).real
     return out.reshape(out_shape)
 
 

@@ -25,7 +25,10 @@ cos(theta) d_y, which act on F's own grid (the rotated frame of
 :func:`~ktcy.pde.linearize`).  :func:`solve_rotated` therefore solves there
 first, carries that solution to the cell by the same remap, and leaves the
 cell one Newton attempt: nested iteration, as the grid sequencing of
-:func:`~ktcy.solver.solve` does across grid sizes.
+:func:`~ktcy.solver.solve` does across grid sizes.  The unit-grid solve is
+one more start of the solver's one driver, tried before the cell's own
+coarse start; a stage that fails raises its ``SolverError`` and the driver
+moves on, so the cell solve from scratch stays the fallback.
 
 Irrational angles admit no such periodic cell and are rejected by
 construction of :class:`RationalAngle`.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,13 +50,11 @@ from .field import (
     project_mean_zero,
     synthesize,
 )
-from .estimates import verify
 from .solver import (
-    ContinuityTrace,
     SolveReport,
     SolverConfig,
+    _coarse_start,
     _polish,
-    _sequenced,
     _solve,
     check_normalization,
 )
@@ -151,37 +153,27 @@ class RotatedSolveReport:
     def v(self) -> ScalarField:
         return self.report.u
 
-    @property
-    def period(self) -> float:
-        return self.angle.length
 
+def _unit_grid_start(
+    F: ScalarField, angle: RationalAngle, G: ScalarField, cfg: SolverConfig, records: list
+):
+    """Start for the cell solve of G from F's unit grid, a start for
+    :func:`~ktcy.solver._solve`.
 
-def _solve_from_unit_grid(
-    F: ScalarField, G: ScalarField, angle: RationalAngle, cfg: SolverConfig, records: list
-) -> SolveReport | None:
-    """The cell solve started from F's unit grid; None if a stage fails.
-
-    Sequencing runs on F's unit grid in the rotated frame, where the rotated
-    equation is the base equation with derivative directions d_p and d_q.
-    Its solution u is remapped onto the cell by :func:`pullback_datum`,
-    which is exact for the interpolant, and one Newton attempt on the cell
-    against G polishes it.  The records of all three stages are appended to
-    ``records``; ``coarse_fine_sup`` is the sup change the polish made.
+    The coarse start and one Newton attempt run on F's unit grid in the
+    rotated frame, where the rotated equation is the base equation with
+    derivative directions d_p and d_q; they append their records to
+    ``records`` and raise the ``SolverError`` of a failed stage.  The
+    solution is remapped onto the cell by :func:`pullback_datum`, which is
+    exact for the interpolant.  Returns that state, mean zero, and the
+    shape of the unit coarse grid.  G is the cell datum, which the cell
+    attempt after this start solves against.
     """
     frame = (angle.cos_theta, angle.sin_theta)
-    sequenced = _sequenced(F, replace(cfg, grid=F.grid), records, frame)
-    if sequenced is None:
-        return None
-    u, _, unit_coarse_grid, _ = sequenced
-    v0 = project_mean_zero(pullback_datum(u, angle, cfg.grid))
-    polished = _polish(v0, G, cfg, records)
-    if polished is None:
-        return None
-    v, coeffs = polished
-    return SolveReport(
-        v, ContinuityTrace(tuple(records)), verify(v, G, coeffs=coeffs),
-        unit_coarse_grid, float(np.max(np.abs(v.values - v0.values))),
-    )
+    unit = replace(cfg, grid=F.grid)
+    u0, coarse_shape = _coarse_start(F, unit, records, frame)
+    u, _ = _polish(u0, F, unit, records, frame)
+    return project_mean_zero(pullback_datum(u, angle, cfg.grid)), coarse_shape
 
 
 def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> RotatedSolveReport:
@@ -197,7 +189,9 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     cell no larger than F's grid, the core solver runs on G on the cell (the
     rotated equation is the base equation with relabeled axes, covered by
     the grid-period generalization); the trace then starts with the records
-    of the failed stages.  The report includes the rotated-frame estimate
+    of the failed stages.  A datum that u = 0 already solves takes one
+    Newton attempt on the cell and no start, as in
+    :func:`~ktcy.solver.solve`.  The report includes the rotated-frame estimate
     audit with the first-axis gradient bound sup |v_p| <= L.  An
     unnormalized F fails with NormalizationError, naming the integral of e^F
     itself (the cell integral of e^G is L^2 times larger).
@@ -205,11 +199,10 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     _check_rotated_grid(angle, cfg.grid)
     check_normalization(F)
     G = pullback_datum(F, angle, cfg.grid)
-    report, records = None, []
+    starts = (_coarse_start,)
     if angle.length > 1.0 and math.prod(cfg.grid.shape) > math.prod(F.grid.shape):
-        report = _solve_from_unit_grid(F, G, angle, cfg, records)
-    if report is None:
-        report = _solve(G, cfg, records)
+        starts = (partial(_unit_grid_start, F, angle), _coarse_start)
+    report = _solve(G, cfg, starts)
     return RotatedSolveReport(
         angle=angle,
         report=report,

@@ -1,6 +1,17 @@
 """Grid-sequenced damped inexact Newton solver with preconditioned Krylov
 steps and a continuity-method fallback.
 
+Every solve is one move: a start from a cheaper problem, finished by one
+Newton attempt on the requested grid.  ``_solve`` is the one driver.  It
+finishes the first start that one attempt completes, runs the continuation
+from u = 0 on the requested grid when none does, and audits the result once
+into the one :class:`SolveReport`.  ``solve`` has one start, the coarse
+continuation below; :func:`~ktcy.rotation.solve_rotated` tries the datum's
+unit grid in the rotated frame first; ``newton_solve`` is the finishing
+attempt alone, from the start it is given.  Every stage, the finishing
+attempt included, signals failure by raising a ``SolverError``, and the
+driver then moves on to the next start.
+
 The path datum is F_tau = log(1 - tau + tau e^F), whose solution at tau = 0
 is u = 0.  The march tries the whole path first: its first attempt is a
 damped Newton solve of the full datum (tau = 1) from u = 0, which converges
@@ -14,8 +25,8 @@ The march need not run on the requested grid.  Each datum has exactly one
 solution, so any good start will do (nested iteration, as in Kelley's and
 Deuflhard's Newton texts).  When F is resolved on an odd grid of about half
 the size per axis (restriction then prolongation gives F back to
-newton_tol), ``solve`` marches there, spectrally prolongs the solution and
-finishes with one Newton attempt on the requested grid.  Odd grids have no
+newton_tol), the start marches there and spectrally prolongs the solution,
+and one Newton attempt finishes it on the requested grid.  Odd grids have no
 Nyquist mode, so discrete integration by parts holds exactly there and the
 coarse march has no mean-residual floor.  If the datum is not resolved, or
 either stage fails, the march runs on the requested grid from u = 0, so the
@@ -90,6 +101,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .estimates import EstimateReport, verify
 from .field import (
     GridMismatchError,
     GridSpec,
@@ -172,7 +184,6 @@ class SolverConfig:
 class NewtonStepResult:
     u_next: ScalarField
     krylov_iters: int
-    step_norm: float
     residual_sup: float  # sup |residual| at u_next
     start_residual_sup: float  # sup |residual| at the start state u
     krylov_rtol: float  # relative tolerance of the linear solve, 0 if none ran
@@ -207,7 +218,7 @@ class ContinuityTrace:
 class SolveReport:
     u: ScalarField
     trace: ContinuityTrace
-    estimates: "EstimateReport"  # noqa: F821  (estimates module)
+    estimates: EstimateReport
     # when sequenced: the shape of the continuation grid, and the sup change
     # the last Newton attempt made to its start, sup |u - u0|; u0 is the
     # prolonged coarse solution (solve) or the remapped unit-grid solution
@@ -251,6 +262,7 @@ def solve_linearized(
     GMRES runs on L K with K = M^{-1} D^{-1}: D multiplies by the trace ratio
     d = (P + Q) / (Pbar + Qbar), and M is the grid-mean operator.  Where P and
     Q vary together L is close to d M, and on the flat state d = 1.  Raises
+    GridMismatchError when rhs is not on the grid of ``coeffs``, and
     EllipticityLost when min(P + Q) <= 0, where D^{-1} is undefined.  Stops
     once ||b - L w||_2 <= rtol ||b||_2, b the mean-zero part of rhs, and
     raises KrylovStalled after 12 cycles of 50 iterations.  rtol defaults to
@@ -260,6 +272,8 @@ def solve_linearized(
     from scipy.sparse.linalg import LinearOperator, gmres
 
     grid = rhs.grid
+    if grid != coeffs.grid:
+        raise GridMismatchError("solve_linearized: rhs grid differs from coefficient grid")
     shape = grid.shape
     n = rhs.values.size
     trace = coeffs.P + coeffs.Q
@@ -304,6 +318,7 @@ def newton_step(
 ) -> NewtonStepResult:
     """One damped Newton step toward ma_lhs(u) = e^{F_target}.
 
+    Raises GridMismatchError unless u and F_target are both on cfg.grid.
     Refuses to step from an inadmissible state (EllipticityLost).  The
     backtracking line search halves the step length, at most 10 times, until
     the trial state decreases the sup residual strictly (or meets
@@ -320,6 +335,8 @@ def newton_step(
     """
     if u.grid != cfg.grid:
         raise GridMismatchError("newton_step: state grid differs from config grid")
+    if F_target.grid != cfg.grid:
+        raise GridMismatchError("newton_step: datum grid differs from config grid")
     ef = np.exp(F_target.values)
     if coeffs is None:
         coeffs = linearize(u)
@@ -332,7 +349,7 @@ def newton_step(
     res = coeffs.lhs() - ef
     res_sup = _sup(res)
     if res_sup <= cfg.newton_tol:
-        return NewtonStepResult(u, 0, 0.0, res_sup, res_sup, 0.0, coeffs)
+        return NewtonStepResult(u, 0, res_sup, res_sup, 0.0, coeffs)
     rtol = _KRYLOV_TOL
     if forcing is not None:
         rtol = max(forcing, rtol, 0.5 * cfg.newton_tol / res_sup)
@@ -346,9 +363,7 @@ def newton_step(
         res_try = _sup(trial.lhs() - ef)
         decrease = res_try < res_sup or res_try <= cfg.newton_tol
         if decrease and min(trial.Q.min(), trial.P.min()) > 0.0:
-            return NewtonStepResult(
-                u_try, krylov_iters, s * _sup(w.values), res_try, res_sup, rtol, trial
-            )
+            return NewtonStepResult(u_try, krylov_iters, res_try, res_sup, rtol, trial)
         s *= _BACKTRACK_FACTOR
     raise LineSearchFailed(
         f"no admissible decrease down to step factor {s / _BACKTRACK_FACTOR:.3e}"
@@ -416,10 +431,7 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     """
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
-    u0 = project_mean_zero(u0)
-    _, failure, u, _ = _newton_attempt(u0, linearize(u0), F_target, cfg)
-    if failure is not None:
-        raise failure
+    u, _ = _polish(project_mean_zero(u0), F_target, cfg, [])
     return u
 
 
@@ -524,39 +536,38 @@ def _polish(
     """One Newton attempt on cfg.grid from u0 against F, in the frame of
     ``angle``, recorded at tau = 1.
 
-    Returns (u, linearize(u, angle)), or None when the attempt fails.
+    Returns (u, linearize(u, angle)); raises the ``SolverError`` that ended
+    the attempt.
     """
     record, failure, u, coeffs = _newton_attempt(u0, linearize(u0, angle), F, cfg)
     records.append(record)
-    return None if failure is not None else (u, coeffs)
+    if failure is not None:
+        raise failure
+    return u, coeffs
 
 
-def _sequenced(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None):
-    """Continuation on the coarse grid, then one Newton attempt on cfg.grid,
-    both in the frame of ``angle``.
+class _Unresolved(SolverError):
+    """F is not resolved on the coarse grid, or there is no coarse grid."""
 
-    Appends the records of both stages to ``records``.  Returns (u,
-    linearize(u, angle), coarse grid shape, sup |u - prolonged coarse u|),
-    or None when F is not resolved on the coarse grid or either stage fails.
+
+def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None):
+    """Start for cfg.grid from the continuation on the coarse grid, in the
+    frame of ``angle``.
+
+    Raises _Unresolved when F has no coarse grid or is not resolved there
+    (restriction then prolongation misses F by more than newton_tol), and
+    the continuation's error when it fails; appends its records to
+    ``records``.  Returns the spectrally prolonged coarse solution, mean
+    zero, and the coarse grid shape.
     """
     coarse = _coarse_grid(F.grid)
     if coarse is None:
-        return None
+        raise _Unresolved(f"no coarse grid for {F.grid.shape}")
     F_coarse = resample(F, coarse)
     if _sup(resample(F_coarse, F.grid).values - F.values) > cfg.newton_tol:
-        return None
-    try:
-        u_coarse, _ = _continuation(
-            renormalize(F_coarse), replace(cfg, grid=coarse), records, angle
-        )
-    except SolverError:
-        return None
-    u0 = project_mean_zero(resample(u_coarse, F.grid))
-    polished = _polish(u0, F, cfg, records, angle)
-    if polished is None:
-        return None
-    u, coeffs = polished
-    return u, coeffs, coarse.shape, _sup(u.values - u0.values)
+        raise _Unresolved(f"F is not resolved on the coarse grid {coarse.shape}")
+    u_coarse, _ = _continuation(renormalize(F_coarse), replace(cfg, grid=coarse), records, angle)
+    return project_mean_zero(resample(u_coarse, F.grid)), coarse.shape
 
 
 def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
@@ -568,30 +579,48 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     takes no step.  When F is resolved on the coarse grid (restriction then
     prolongation reproduces it to newton_tol), the tau continuation runs on
     that grid for the renormalized restriction of F, its solution is
-    spectrally prolonged to cfg.grid, and one Newton attempt finishes there.  If F is not resolved, the coarse continuation
-    fails or the fine Newton attempt fails, the continuation runs on cfg.grid
-    from u = 0.  Either way the result meets newton_tol on cfg.grid; the
-    trace keeps every attempt, each with its grid.  The returned report
-    carries the full a-priori estimate audit.
+    spectrally prolonged to cfg.grid, and one Newton attempt finishes there.
+    If F is not resolved, the coarse continuation fails or the fine Newton
+    attempt fails, the continuation runs on cfg.grid from u = 0.  Either way
+    the result meets newton_tol on cfg.grid; the trace keeps every attempt,
+    each with its grid.  The returned report carries the full a-priori
+    estimate audit.
     """
-    return _solve(F, cfg, [])
+    return _solve(F, cfg)
 
 
-def _solve(F: ScalarField, cfg: SolverConfig, records: list) -> SolveReport:
-    """:func:`solve`, its trace led by the records already in ``records``."""
-    from .estimates import verify
+def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveReport:
+    """:func:`solve` from the given starts, the one driver of every solve.
 
+    Each start is called as ``start(F, cfg, records)``, appends its records
+    to the trace list ``records`` and returns a state on cfg.grid and the
+    shape of the grid its continuation ran on.  The first start that one
+    Newton attempt on cfg.grid finishes gives the solution; a start or
+    finish that raises a ``SolverError`` passes to the next one, and when
+    none is left the continuation runs on cfg.grid from u = 0.  The starts
+    are skipped for a datum that u = 0 already solves.
+    """
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
     check_normalization(F)
-    coarse_grid = coarse_fine_sup = None
+    records = []
     if _sup(1.0 - np.exp(F.values)) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
-        u, coeffs = _polish(ScalarField.zeros(F.grid), F, cfg, records)
+        starts = ()
+    for start in starts:
+        try:
+            u0, coarse_grid = start(F, cfg, records)
+            u, coeffs = _polish(u0, F, cfg, records)
+        except SolverError as failure:
+            # the failed stage's arrays live on in the frames of the error's
+            # traceback (a cycle through _polish's ``failure``) and in u0:
+            # free them before the next start runs
+            failure.with_traceback(None)
+            u0 = None
+            continue
+        coarse_fine_sup = _sup(u.values - u0.values)
+        break
     else:
-        sequenced = _sequenced(F, cfg, records)
-        if sequenced is None:
-            u, coeffs = _continuation(F, cfg, records)
-        else:
-            u, coeffs, coarse_grid, coarse_fine_sup = sequenced
+        u, coeffs = _continuation(F, cfg, records)
+        coarse_grid = coarse_fine_sup = None
     estimates = verify(u, F, coeffs=coeffs)
     return SolveReport(u, ContinuityTrace(tuple(records)), estimates, coarse_grid, coarse_fine_sup)

@@ -8,6 +8,7 @@ import pytest
 
 from ktcy.field import (
     GridSpec,
+    ScalarField,
     derivative,
     operator_symbols,
     random_band_limited,
@@ -178,6 +179,18 @@ class TestUnitGridStart:
             "cell": [(F.grid.shape, True), (cfg.grid.shape, False)],
         }[stage]
         assert [(r.grid, r.accepted) for r in wasted if r.grid != (15, 15, 15)] == want
+
+    def test_zero_datum_takes_one_attempt_on_the_cell(self):
+        # u = 0 solves it, so no start is tried, as in solve
+        F = ScalarField.zeros(GridSpec(24, 24, 24))
+        cfg = SolverConfig(grid=rotated_grid(ANGLE, 54, 54, 24))
+        rotated = solve_rotated(F, ANGLE, cfg)
+        records = rotated.report.trace.records
+        assert [(r.grid, r.tau, r.newton_iters, r.accepted) for r in records] == [
+            (cfg.grid.shape, 1.0, 0, True)
+        ]
+        assert rotated.report.coarse_grid is None and rotated.report.coarse_fine_sup is None
+        assert _sup(rotated.v.values) == 0.0
 
     @pytest.mark.parametrize(
         "m,n,cell",
