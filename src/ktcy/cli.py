@@ -73,7 +73,7 @@ def evaluate_expression(expr: str, grid: GridSpec) -> ScalarField:
     }
 
     def ev(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             return float(node.value)
         if isinstance(node, ast.Name):
             if node.id in env:

@@ -15,9 +15,11 @@ as read-only arrays: what is computed from them stays an array, and fields
 are built only where a function returns one.  Given an angle it takes them
 in a rotated frame, where x and y are replaced by the rotated directions p
 and q, and the coefficients carry that frame to everything that uses them.
-:func:`apply_linearized` takes one
-``rfftn`` of w and one ``irfftn`` per derivative group against the cached
-:func:`~ktcy.field.operator_symbols` table.  Given a Fourier-diagonal
+:func:`apply_linearized` takes one forward transform of w and one inverse
+transform per derivative group against the cached
+:func:`~ktcy.field.operator_symbols` table.  Every transform goes through
+:mod:`ktcy.field`, which alone chooses the FFT backend and the layout of
+the spectra and symbols.  Given a Fourier-diagonal
 ``right_inverse`` symbol of an operator M, it multiplies the spectrum of w by
 that symbol between the two, applying L M^{-1} in the same five transforms:
 this is how the solver's right preconditioning runs.
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    GridMismatchError, GridSpec, ScalarField, derivative, mean, operator_symbols, project_mean_zero
+    GridMismatchError, GridSpec, ScalarField, _from_spectrum, _spectrum, derivative, mean,
+    operator_symbols, project_mean_zero,
 )
 
 _TRACE_TOL = 1e-8  # relative slack of the trace-floor test, as in the estimate audit
@@ -64,19 +67,14 @@ class LinearizedCoeffs:
         return self.Q * self.P - self.R * self.R - self.S * self.S
 
 
-def _group(spec: np.ndarray, symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """One derivative group: the inverse ``irfftn`` of spec times its symbol."""
-    return np.fft.irfftn(spec * symbol, s=grid.shape, axes=(0, 1, 2))
-
-
 def linearize(u: ScalarField, angle: tuple | None = None) -> LinearizedCoeffs:
     """P, Q, R, S at u, in the frame of ``angle`` = (cos theta, sin theta).
 
     In a rotated frame x and y become d_p = c d_x - s d_y and
     d_q = s d_x + c d_y, so that the rotated problem of
     :mod:`ktcy.rotation` is solved on the unit grid of its datum: P = u_qq +
-    u_tt + u_t + 1, Q = u_pp + 1, R = u_pq, S = u_pt, from one ``rfftn`` and
-    four ``irfftn`` against the rotated :func:`~ktcy.field.operator_symbols`
+    u_tt + u_t + 1, Q = u_pp + 1, R = u_pq, S = u_pt, from one forward and
+    four inverse transforms against the rotated :func:`~ktcy.field.operator_symbols`
     table.  With no angle they come from seven per-axis
     :func:`~ktcy.field.derivative` calls.  That path is kept for accuracy,
     not speed: with the table, acceptance criterion 5's finite-difference
@@ -86,13 +84,13 @@ def linearize(u: ScalarField, angle: tuple | None = None) -> LinearizedCoeffs:
     """
     if angle is not None:
         symbols = operator_symbols(u.grid, angle)
-        spec = np.fft.rfftn(u.values)
+        spec = _spectrum(u.values)
         return LinearizedCoeffs(
             grid=u.grid,
-            P=_group(spec, symbols.yy_tt_t, u.grid) + 1.0,
-            Q=_group(spec, symbols.xx, u.grid) + 1.0,
-            R=_group(spec, symbols.xy, u.grid),
-            S=_group(spec, symbols.xt, u.grid),
+            P=_from_spectrum(spec, symbols.yy_tt_t, u.grid) + 1.0,
+            Q=_from_spectrum(spec, symbols.xx, u.grid) + 1.0,
+            R=_from_spectrum(spec, symbols.xy, u.grid),
+            S=_from_spectrum(spec, symbols.xt, u.grid),
             angle=angle,
         )
 
@@ -177,22 +175,23 @@ def apply_linearized(
 ) -> ScalarField:
     """L w, or L M^{-1} w when ``right_inverse`` holds the Fourier symbol of M^{-1}.
 
-    ``right_inverse`` is an array broadcastable over the ``rfftn`` layout of
-    the grid.  It multiplies the spectrum of w before the four ``irfftn``, so
-    a right-preconditioned apply costs the same five transforms as a plain one.
+    ``right_inverse`` is an array broadcastable over the spectral layout of
+    :mod:`ktcy.field`.  It multiplies the spectrum of w before the four
+    inverse transforms, so a right-preconditioned apply costs the same five
+    transforms as a plain one.
     The derivative groups are those of the frame of ``c``.
     """
     if c.grid != w.grid:
         raise GridMismatchError("apply_linearized: coefficient/argument grid mismatch")
     symbols = operator_symbols(w.grid, c.angle)
-    spec = np.fft.rfftn(w.values)
+    spec = _spectrum(w.values)
     if right_inverse is not None:
         spec *= right_inverse
     return w.with_values(
-        c.P * _group(spec, symbols.xx, w.grid)
-        + c.Q * _group(spec, symbols.yy_tt_t, w.grid)
-        - 2.0 * (c.R * _group(spec, symbols.xy, w.grid))
-        - 2.0 * (c.S * _group(spec, symbols.xt, w.grid))
+        c.P * _from_spectrum(spec, symbols.xx, w.grid)
+        + c.Q * _from_spectrum(spec, symbols.yy_tt_t, w.grid)
+        - 2.0 * (c.R * _from_spectrum(spec, symbols.xy, w.grid))
+        - 2.0 * (c.S * _from_spectrum(spec, symbols.xt, w.grid))
     )
 
 

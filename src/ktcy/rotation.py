@@ -70,8 +70,8 @@ class RationalAngle:
     def __post_init__(self):
         for name in ("m", "n"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError("m and n must be integers")
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"m and n must be integers, got {name} = {v!r}")
             object.__setattr__(self, name, int(v))
         if self.m == 0 and self.n == 0:
             raise ValueError("m^2 + n^2 must be positive")
@@ -115,9 +115,9 @@ def pullback_datum(F: ScalarField, angle: RationalAngle, grid: GridSpec) -> Scal
     """Transplant a unit-box datum to the rotated cell: G(p, q, t) = F(x, y, t).
 
     Exact Fourier index remap: each coefficient of F's interpolant at
-    (k_x, k_y, k_t) is added into the cell spectrum at ((m k_x - n k_y) mod
-    n_p, (n k_x + m k_y) mod n_q, k_t mod n_t), colliding coefficients
-    summing.  Nyquist modes of F (even axes) are split into +-n/2 halves of
+    (k_x, k_y, k_t) goes to the cell mode (m k_x - n k_y, n k_x + m k_y,
+    k_t), which :func:`~ktcy.field.synthesize` wraps modulo the cell grid,
+    colliding coefficients summing.  Nyquist modes of F (even axes) are split into +-n/2 halves of
     weight 1/2 by :func:`~ktcy.field.interpolant_modes`, as in
     :func:`~ktcy.field.resample`.  The wrap and the split make G equal, up
     to rounding, to sampling the trigonometric interpolant of F (as
@@ -131,13 +131,8 @@ def pullback_datum(F: ScalarField, angle: RationalAngle, grid: GridSpec) -> Scal
     _check_rotated_grid(angle, grid)
     coeffs, modes = interpolant_modes(F)
     KX, KY, KT = np.meshgrid(*modes, indexing="ij")
-    n_p, n_q, n_t = grid.shape
-    target = (
-        (angle.m * KX - angle.n * KY) % n_p,
-        (angle.n * KX + angle.m * KY) % n_q,
-        KT % n_t,
-    )
-    return synthesize(grid, coeffs, target)
+    cell_modes = (angle.m * KX - angle.n * KY, angle.n * KX + angle.m * KY, KT)
+    return synthesize(grid, coeffs, cell_modes)
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,11 @@ M is the constant-coefficient operator
     M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
 
 with Pbar, Qbar the grid means of the linearization coefficients.  It is
-diagonal in Fourier space, built from the same ``operator_symbols`` table
-as the linearized apply, and nonsingular on mean-zero functions; its zero
-mode is pinned to 0.  D multiplies by the trace ratio
+diagonal in Fourier space, and nonsingular on mean-zero functions.  The
+solver only chooses M, by its means and frame; :mod:`ktcy.field` builds its
+inverse symbol from the same ``operator_symbols`` table as the linearized
+apply, with the zero mode pinned to 0, and runs every transform the solver
+needs.  D multiplies by the trace ratio
 d = (P + Q) / (Pbar + Qbar), which M cannot see: where P and Q vary
 together, L is close to d M, so L K is close to the identity; on the flat
 state d = 1 and K = M^{-1}.  On large data this about halves the Krylov work
@@ -106,8 +108,11 @@ from .field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _from_spectrum,
+    _inverse_symbol,
+    _is_fast_odd_length,
+    _spectrum,
     integrate,
-    operator_symbols,
     project_mean_zero,
     resample,
 )
@@ -235,23 +240,6 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _precond_inverse_symbol(
-    grid: GridSpec, pbar: float, qbar: float, angle: tuple | None
-) -> np.ndarray:
-    """Inverse Fourier symbol of M on the rfftn layout, zero mode pinned.
-
-    Built from the symbols of the linearized apply in the frame of
-    ``angle``, so M inverts the flat-case linearization in a single Krylov
-    iteration.
-    """
-    symbols = operator_symbols(grid, angle)
-    symbol = pbar * symbols.xx + qbar * symbols.yy_tt_t
-    symbol[0, 0, 0] = 1.0
-    inverse = 1.0 / symbol
-    inverse[0, 0, 0] = 0.0
-    return inverse
-
-
 def solve_linearized(
     coeffs: LinearizedCoeffs,
     rhs: ScalarField,
@@ -281,7 +269,9 @@ def solve_linearized(
     if not min_trace > 0.0:
         raise EllipticityLost(f"min(P + Q) = {min_trace:.3e}: no trace-scaled preconditioner")
     d = trace / float(np.mean(trace))
-    inv_symbol = _precond_inverse_symbol(
+    # M in the frame of the linearized apply, so it inverts the flat-case
+    # linearization in a single Krylov iteration
+    inv_symbol = _inverse_symbol(
         grid, float(np.mean(coeffs.P)), float(np.mean(coeffs.Q)), coeffs.angle
     )
 
@@ -304,8 +294,7 @@ def solve_linearized(
         raise KrylovStalled(
             f"GMRES returned info={info} after {applications[0]} operator applications"
         )
-    spec = np.fft.rfftn(y.reshape(shape) / d) * inv_symbol
-    w = np.fft.irfftn(spec, s=shape, axes=(0, 1, 2))
+    w = _from_spectrum(_spectrum(y.reshape(shape) / d), inv_symbol, grid)
     return project_mean_zero(ScalarField(grid, w)), applications[0]
 
 
@@ -506,24 +495,17 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     return u, coeffs
 
 
-def _is_odd_5_smooth(m: int) -> bool:
-    for p in (3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
 def _coarse_grid(grid: GridSpec) -> GridSpec | None:
     """The odd grid of about half the size that sequencing continues on.
 
-    Each axis of n samples gets the odd 5-smooth size 3^a 5^b nearest n/2
-    (ties to the larger), at least 5 and below n: pocketfft is slow on prime
-    lengths such as the 17 that n//2 rounded to odd gives for 32 and 34.
-    None when some axis has no such size.
+    Each axis of n samples gets the odd size nearest n/2 (ties to the
+    larger), at least 5 and below n, among the lengths that
+    :func:`~ktcy.field._is_fast_odd_length` calls fast.  None when some
+    axis has no such size.
     """
     shape = []
     for n in grid.shape:
-        sizes = [m for m in range(5, n, 2) if _is_odd_5_smooth(m)]
+        sizes = [m for m in range(5, n, 2) if _is_fast_odd_length(m)]
         if not sizes:
             return None
         shape.append(min(sizes, key=lambda m: (abs(2 * m - n), -m)))

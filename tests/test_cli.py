@@ -127,6 +127,7 @@ class TestExpressionGrammar:
             "sin(x) if x else 0",
             "np.sin(x)",
             "sin(x) > 0",
+            "True*x",
         ],
     )
     def test_rejects_out_of_grammar(self, grid8, expr):
@@ -520,6 +521,13 @@ class TestMainCommands:
         )
         assert main(["export", "--config", str(cfg)]) == EXIT_OK
         assert (out / "slice_y2.csv").read_text().splitlines()[0] == "x,t,value"
+
+    def test_bad_dump_header_is_a_usage_error_naming_the_dump(self, tmp_path, capsys):
+        path = tmp_path / "head.field"
+        path.write_text("8 8 8.5 1 1 1\n" + "0.0\n" * 512)
+        code = main(["verify", "--builtin", "zero", "--solution", str(path)])
+        assert code == EXIT_USAGE
+        assert f"{path}: malformed field dump header" in capsys.readouterr().err
 
     def test_verify_requires_solution(self, capsys):
         code = main(["verify", "--builtin", "zero"])

@@ -1,6 +1,8 @@
 """Tests for the spectral field substrate."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,20 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match="header"):
             read_field(path)
 
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ("8 8 8.5 1 1 1", "invalid literal for int"),
+            ("8 8 8 1 1 -1", "L_t must be a positive finite real"),
+        ],
+        ids=["count", "period"],
+    )
+    def test_header_error_names_the_dump(self, tmp_path, header, reason):
+        path = tmp_path / "head.field"
+        path.write_text(header + "\n" + "0.0\n" * 512)
+        with pytest.raises(ValueError, match=f"head.field: malformed field dump header .*{reason}"):
+            read_field(path)
+
     def test_rejects_wrong_count(self, tmp_path):
         path = tmp_path / "short.field"
         path.write_text("4 4 4 1 1 1\n" + "0.0\n" * 10)
@@ -419,3 +435,49 @@ class TestGradientHelper:
         assert np.array_equal(ux.values, derivative(u, "x", 1).values)
         assert np.array_equal(uy.values, derivative(u, "y", 1).values)
         assert np.array_equal(ut.values, derivative(u, "t", 1).values)
+
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ktcy"
+_FFT_MODULES = {"numpy.fft", "scipy.fft"}
+
+
+def _fft_references(source: str) -> list:
+    """Lines of ``source`` that name numpy.fft or scipy.fft, as np.fft,
+    numpy.fft, scipy.fft or an import of either."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            named = node.value
+            if isinstance(named, ast.Name) and named.id in ("np", "numpy", "scipy"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name in _FFT_MODULES for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            if node.module in _FFT_MODULES or any(
+                f"{node.module}.{alias.name}" in _FFT_MODULES for alias in node.names
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestSpectralSeam:
+    """Only ``field`` chooses the FFT backend and the layout of spectra."""
+
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in _PACKAGE.glob("*.py") if p.name != "field.py")
+    )
+    def test_no_fft_outside_field(self, module):
+        assert _fft_references((_PACKAGE / module).read_text()) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        ["np.fft.rfftn(a)", "numpy.fft.irfftn(a)", "scipy.fft.rfftn(a)", "import numpy.fft",
+         "import scipy.fft as sf", "from numpy import fft", "from scipy.fft import rfftn",
+         "from numpy.fft import irfftn"],
+    )
+    def test_guard_sees_every_spelling(self, source):
+        assert _fft_references(source) == [1]
+
+    def test_field_is_the_backend(self):
+        assert _fft_references((_PACKAGE / "field.py").read_text())

@@ -45,6 +45,8 @@ class TestRationalAngle:
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
             RationalAngle(1.0, 0)
+        with pytest.raises(ValueError, match="m = True"):
+            RationalAngle(True, 1)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, -2), (1, 4)])
     def test_lattice_property(self, m, n):
