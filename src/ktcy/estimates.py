@@ -171,9 +171,11 @@ def uniqueness_probe(
 ) -> UniquenessProbe:
     """Empirical uniqueness test: solve from distinct warm starts.
 
-    Trial 1 runs the continuity method from zero; the remaining trials run
-    plain Newton from the converged solution plus small band-limited
-    perturbations.  Returns the worst pairwise sup-difference.
+    Trial 1 is a full :func:`~ktcy.solver.solve`: grid-sequenced, with a
+    continuation that tries the full datum first and runs on the requested
+    grid from zero only as the fallback.  The remaining trials run plain
+    Newton from that solution plus small band-limited perturbations.
+    Returns the worst pairwise sup-difference.
     """
     from .solver import newton_solve, solve
 

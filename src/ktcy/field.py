@@ -4,12 +4,17 @@ Fields live on a uniform grid over [0, L_x) x [0, L_y) x [0, L_t) and are
 differentiated, integrated and interpolated through real FFTs.  All other
 modules build on the operations here.
 
-This is the one module that calls the FFT backend (``numpy.fft``), lays out
-spectra and knows which transform lengths are fast.  The other modules
-transform through :func:`_spectrum` and :func:`_from_spectrum` against the
-symbols built here (:func:`operator_symbols` and the preconditioner's
-:func:`_inverse_symbol`), and the solver picks its coarse grid sizes with
-:func:`_is_fast_odd_length`.
+This is the one module that calls the FFT backends, lays out spectra and
+knows which transform lengths are fast.  The other modules transform through
+:func:`_spectrum` and :func:`_from_spectrum` against the symbols built here
+(:func:`operator_symbols` and the preconditioner's :func:`_inverse_symbol`),
+and the solver picks its coarse grid sizes with :func:`_is_fast_odd_length`.
+The two transforms keep the precision of their input: float64 values go
+through ``numpy.fft``, and float32 values, with their complex64 spectra,
+through ``scipy.fft``, which transforms single precision natively.
+``scipy.fft`` is imported on the first single-precision transform, so
+importing the package does not load it.  :func:`_single` and
+:func:`_single_symbols` give the symbols in single precision.
 
 Axis convention: values are indexed ``[i, j, k]`` for the point
 ``(i*L_x/n_x, j*L_y/n_y, k*L_t/n_t)``.  The text dump format stores x
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -282,14 +288,48 @@ def _inverse_symbol(grid: GridSpec, pbar: float, qbar: float, angle: tuple | Non
     return inverse
 
 
+def _single(symbol: np.ndarray) -> np.ndarray:
+    """A symbol in single precision: float32, or complex64 if it is complex.
+
+    A complex symbol never goes to a real dtype, which would drop its
+    imaginary part: the d_t part of ``yy_tt_t`` and the M^{-1} symbol.
+    """
+    return symbol.astype(np.complex64 if np.iscomplexobj(symbol) else np.float32)
+
+
+@functools.lru_cache(maxsize=8)
+def _single_symbols(grid: GridSpec, angle: tuple | None = None) -> OperatorSymbols:
+    """The cached :func:`operator_symbols` table in single precision (read-only)."""
+    table = OperatorSymbols(*(_single(symbol) for symbol in operator_symbols(grid, angle)))
+    for symbol in table:
+        symbol.flags.writeable = False
+    return table
+
+
 def _spectrum(values: np.ndarray) -> np.ndarray:
-    """The ``rfftn`` of grid values, the layout of every symbol here."""
+    """The ``rfftn`` of grid values, the layout of every symbol here.
+
+    complex64 for float32 values, through ``scipy.fft``; complex128 otherwise.
+    """
+    if values.dtype == np.float32:
+        import scipy.fft
+
+        return scipy.fft.rfftn(values)
     return np.fft.rfftn(values)
 
 
 def _from_spectrum(spec: np.ndarray, symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Grid values of the inverse ``irfftn`` of spec times a symbol."""
-    return np.fft.irfftn(spec * symbol, s=grid.shape, axes=(0, 1, 2))
+    """Grid values of the inverse ``irfftn`` of spec times a symbol.
+
+    float32 when the product is complex64, through ``scipy.fft``; float64
+    otherwise.
+    """
+    spec = spec * symbol
+    if spec.dtype == np.complex64:
+        import scipy.fft
+
+        return scipy.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2))
+    return np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2))
 
 
 def _is_fast_odd_length(m: int) -> bool:
@@ -501,8 +541,12 @@ def read_field(path) -> ScalarField:
     if text.isspace():
         text = ""
     try:
-        values = np.fromstring(text, dtype=np.float64, sep=" ")
-    except ValueError as exc:
+        # numpy 1.x only warns on a token that is not a number, and returns
+        # the values before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=np.float64, sep=" ")
+    except (ValueError, DeprecationWarning) as exc:
         raise ValueError(f"{path}: malformed field dump values ({exc})") from None
     if values.size != nx * ny * nt:
         raise ValueError(

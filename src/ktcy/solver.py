@@ -59,7 +59,21 @@ residual-minimizing Krylov method.  GMRES runs on L K: each application
 divides its vector by d and passes the inverse symbol of M to
 ``apply_linearized``, which applies it between its forward and inverse
 transforms, and w = M^{-1}(y / d) is recovered once at the end.  GMRES
-therefore stops on the true linear residual ||b - L w||_2.
+therefore stops on the true linear residual ||b - L w||_2, of L in the
+precision it is applied in.
+
+The operator runs in float32 when a solve asks for rtol >= 1e-5
+(mixed-precision inexact Newton: Kelley, *Newton's method in mixed
+precision*, SIAM Review 64, 2022).  On the first three data of each
+benchmark workload, 86 of the 87 linear solves did; the smallest forcing
+term there was 9.1e-6.  The coefficients P, Q, R, S and the M^{-1} symbol
+are cast once per linear solve, and ``apply_linearized`` transforms in
+single precision through :mod:`ktcy.field`.  GMRES itself, the mean
+projection of each application and the recovery of w stay float64, as
+does every other computation: the residual, ``linearize``, the line search
+and the audit.  The float64 residual fixes the Newton fixed point, so the
+answer does not change.  Below 1e-5, so also for a direct ``newton_step``,
+the operator is float64.
 
 The Newton loop solves each system only as accurately as the step needs
 (inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
@@ -111,6 +125,7 @@ from .field import (
     _from_spectrum,
     _inverse_symbol,
     _is_fast_odd_length,
+    _single,
     _spectrum,
     integrate,
     project_mean_zero,
@@ -127,6 +142,7 @@ from .pde import (
 )
 
 _KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
+_SINGLE_PRECISION_RTOL = 1e-5  # from this rtol up, the Krylov operator runs in float32
 _GMRES_RESTART = 50
 _GMRES_MAX_CYCLES = 12  # at most 600 operator applications per linear solve
 _BACKTRACK_FACTOR = 0.5
@@ -256,6 +272,15 @@ def solve_linearized(
     raises KrylovStalled after 12 cycles of 50 iterations.  rtol defaults to
     1e-9, the floor of the Newton loop's forcing terms.  Returns the solution
     and the number of operator applications.
+
+    Precision: for rtol >= 1e-5 the operator L K runs in float32, on P, Q,
+    R, S and the M^{-1} symbol cast once per call, so the stop test runs on
+    the float32 operator, not on L.  In the solves of the three benchmark
+    workloads' first data, the float32 L K missed the float64 one on GMRES's
+    final vector by at most 2.0e-6 relative, and the two residual norms
+    differed by at most 1.7e-7 ||b||_2, well inside the smallest such rtol.
+    Below 1e-5 the operator is float64 throughout.  GMRES, the mean
+    projections and the recovery of w are float64 at every rtol.
     """
     from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -274,6 +299,13 @@ def solve_linearized(
     inv_symbol = _inverse_symbol(
         grid, float(np.mean(coeffs.P)), float(np.mean(coeffs.Q)), coeffs.angle
     )
+    op_coeffs, op_symbol = coeffs, inv_symbol
+    if rtol >= _SINGLE_PRECISION_RTOL:
+        op_coeffs = LinearizedCoeffs(
+            grid, *(a.astype(np.float32) for a in (coeffs.P, coeffs.Q, coeffs.R, coeffs.S)),
+            angle=coeffs.angle,
+        )
+        op_symbol = _single(inv_symbol)
 
     applications = [0]
 
@@ -284,7 +316,7 @@ def solve_linearized(
         # above tolerance
         applications[0] += 1
         y = ScalarField(grid, v.reshape(shape) / d)
-        out = apply_linearized(coeffs, y, right_inverse=inv_symbol).values
+        out = apply_linearized(op_coeffs, y, right_inverse=op_symbol).values
         return (out - np.mean(out)).ravel()
 
     A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)

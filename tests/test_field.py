@@ -12,12 +12,18 @@ from ktcy.field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _from_spectrum,
+    _inverse_symbol,
+    _single,
+    _single_symbols,
+    _spectrum,
     derivative,
     evaluate,
     gradient,
     integrate,
     mean,
     norms,
+    operator_symbols,
     project_mean_zero,
     random_band_limited,
     read_field,
@@ -481,3 +487,58 @@ class TestSpectralSeam:
 
     def test_field_is_the_backend(self):
         assert _fft_references((_PACKAGE / "field.py").read_text())
+
+
+class TestSinglePrecision:
+    """The seam's float32 path, which the Krylov solve runs on."""
+
+    ANGLE = (0.6, 0.8)
+
+    def test_single_keeps_complex_symbols_complex(self):
+        # the d_t part of yy_tt_t and the M^{-1} symbol are complex: a real
+        # single-precision cast would drop d_t without an error
+        grid = GridSpec(9, 8, 10)
+        inverse = _inverse_symbol(grid, 1.3, 0.8, self.ANGLE)
+        table = operator_symbols(grid, self.ANGLE)
+        assert np.iscomplexobj(table.yy_tt_t) and np.iscomplexobj(inverse)
+        for symbol in (*table, inverse):
+            single = _single(symbol)
+            assert single.dtype == (np.complex64 if np.iscomplexobj(symbol) else np.float32)
+            assert np.allclose(single, symbol, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("angle", [None, ANGLE], ids=["axes", "rotated"])
+    def test_single_symbols_are_the_cast_table(self, angle):
+        grid = GridSpec(9, 8, 10)
+        for single, symbol in zip(_single_symbols(grid, angle), operator_symbols(grid, angle)):
+            assert np.array_equal(single, _single(symbol)) and single.dtype == _single(symbol).dtype
+            assert not single.flags.writeable
+
+    def test_transforms_keep_the_precision_of_their_input(self, rng):
+        grid = GridSpec(9, 8, 10)
+        values = rng.standard_normal(grid.shape)
+        symbols = operator_symbols(grid)
+        spec = _spectrum(values.astype(np.float32))
+        assert spec.dtype == np.complex64
+        out = _from_spectrum(spec, _single(symbols.yy_tt_t), grid)
+        want = _from_spectrum(_spectrum(values), symbols.yy_tt_t, grid)
+        assert out.dtype == np.float32 and want.dtype == np.float64
+        assert np.max(np.abs(out - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # scipy.fft, which pulls in scipy.special, is imported by the first
+    # single-precision transform and GMRES by the first linear solve, so
+    # importing the package loads neither
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ktcy; print([m for m in ('scipy.fft', 'scipy.sparse') if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -10,6 +10,8 @@ from ktcy.field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _inverse_symbol,
+    _single,
     derivative,
     integrate,
     mean,
@@ -18,6 +20,7 @@ from ktcy.field import (
     sample,
 )
 from ktcy.pde import (
+    LinearizedCoeffs,
     apply_linearized,
     continuity_datum,
     ellipticity_report,
@@ -219,6 +222,29 @@ class TestLinearize:
         got = apply_linearized(linearize(u), w, right_inverse=inverse)
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
+
+
+class TestSinglePrecisionApply:
+    """apply_linearized runs in the precision of its coefficients."""
+
+    @pytest.mark.parametrize("angle", [None, (0.6, 0.8)], ids=["axes", "rotated"])
+    def test_float32_coefficients_match_the_float64_apply(self, grid16, rng, angle):
+        # u and w vary in t, so the d_t part of yy_tt_t and the complex
+        # M^{-1} symbol both enter: dropping either imaginary part misses by
+        # far more than the bound
+        u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.02)
+        w = random_band_limited(grid16, rng, max_mode=4)
+        assert np.max(np.abs(derivative(u, "t", 1).values)) > 0.01
+        c = linearize(u, angle)
+        single = LinearizedCoeffs(
+            c.grid, *(a.astype(np.float32) for a in (c.P, c.Q, c.R, c.S)), angle=angle
+        )
+        inverse = _inverse_symbol(grid16, float(np.mean(c.P)), float(np.mean(c.Q)), angle)
+        for right, right_single in ((None, None), (inverse, _single(inverse))):
+            want = apply_linearized(c, w, right_inverse=right).values
+            got = apply_linearized(single, w, right_inverse=right_single).values
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 class TestSymbolEigenvalues:

@@ -134,10 +134,11 @@ class TestKrylov:
         assert rel < 1e-7
         assert applications < 100
 
-    @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-9])
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-5, 5e-6, 1e-9])
     def test_true_residual_meets_rtol(self, grid16, rng, rtol):
         # right preconditioning: GMRES stops on ||b - L w||_2 itself, not on
-        # a preconditioned residual
+        # a preconditioned residual; from rtol = 1e-5 up it stops on the
+        # float32 operator, and the float64 residual still meets rtol
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.001)
         coeffs = linearize(u)
         rhs = project_mean_zero(random_band_limited(grid16, rng, max_mode=4))
@@ -145,7 +146,7 @@ class TestKrylov:
         r = apply_linearized(coeffs, w).values - rhs.values
         assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
 
-    @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-9])
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-4, 1e-5, 5e-6, 1e-9])
     def test_true_residual_meets_rtol_at_large_amplitude(self, large_state, rng, rtol):
         # P + Q spans 0.5 to 6.8 here: the trace scaling acts, and the right
         # preconditioner still leaves GMRES stopping on ||b - L w||_2
@@ -155,6 +156,22 @@ class TestKrylov:
         r = apply_linearized(coeffs, w).values - rhs.values
         assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
         assert abs(mean(w)) < 1e-15
+
+    @pytest.mark.parametrize("rtol, dtype", [(1e-5, np.float32), (5e-6, np.float64)])
+    def test_operator_precision_follows_rtol(self, grid16, rng, monkeypatch, rtol, dtype):
+        import ktcy.solver as solver_module
+
+        seen = []
+
+        def recording_apply(c, w, right_inverse=None):
+            seen.append((c.P.dtype, right_inverse.dtype))
+            return apply_linearized(c, w, right_inverse)
+
+        monkeypatch.setattr(solver_module, "apply_linearized", recording_apply)
+        coeffs = linearize(random_band_limited(grid16, rng, max_mode=3, amplitude=0.001))
+        solve_linearized(coeffs, random_band_limited(grid16, rng, max_mode=4), rtol=rtol)
+        symbol = np.complex64 if dtype == np.float32 else np.complex128
+        assert seen and set(seen) == {(np.dtype(dtype), np.dtype(symbol))}
 
     def test_trace_scaling_cuts_krylov_work(self, large_state, rng):
         # the grid-mean operator alone takes 46 applications here, the trace
@@ -282,13 +299,13 @@ class TestNewtonAttempt:
         # the first 10^3 draw of the even-grid survey ends on the Nyquist
         # floor; the 17^3 datum falls back to the continuation after its
         # Newton finish is refused.  Linearizing a kept or an end state again
-        # after a failed attempt would raise these counts (to 51 and 19)
+        # after a failed attempt would raise these counts (to 50 and 19)
         rng = np.random.default_rng(1000)
         amplitude = 0.2 + 1.8 * rng.uniform()
         F = renormalize(random_band_limited(GridSpec(10, 10, 10), rng, 1, amplitude))
         with pytest.raises(NyquistFloor):
             solve(F, SolverConfig(grid=F.grid))
-        assert len(linearize_calls) == 48
+        assert len(linearize_calls) == 47
         linearize_calls.clear()
         F = renormalize(random_band_limited(
             GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
