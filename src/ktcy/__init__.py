@@ -66,14 +66,12 @@ from .solver import (
     EllipticityLost,
     KrylovStalled,
     LineSearchFailed,
-    NewtonStepResult,
     NormalizationError,
     NyquistFloor,
     SolveReport,
     SolverConfig,
     SolverError,
     newton_solve,
-    newton_step,
     solve,
 )
 from .estimates import (

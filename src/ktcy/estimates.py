@@ -30,7 +30,6 @@ from .pde import (
     LinearizedCoeffs,
     ellipticity_report,
     linearize,
-    residual,
     solution_residual_bound,
 )
 
@@ -118,10 +117,10 @@ def verify(
     nrm = norms(u, grad)
     ef = np.exp(F.values)
     sup_one_plus_ef = float(np.max(np.abs(1.0 + ef)))
-    res = residual(u, F, c)
+    ell = ellipticity_report(u, F, coeffs=c)  # first: it rejects an F on another grid
+    res = u.with_values(c.lhs() - ef)
     res_sup = float(np.max(np.abs(res.values)))
     scale = grid.volume() / res.values.size
-    ell = ellipticity_report(u, F, coeffs=c)
 
     max_period = max(grid.periods)
     lam1 = (2.0 * math.pi / max_period) ** 2
@@ -174,8 +173,10 @@ def uniqueness_probe(
     Trial 1 is a full :func:`~ktcy.solver.solve`: grid-sequenced, with a
     continuation that tries the full datum first and runs on the requested
     grid from zero only as the fallback.  The remaining trials run plain
-    Newton from that solution plus small band-limited perturbations.
-    Returns the worst pairwise sup-difference.
+    Newton from that solution plus a band-limited bump of sup 1e-3, scaled
+    down where needed so that it moves P and Q by at most half the
+    solution's min P and min Q: the start stays in the elliptic cone, which
+    ``newton_solve`` requires.  Returns the worst pairwise sup-difference.
     """
     from .solver import newton_solve, solve
 
@@ -183,10 +184,20 @@ def uniqueness_probe(
         raise ValueError(f"uniqueness_probe needs trials >= 2, got {trials}")
     if rng is None:
         rng = np.random.default_rng(20570)
-    base = solve(F, cfg).u
+    report = solve(F, cfg)
+    base, ell = report.u, report.estimates.ellipticity
     solutions = [base]
     for _ in range(trials - 1):
         bump = random_band_limited(F.grid, rng, max_mode=2, amplitude=1e-3)
+        # P and Q are affine in u, so the bump moves them by P - 1 and Q - 1
+        # of its own linearization, linearly in its amplitude
+        c, scale = linearize(bump), 1.0
+        for minimum, coeff in ((ell.min_p, c.P), (ell.min_q, c.Q)):
+            move = float(np.max(np.abs(coeff - 1.0)))
+            if move > 0.5 * minimum:
+                scale = min(scale, 0.5 * minimum / move)
+        if scale < 1.0:
+            bump = bump * scale
         start = project_mean_zero(base + bump)
         solutions.append(newton_solve(start, F, cfg))
     worst = 0.0

@@ -112,13 +112,12 @@ def ma_lhs(u: ScalarField) -> ScalarField:
     return u.with_values(linearize(u).lhs())
 
 
-def residual(u: ScalarField, F: ScalarField, coeffs: LinearizedCoeffs | None = None) -> ScalarField:
-    """ma_lhs(u) - e^F.  A caller that already holds ``linearize(u)`` passes
-    it as ``coeffs``, whose frame the residual is then taken in."""
+def residual(u: ScalarField, F: ScalarField) -> ScalarField:
+    """ma_lhs(u) - e^F.  A caller that already holds the coefficients of u
+    takes ``coeffs.lhs() - e^F`` from them instead."""
     if u.grid != F.grid:
         raise GridMismatchError("residual: u and F live on different grids")
-    c = linearize(u) if coeffs is None else coeffs
-    return u.with_values(c.lhs() - np.exp(F.values))
+    return u.with_values(linearize(u).lhs() - np.exp(F.values))
 
 
 def continuity_datum(F: ScalarField, tau: float) -> ScalarField:

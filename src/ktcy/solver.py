@@ -72,8 +72,7 @@ single precision through :mod:`ktcy.field`.  GMRES itself, the mean
 projection of each application and the recovery of w stay float64, as
 does every other computation: the residual, ``linearize``, the line search
 and the audit.  The float64 residual fixes the Newton fixed point, so the
-answer does not change.  Below 1e-5, so also for a direct ``newton_step``,
-the operator is float64.
+answer does not change.  Below 1e-5 the operator is float64.
 
 The Newton loop solves each system only as accurately as the step needs
 (inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
@@ -83,10 +82,11 @@ Eisenstat and Walker's choice 2 on the sup residuals r_k:
 
 raised to 0.9 eta_{k-1}^2 when that exceeds 0.1, capped at 0.1, and floored
 at max(1e-9, 0.5 newton_tol / r_k).  The constant 1e-9 is thus the tightest
-tolerance any linear solve is asked for; a direct ``newton_step`` call
-without a forcing term solves to it.  The step is damped by a backtracking
-line search that halves its length, at most 10 times, until the sup
-residual decreases and the state stays in the elliptic cone.
+tolerance any linear solve is asked for, and the default of
+``solve_linearized``.  The step is damped by a backtracking line search that
+halves its length, at most 10 times, until the sup residual decreases and
+the state stays in the elliptic cone; when no length does,
+``LineSearchFailed`` names the last trial's residual, min Q and min P.
 
 Everything a Newton step does runs in the frame of the coefficients it is
 given (see :func:`~ktcy.pde.linearize`).  ``solve`` works in the grid's own
@@ -99,16 +99,21 @@ attempt) and ``tau_min_step`` (the smallest tau step before the march
 stalls).  The paper's solution is unique, so the rest of the policy is
 fixed: the constants below.
 
-Each state is linearized once.  A Newton attempt takes the coefficients
-of its start state and returns, with its trace record, those of the state it
-ended on, accepted or not.  The coefficients of an accepted state travel
-with it to the next Newton step, into the next tau attempt (they do not
-depend on the datum), into the ellipticity report of the attempt's record
-and into the audit.  After a failed attempt the march restarts from the
-state it kept, with the coefficients it kept.  A Newton step works on the
-coefficient arrays and builds fields only for new states and the linear
-solve's right-hand side.  An attempt takes at most ``newton_max_iters``
-steps.
+There is one Newton loop, ``_newton_attempt`` (Deuflhard's damped inexact
+Newton method), and each state is linearized once.  An attempt takes the
+coefficients of its start state, computes e^F and the start residual once,
+and refuses a start outside the elliptic cone.  Each step then checks the
+budget of ``newton_max_iters`` steps, runs one linear solve to its forcing
+term and one line search.  The line search returns the state it accepts
+with that state's coefficients and residual, and the next step starts from
+all three.  The attempt returns, with its trace record, the coefficients of
+the state it ended on, accepted or not.  They travel on into the next tau
+attempt (they do not depend on the datum), into the ellipticity report of
+the attempt's record and into the audit.  After a failed attempt the march
+restarts from the state it kept, with the coefficients it kept.  The loop
+works on the coefficient arrays and builds fields only for new states and
+the linear solve's right-hand side.  ``newton_solve`` is that loop alone,
+from a given start.
 """
 from __future__ import annotations
 
@@ -138,7 +143,6 @@ from .pde import (
     ellipticity_report,
     linearize,
     renormalize,
-    residual,
 )
 
 _KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
@@ -199,16 +203,6 @@ class SolverConfig:
         iters = self.newton_max_iters
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError(f"newton_max_iters must be an integer >= 1, got {iters!r}")
-
-
-@dataclass(frozen=True)
-class NewtonStepResult:
-    u_next: ScalarField
-    krylov_iters: int
-    residual_sup: float  # sup |residual| at u_next
-    start_residual_sup: float  # sup |residual| at the start state u
-    krylov_rtol: float  # relative tolerance of the linear solve, 0 if none ran
-    coeffs: LinearizedCoeffs  # linearize(u_next), for the next step to reuse
 
 
 @dataclass(frozen=True)
@@ -330,64 +324,32 @@ def solve_linearized(
     return project_mean_zero(ScalarField(grid, w)), applications[0]
 
 
-def newton_step(
-    u: ScalarField,
-    F_target: ScalarField,
-    cfg: SolverConfig,
-    forcing: float | None = None,
-    coeffs: LinearizedCoeffs | None = None,
-) -> NewtonStepResult:
-    """One damped Newton step toward ma_lhs(u) = e^{F_target}.
+def _line_search(u, w, angle, ef, res_sup, cfg):
+    """Backtracking line search from u along the Newton update w.
 
-    Raises GridMismatchError unless u and F_target are both on cfg.grid.
-    Refuses to step from an inadmissible state (EllipticityLost).  The
-    backtracking line search halves the step length, at most 10 times, until
-    the trial state decreases the sup residual strictly (or meets
-    ``newton_tol``) with min Q and min P positive, and raises
-    LineSearchFailed when none does: no trial state outside the cone is ever
-    returned.  One ``linearize`` per state gives the admissibility test, the
-    residual and the Newton system; ``coeffs``, when given, must be
-    ``linearize(u)`` (the ``coeffs`` of the step that produced u: they do not
-    depend on the datum) and saves that call.  The step runs in the frame of
-    ``coeffs``, the grid's own frame when none are given.  The linear solve runs to
-    ``forcing``, floored at max(1e-9, 0.5 newton_tol / r) with r the sup
-    residual at u, or to 1e-9 when no forcing is given.  A state that already
-    meets ``newton_tol`` comes back unchanged with no Krylov work.
+    Halves the step length, at most 10 times, until the trial state
+    decreases the sup residual strictly below ``res_sup``, that of u (or
+    meets ``newton_tol``), with min Q and min P positive.  One ``linearize``
+    per trial, in the frame of ``angle``, gives both tests.  Returns the
+    accepted trial, its coefficients and its residual array against e^F =
+    ``ef``.  Raises LineSearchFailed when no trial is accepted, with the
+    last trial's sup residual, min Q and min P: no trial state outside the
+    cone is ever returned.
     """
-    if u.grid != cfg.grid:
-        raise GridMismatchError("newton_step: state grid differs from config grid")
-    if F_target.grid != cfg.grid:
-        raise GridMismatchError("newton_step: datum grid differs from config grid")
-    ef = np.exp(F_target.values)
-    if coeffs is None:
-        coeffs = linearize(u)
-    min_q, min_p = float(np.min(coeffs.Q)), float(np.min(coeffs.P))
-    if not (min_q > 0.0 and min_p > 0.0):
-        raise EllipticityLost(
-            f"min(u_xx + 1) = {min_q:.3e}, "
-            f"min(u_yy + u_tt + u_t + 1) = {min_p:.3e}"
-        )
-    res = coeffs.lhs() - ef
-    res_sup = _sup(res)
-    if res_sup <= cfg.newton_tol:
-        return NewtonStepResult(u, 0, res_sup, res_sup, 0.0, coeffs)
-    rtol = _KRYLOV_TOL
-    if forcing is not None:
-        rtol = max(forcing, rtol, 0.5 * cfg.newton_tol / res_sup)
-    w, krylov_iters = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
-
     s = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
         v = u.values + s * w.values
         u_try = u.with_values(v - np.mean(v))
-        trial = linearize(u_try, coeffs.angle)
-        res_try = _sup(trial.lhs() - ef)
-        decrease = res_try < res_sup or res_try <= cfg.newton_tol
-        if decrease and min(trial.Q.min(), trial.P.min()) > 0.0:
-            return NewtonStepResult(u_try, krylov_iters, res_try, res_sup, rtol, trial)
+        trial = linearize(u_try, angle)
+        res = trial.lhs() - ef
+        res_try, min_q, min_p = _sup(res), float(np.min(trial.Q)), float(np.min(trial.P))
+        if (res_try < res_sup or res_try <= cfg.newton_tol) and min_q > 0.0 and min_p > 0.0:
+            return u_try, trial, res
         s *= _BACKTRACK_FACTOR
     raise LineSearchFailed(
-        f"no admissible decrease down to step factor {s / _BACKTRACK_FACTOR:.3e}"
+        f"no admissible decrease down to step factor {s / _BACKTRACK_FACTOR:.3e}: the last "
+        f"trial has sup residual {res_try:.3e} (start {res_sup:.3e}), "
+        f"min(u_xx + 1) = {min_q:.3e} and min(u_yy + u_tt + u_t + 1) = {min_p:.3e}"
     )
 
 
@@ -404,40 +366,45 @@ def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
     """Inexact Newton loop from u0 to tolerance, at most ``cfg.newton_max_iters``
     steps, in the frame of ``coeffs0``, the linearization of u0.
 
-    Returns (record, failure, u, coeffs).  u is the state the attempt ended
-    on: the last accepted one, or u0 when no step was accepted.  coeffs is
-    ``linearize(u)`` and record the attempt's :class:`TraceRecord` at
-    ``tau``, whose iterations, residual and lambda_min all describe u.
-    failure is None on success, the ``SolverError`` a step raised, or a
-    ``NewtonStalled`` when the step budget ran out.  The first
-    ``newton_step`` returns a converged start state unchanged.
+    Refuses an inadmissible u0 (EllipticityLost).  Each step solves the
+    Newton system to the Eisenstat-Walker forcing term and damps the update
+    by :func:`_line_search`, whose accepted state, coefficients and residual
+    the next step reuses.  Returns (record, failure, u, coeffs).  u is the
+    state the attempt ended on: the last accepted one, or u0 when no step
+    was accepted.  coeffs is ``linearize(u)`` and record the attempt's
+    :class:`TraceRecord` at ``tau``, whose iterations, residual and
+    lambda_min all describe u.  failure is None on success, the
+    ``SolverError`` a step raised, or a ``NewtonStalled`` when the step
+    budget ran out.  A start that meets ``newton_tol`` is returned unchanged.
     """
-    u, coeffs, res_sup, eta, krylov, iters, failure = u0, coeffs0, None, _ETA_MAX, 0, 0, None
+    u, coeffs = u0, coeffs0
     # from here on only ``coeffs`` refers to them: the start coefficients are
     # freed at the first accepted step unless the caller keeps its own
     del coeffs0
-    for _ in range(cfg.newton_max_iters):
-        try:
-            step = newton_step(u, F_target, cfg, forcing=eta, coeffs=coeffs)
-        except SolverError as exc:
-            # without its traceback, whose frames hold the failed step's
-            # arrays, the error keeps no grid fields alive in the caller
-            failure = exc.with_traceback(None)
-            break
-        if step.krylov_iters == 0:  # u already meets newton_tol
-            res_sup = step.residual_sup
-            break
-        iters, krylov = iters + 1, krylov + step.krylov_iters
-        eta = _forcing_term(step.residual_sup, step.start_residual_sup, step.krylov_rtol)
-        u, res_sup, coeffs = step.u_next, step.residual_sup, step.coeffs
-        if res_sup <= cfg.newton_tol:
-            break
-    else:
-        failure = NewtonStalled(
-            f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
-        )
-    if res_sup is None:  # the first step failed: report the start residual
-        res_sup = _sup(residual(u, F_target, coeffs).values)
+    ef = np.exp(F_target.values)
+    res = coeffs.lhs() - ef
+    res_sup, eta, krylov, iters, failure = _sup(res), _ETA_MAX, 0, 0, None
+    try:
+        min_q, min_p = float(np.min(coeffs.Q)), float(np.min(coeffs.P))
+        if not (min_q > 0.0 and min_p > 0.0):
+            raise EllipticityLost(
+                f"min(u_xx + 1) = {min_q:.3e}, min(u_yy + u_tt + u_t + 1) = {min_p:.3e}"
+            )
+        while res_sup > cfg.newton_tol:
+            if iters == cfg.newton_max_iters:
+                raise NewtonStalled(
+                    f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
+                )
+            rtol = max(eta, _KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
+            w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
+            u, coeffs, res = _line_search(u, w, coeffs.angle, ef, res_sup, cfg)
+            res_prev, res_sup = res_sup, _sup(res)
+            iters, krylov = iters + 1, krylov + applications
+            eta = _forcing_term(res_sup, res_prev, rtol)
+    except SolverError as exc:
+        # without its traceback, whose frames hold the failed step's
+        # arrays, the error keeps no grid fields alive in the caller
+        failure = exc.with_traceback(None)
     lam = ellipticity_report(u, F_target, coeffs=coeffs).min_lambda
     name = None if failure is None else type(failure).__name__
     record = TraceRecord(tau, iters, res_sup, lam, name, krylov, F_target.grid.shape)
@@ -447,11 +414,16 @@ def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
 def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> ScalarField:
     """Plain Newton iteration from a warm start at fixed datum (no path).
 
-    Raises the ``SolverError`` that ended the attempt: ``NewtonStalled``
-    when the step budget ran out, otherwise the error of the failed step.
+    Raises GridMismatchError unless u0 and F_target are both on cfg.grid,
+    before any work.  Otherwise raises the ``SolverError`` that ended the
+    attempt: ``EllipticityLost`` for a start outside the cone,
+    ``NewtonStalled`` when the step budget ran out, otherwise the error of
+    the failed step.
     """
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
+    if F_target.grid != cfg.grid:
+        raise GridMismatchError("newton_solve: datum grid differs from config grid")
     u, _ = _polish(project_mean_zero(u0), F_target, cfg, [])
     return u
 
@@ -505,7 +477,7 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
             continue
         step *= 0.5
         if even or step < cfg.tau_min_step:
-            res = residual(u_end, F_tau, coeffs_end).values
+            res = coeffs_end.lhs() - np.exp(F_tau.values)
             res_mean = float(np.mean(res))
             spread = _sup(res - res_mean)
             measured = (

@@ -5,7 +5,7 @@ import pytest
 
 from ktcy.pde import ellipticity_report, is_solution, manufacture, renormalize, residual
 from ktcy.estimates import uniqueness_probe, verify
-from ktcy.field import ScalarField, random_band_limited, sample
+from ktcy.field import GridSpec, ScalarField, random_band_limited, sample
 from ktcy.solver import SolverConfig, solve
 
 TAU = 2.0 * np.pi
@@ -98,22 +98,22 @@ class TestVerify:
 
     @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
     def test_takes_the_residual_once(self, grid16, rng, monkeypatch, solved):
-        import ktcy.estimates
-        import ktcy.pde
+        # from its one linearization: ma_lhs(u) is taken once, and the
+        # solution test reads that residual instead of taking its own
+        from ktcy.pde import LinearizedCoeffs
 
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
         if solved:
             u = solve(F, SolverConfig(grid=grid16)).u
         else:
             u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.01)
-        calls, res = [], ktcy.pde.residual
+        calls, lhs = [], LinearizedCoeffs.lhs
 
-        def counting(*args, **kwargs):
+        def counting(coeffs):
             calls.append(1)
-            return res(*args, **kwargs)
+            return lhs(coeffs)
 
-        monkeypatch.setattr(ktcy.pde, "residual", counting)
-        monkeypatch.setattr(ktcy.estimates, "residual", counting)
+        monkeypatch.setattr(LinearizedCoeffs, "lhs", counting)
         report = verify(u, F)
         assert len(calls) == 1
         assert report.informative == (not is_solution(u, F))
@@ -153,8 +153,6 @@ class TestVerify:
         )
 
     def test_poincare_rescaled_label_off_unit_box(self, rng):
-        from ktcy.field import GridSpec
-
         g = GridSpec(16, 16, 16, L_x=2.0, L_y=2.0)
         u = random_band_limited(g, rng, max_mode=3, amplitude=0.01)
         report = verify(u, ScalarField.zeros(g))
@@ -179,6 +177,20 @@ class TestUniquenessProbe:
         )
         F, _ = manufacture(u_star)
         probe = uniqueness_probe(F, SolverConfig(grid=grid16), trials=3)
+        assert probe.max_pairwise_sup_diff <= 1e-8
+
+    def test_stiff_datum(self):
+        # the first datum of the large-amplitude benchmark stream at 32^3: its
+        # solution has min P = 0.054, and a bump of sup 1e-3 would move P
+        # by about 0.09, out of the cone, where Newton refuses to start
+        grid = GridSpec(32, 32, 32)
+        X, Y, T = grid.meshgrid()
+        rng = np.random.default_rng(1)
+        F = renormalize(
+            ScalarField(grid, 3.0 * np.sin(TAU * X) * np.sin(TAU * Y) * np.sin(TAU * T))
+            + random_band_limited(grid, rng, max_mode=3, amplitude=0.3)
+        )
+        probe = uniqueness_probe(F, SolverConfig(grid=grid), trials=3)
         assert probe.max_pairwise_sup_diff <= 1e-8
 
 

@@ -20,13 +20,13 @@ from ktcy.pde import apply_linearized, continuity_datum, ellipticity_report, lin
 from ktcy.solver import (
     ContinuationStalled,
     EllipticityLost,
+    LineSearchFailed,
     NewtonStalled,
     NormalizationError,
     NyquistFloor,
     SolverConfig,
     TraceRecord,
     newton_solve,
-    newton_step,
     solve,
     solve_linearized,
 )
@@ -49,18 +49,26 @@ def cfg16(grid16):
 
 @pytest.fixture
 def step_calls(monkeypatch):
-    """List that grows by one per ``newton_step`` call the solver makes."""
+    """List that grows by one per Newton step the solver takes: each step
+    runs one ``solve_linearized``."""
     import ktcy.solver as solver_module
 
     calls = []
-    step = solver_module.newton_step
+    linear_solve = solver_module.solve_linearized
 
-    def counting_step(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         calls.append(1)
-        return step(*args, **kwargs)
+        return linear_solve(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "newton_step", counting_step)
+    monkeypatch.setattr(solver_module, "solve_linearized", counting_solve)
     return calls
+
+
+def _attempt(u, F, cfg):
+    """One Newton attempt from u against F, as ``_newton_attempt`` returns it."""
+    import ktcy.solver as solver_module
+
+    return solver_module._newton_attempt(u, linearize(u), F, cfg)
 
 
 @pytest.fixture
@@ -207,67 +215,109 @@ def large_state():
 
 
 class TestNewtonStep:
-    def test_zero_residual_returns_input(self, grid16, cfg16):
+    def test_zero_residual_returns_input(self, grid16, cfg16, step_calls):
+        # a start that meets newton_tol comes back unchanged with no Krylov work
         u = ScalarField.zeros(grid16)
-        F = ScalarField.zeros(grid16)
-        result = newton_step(u, F, cfg16)
-        assert result.krylov_iters == 0
-        assert np.array_equal(result.u_next.values, u.values)
+        record, failure, u_end, _ = _attempt(u, ScalarField.zeros(grid16), cfg16)
+        assert failure is None and u_end is u and not step_calls
+        assert (record.newton_iters, record.krylov_applications) == (0, 0)
 
-    def test_refuses_inadmissible_state(self, grid16, cfg16):
+    def test_refuses_inadmissible_state(self, grid16, cfg16, step_calls):
         # u_xx dips below -1: outside the admissible cone
         u = sample(lambda x, y, t: 0.2 * np.sin(TAU * x), grid16)
         with pytest.raises(EllipticityLost):
-            newton_step(u, ScalarField.zeros(grid16), cfg16)
+            newton_solve(u, ScalarField.zeros(grid16), cfg16)
+        assert not step_calls
 
-    def test_first_step_contracts_residual(self, grid16, cfg16, rng):
+    def test_first_step_contracts_residual(self, grid16, rng):
         # near tau = 0 the start u = 0 is close to the path solution and one
         # step must reduce the sup-residual by a wide factor
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
         F_tau = continuity_datum(F, 0.1)
         u = ScalarField.zeros(grid16)
         before = _sup(residual(u, F_tau).values)
-        result = newton_step(u, F_tau, cfg16)
-        after = _sup(residual(result.u_next, F_tau).values)
-        assert after <= before / 10.0
+        record, _, u_next, _ = _attempt(u, F_tau, SolverConfig(grid=grid16, newton_max_iters=1))
+        assert record.newton_iters == 1
+        assert _sup(residual(u_next, F_tau).values) <= before / 10.0
 
-    def test_accepted_step_is_mean_zero(self, grid16, cfg16, rng):
+    def test_accepted_step_is_mean_zero(self, grid16, rng):
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
         F_tau = continuity_datum(F, 0.2)
-        result = newton_step(ScalarField.zeros(grid16), F_tau, cfg16)
-        assert abs(mean(result.u_next)) < 1e-15
+        cfg = SolverConfig(grid=grid16, newton_max_iters=1)
+        record, _, u_next, _ = _attempt(ScalarField.zeros(grid16), F_tau, cfg)
+        assert record.newton_iters == 1
+        assert abs(mean(u_next)) < 1e-15
 
-    def test_residual_strictly_decreases_along_iteration(self, grid16, cfg16, rng):
+    def test_residual_strictly_decreases_along_iteration(self, grid16, cfg16, rng, monkeypatch):
+        import ktcy.solver as solver_module
+
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.8))
         u = ScalarField.zeros(grid16)
-        history = [_sup(residual(u, F).values)]
-        while history[-1] > cfg16.newton_tol:
-            u = newton_step(u, F, cfg16).u_next
-            history.append(_sup(residual(u, F).values))
-        assert len(history) >= 3
+        history, line_search = [_sup(residual(u, F).values)], solver_module._line_search
+
+        def recording(*args):
+            accepted = line_search(*args)
+            history.append(_sup(residual(accepted[0], F).values))
+            return accepted
+
+        monkeypatch.setattr(solver_module, "_line_search", recording)
+        newton_solve(u, F, cfg16)
+        assert len(history) >= 3 and history[-1] <= cfg16.newton_tol
         assert all(b < a for a, b in zip(history, history[1:]))
 
     def test_grid_mismatch_rejected(self, grid8, grid16, cfg16):
         with pytest.raises(Exception, match="grid"):
-            newton_step(ScalarField.zeros(grid8), ScalarField.zeros(grid8), cfg16)
+            newton_solve(ScalarField.zeros(grid8), ScalarField.zeros(grid8), cfg16)
 
     @OTHER_GRIDS
     def test_datum_grid_mismatch_rejected(self, grid16, cfg16, other):
         # a zero datum on other periods is solved by u = 0 in numbers alone
         with pytest.raises(GridMismatchError, match="datum grid"):
-            newton_step(ScalarField.zeros(grid16), ScalarField.zeros(other), cfg16)
+            newton_solve(ScalarField.zeros(grid16), ScalarField.zeros(other), cfg16)
 
     def test_carried_coefficients_are_those_of_the_next_state(self, grid16, cfg16, rng):
+        # the line search hands the next step the coefficients and residual
+        # of the state it accepts, bitwise those a fresh evaluation gives
+        import ktcy.solver as solver_module
+
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
-        first = newton_step(ScalarField.zeros(grid16), F, cfg16)
-        fresh = linearize(first.u_next)
+        ef = np.exp(F.values)
+        u = ScalarField.zeros(grid16)
+        coeffs = linearize(u)
+        res = coeffs.lhs() - ef
+        w, _ = solve_linearized(coeffs, u.with_values(-res))
+        u_next, carried, res_next = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+        fresh = linearize(u_next)
         for name in "PQRS":
-            assert np.array_equal(getattr(first.coeffs, name), getattr(fresh, name))
-        # reusing them gives the step a fresh linearization would give
-        reused = newton_step(first.u_next, F, cfg16, coeffs=first.coeffs)
-        recomputed = newton_step(first.u_next, F, cfg16)
-        assert np.array_equal(reused.u_next.values, recomputed.u_next.values)
-        assert reused.residual_sup == recomputed.residual_sup
+            assert np.array_equal(getattr(carried, name), getattr(fresh, name))
+        assert np.array_equal(res_next, residual(u_next, F).values)
+        assert _sup(res_next) < _sup(res)
+
+    def test_line_search_failure_reports_the_last_trial(self, grid16, cfg16, rng):
+        # w_xx = -1e4 sin 2 pi x: even at step factor 2^-10 the trial has
+        # min(u_xx + 1) near -8.8, so every trial leaves the cone
+        import re
+
+        import ktcy.solver as solver_module
+
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
+        ef = np.exp(F.values)
+        u = ScalarField.zeros(grid16)
+        res_sup = _sup(linearize(u).lhs() - ef)
+        w = sample(lambda x, y, t: 1e4 / TAU**2 * np.sin(TAU * x), grid16)
+        with pytest.raises(LineSearchFailed) as info:
+            solver_module._line_search(u, w, None, ef, res_sup, cfg16)
+        found = re.search(
+            r"step factor (\S+): the last trial has sup residual (\S+) \(start (\S+)\), "
+            r"min\(u_xx \+ 1\) = (\S+) and min\(u_yy \+ u_tt \+ u_t \+ 1\) = (\S+)$",
+            str(info.value),
+        )
+        factor, res_last, start, min_q, min_p = (float(g) for g in found.groups())
+        last = linearize(project_mean_zero(w * 2.0**-10))
+        assert factor == float(f"{2.0**-10:.3e}") and start == float(f"{res_sup:.3e}")
+        assert res_last == float(f"{_sup(last.lhs() - ef):.3e}")
+        assert (min_q, min_p) == (float(f"{np.min(last.Q):.3e}"), float(f"{np.min(last.P):.3e}"))
+        assert min_q < 0.0 < min_p
 
 
 class TestNewtonAttempt:
@@ -292,7 +342,7 @@ class TestNewtonAttempt:
         assert coeffs.angle == angle
         for name in "PQRS":
             assert np.array_equal(getattr(coeffs, name), getattr(fresh, name))
-        assert record.final_residual_sup == _sup(residual(u, F_tau, fresh).values) > cfg.newton_tol
+        assert record.final_residual_sup == _sup(fresh.lhs() - np.exp(F_tau.values)) > cfg.newton_tol
         assert record.lambda_min == ellipticity_report(u, F_tau, coeffs=fresh).min_lambda
 
     def test_failing_solves_linearize_each_state_once(self, linearize_calls):
@@ -362,17 +412,20 @@ class TestSolve:
     def test_forcing_terms_match_fixed_tolerance_newton(self, grid16, cfg16, rng):
         # Newton steps to the 1e-9 floor along the forced solve's accepted taus
         # land on the same solution with more Krylov work
+        import ktcy.solver as solver_module
+
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
         report = solve(F, cfg16)
         assert report.final_residual_sup <= cfg16.newton_tol
         u, fixed_applications = ScalarField.zeros(grid16), 0
         for record in report.trace.accepted:
-            F_tau = continuity_datum(F, record.tau)
-            while True:
-                step = newton_step(u, F_tau, cfg16)
-                if step.krylov_iters == 0:
-                    break
-                u, fixed_applications = step.u_next, fixed_applications + step.krylov_iters
+            ef = np.exp(continuity_datum(F, record.tau).values)
+            coeffs = linearize(u)
+            res = coeffs.lhs() - ef
+            while _sup(res) > cfg16.newton_tol:
+                w, applications = solve_linearized(coeffs, u.with_values(-res))
+                u, coeffs, res = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+                fixed_applications += applications
         assert _sup(u.values - report.u.values) <= 1e-12
         forced = sum(r.krylov_applications for r in report.trace.records)
         assert 0 < forced < fixed_applications
@@ -415,17 +468,18 @@ class TestSolve:
             newton_solve(resample(u9, F.grid), F, SolverConfig(grid=F.grid))
 
     @OTHER_GRIDS
-    def test_newton_solve_rejects_a_datum_grid_up_front(self, grid16, cfg16, step_calls, other):
+    def test_newton_solve_rejects_a_datum_grid_up_front(self, grid16, cfg16, linearize_calls, other):
         # a datum on other periods used to run every step before the record's
         # ellipticity report refused it, and one of another shape died in
-        # numpy broadcasting; the first step now refuses either
+        # numpy broadcasting; newton_solve now refuses either before it
+        # linearizes its start
         F = renormalize(random_band_limited(grid16, np.random.default_rng(2), max_mode=2, amplitude=0.3))
         u = solve(F, cfg16).u
         moved = ScalarField(other, resample(F, GridSpec(*other.shape)).values)
-        step_calls.clear()
+        linearize_calls.clear()
         with pytest.raises(GridMismatchError, match="datum grid"):
             newton_solve(u, moved, cfg16)
-        assert len(step_calls) == 1
+        assert not linearize_calls
 
     def test_newton_budget_caps_steps(self, grid16, rng, step_calls):
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
@@ -527,22 +581,30 @@ class TestGridSequencing:
 class TestContinuation:
     def test_failed_attempt_hands_its_kept_state_on(self, monkeypatch):
         # the march keeps the coefficients of the state it restarts from, so
-        # after a failed attempt every Newton step still gets those of its state
+        # after a failed attempt every Newton step still gets those of its
+        # state: the linear solve of each step runs on linearize(u) of the u
+        # its line search starts from
         import ktcy.solver as solver_module
 
         grid = GridSpec(9, 9, 9)
         F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
         cfg = SolverConfig(grid=grid, newton_max_iters=5)
-        given, step = [], solver_module.newton_step
+        given, solved = [], []
+        linear_solve, line_search = solver_module.solve_linearized, solver_module._line_search
 
-        def checking(u, F_target, cfg_, forcing=None, coeffs=None):
+        def recording_solve(coeffs, rhs, rtol):
+            solved.append(coeffs)
+            return linear_solve(coeffs, rhs, rtol)
+
+        def checking_search(u, *args):
             fresh = linearize(u)
-            given.append(coeffs is not None and all(
-                np.array_equal(getattr(coeffs, name), getattr(fresh, name)) for name in "PQRS"
+            given.append(all(
+                np.array_equal(getattr(solved[-1], name), getattr(fresh, name)) for name in "PQRS"
             ))
-            return step(u, F_target, cfg_, forcing=forcing, coeffs=coeffs)
+            return line_search(u, *args)
 
-        monkeypatch.setattr(solver_module, "newton_step", checking)
+        monkeypatch.setattr(solver_module, "solve_linearized", recording_solve)
+        monkeypatch.setattr(solver_module, "_line_search", checking_search)
         records = []
         solver_module._continuation(F, cfg, records)
         assert not records[0].accepted and records[-1].accepted
