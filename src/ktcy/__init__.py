@@ -50,7 +50,6 @@ from .pde import (
     LinearizedCoeffs,
     NonPositiveLHS,
     apply_linearized,
-    continuity_datum,
     ellipticity_report,
     is_solution,
     linearize,

@@ -91,7 +91,10 @@ def evaluate_expression(expr: str, grid: GridSpec) -> ScalarField:
             return fn(ev(node.args[0]))
         raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
-    values = np.broadcast_to(np.asarray(ev(tree.body), dtype=float), grid.shape)
+    # a non-finite sample is the field's to reject, naming its grid index,
+    # not numpy's to warn about (an error under ``-W error``)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.broadcast_to(np.asarray(ev(tree.body), dtype=float), grid.shape)
     return ScalarField(grid, values)
 
 

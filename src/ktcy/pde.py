@@ -1,4 +1,4 @@
-"""The reduced scalar operator, its data, its continuity path and its linearization.
+"""The reduced scalar operator, its data and its linearization.
 
 The nonlinear operator is
 
@@ -25,7 +25,10 @@ that symbol between the two, applying L M^{-1} in the same five transforms:
 this is how the solver's right preconditioning runs.
 
 :func:`renormalize` and :func:`manufacture` make solver-ready data: the
-integral of e^F equals the box volume, and :func:`continuity_datum` keeps it.
+integral of e^F equals the box volume, so e^F has mean 1.  The solver works
+on that target e^F itself (its continuity path is 1 - tau + tau e^F, of
+mean 1 at every tau), and takes the smallest symbol eigenvalue of each
+state by the one formula that :func:`ellipticity_report` uses.
 """
 from __future__ import annotations
 
@@ -118,21 +121,6 @@ def residual(u: ScalarField, F: ScalarField) -> ScalarField:
     if u.grid != F.grid:
         raise GridMismatchError("residual: u and F live on different grids")
     return u.with_values(linearize(u).lhs() - np.exp(F.values))
-
-
-def continuity_datum(F: ScalarField, tau: float) -> ScalarField:
-    """Continuity-path datum F_tau = log(1 - tau + tau e^F).
-
-    Preserves the normalization: the integral of e^{F_tau} equals the box
-    volume whenever the integral of e^F does.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if tau == 0.0:
-        return F.with_values(np.zeros(F.grid.shape))
-    if tau == 1.0:
-        return F  # keep the endpoint datum bitwise exact
-    return F.with_values(np.log1p(tau * np.expm1(F.values)))
 
 
 def renormalize(F: ScalarField) -> ScalarField:
@@ -257,6 +245,15 @@ class EllipticityReport:
         return self.q_positive and self.p_positive
 
 
+def _min_lambda(trace: np.ndarray, ef: np.ndarray) -> tuple[float, bool]:
+    """min of Lambda = (T - sqrt(T^2 - 4 e^F)) / 2 over the grid, for the trace
+    factor T = P + Q and the target e^F = ``ef``, with the square-root
+    argument clamped at zero; and whether it was clamped anywhere."""
+    disc = trace * trace - 4.0 * ef
+    lam = 0.5 * (trace - np.sqrt(np.maximum(disc, 0.0)))
+    return float(np.min(lam)), bool(np.any(disc < 0.0))
+
+
 def ellipticity_report(
     u: ScalarField,
     F: ScalarField,
@@ -269,11 +266,7 @@ def ellipticity_report(
     min_p = float(np.min(c.P))
     trace = c.P + c.Q
     min_trace = float(np.min(trace))
-    ef = np.exp(F.values)
-    disc = trace * trace - 4.0 * ef
-    clamped = bool(np.any(disc < 0.0))
-    lam = 0.5 * (trace - np.sqrt(np.maximum(disc, 0.0)))
-    min_lambda = float(np.min(lam))
+    min_lambda, clamped = _min_lambda(trace, np.exp(F.values))
     trace_floor = 2.0 * float(np.min(np.exp(0.5 * F.values)))
     return EllipticityReport(
         min_q=min_q,

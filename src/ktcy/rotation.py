@@ -167,7 +167,7 @@ def _unit_grid_start(
     frame = (angle.cos_theta, angle.sin_theta)
     unit = replace(cfg, grid=F.grid)
     u0, coarse_shape = _coarse_start(F, unit, records, frame)
-    u, _ = _polish(u0, F, unit, records, frame)
+    u, _ = _polish(u0, np.exp(F.values), unit, records, frame)
     return project_mean_zero(pullback_datum(u, angle, cfg.grid)), coarse_shape
 
 

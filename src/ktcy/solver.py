@@ -12,14 +12,23 @@ attempt alone, from the start it is given.  Every stage, the finishing
 attempt included, signals failure by raising a ``SolverError``, and the
 driver then moves on to the next start.
 
-The path datum is F_tau = log(1 - tau + tau e^F), whose solution at tau = 0
-is u = 0.  The march tries the whole path first: its first attempt is a
-damped Newton solve of the full datum (tau = 1) from u = 0, which converges
-on most data.  Only a failed attempt halves the tau step, and an attempt of
-at most three Newton iterations doubles it again.  The path is the proof's
-device, not a requirement: the solution is unique, so any start that
-converges gives it (Deuflhard's globalized Newton, with continuation kept as
-the fallback).
+The solver carries the target g = e^F, an array computed once per grid
+where F comes in (the driver, the coarse start, ``newton_solve`` and the
+rotated unit-grid start); the continuation, the polish and the Newton
+attempt take g and never exponentiate F again.  The path target is
+
+    e^{F_tau} = 1 - tau + tau e^F,
+
+the convex homotopy of Allgower and Georg (*Introduction to Numerical
+Continuation Methods*, SIAM 2003) written on the target itself: its mean is
+1 at every tau, as e^F's is by the normalization, and its solution at
+tau = 0 is u = 0.  The march tries the whole path first: its first attempt
+is a damped Newton solve of the full datum (tau = 1) from u = 0, which
+converges on most data.  Only a failed attempt halves the tau step, and an
+attempt of at most three Newton iterations doubles it again.  The path is
+the proof's device, not a requirement: the solution is unique, so any start
+that converges gives it (Deuflhard's globalized Newton, with continuation
+kept as the fallback).
 
 The march need not run on the requested grid.  Each datum has exactly one
 solution, so any good start will do (nested iteration, as in Kelley's and
@@ -101,15 +110,15 @@ fixed: the constants below.
 
 There is one Newton loop, ``_newton_attempt`` (Deuflhard's damped inexact
 Newton method), and each state is linearized once.  An attempt takes the
-coefficients of its start state, computes e^F and the start residual once,
-and refuses a start outside the elliptic cone.  Each step then checks the
-budget of ``newton_max_iters`` steps, runs one linear solve to its forcing
-term and one line search.  The line search returns the state it accepts
+coefficients of its start state and its target, computes the start
+residual once, and refuses a start outside the elliptic cone.  Each step
+then checks the budget of ``newton_max_iters`` steps, runs one linear solve
+to its forcing term and one line search.  The line search returns the state it accepts
 with that state's coefficients and residual, and the next step starts from
 all three.  The attempt returns, with its trace record, the coefficients of
 the state it ended on, accepted or not.  They travel on into the next tau
-attempt (they do not depend on the datum), into the ellipticity report of
-the attempt's record and into the audit.  After a failed attempt the march
+attempt (they do not depend on the datum), into the lambda_min of the
+attempt's record and into the audit.  After a failed attempt the march
 restarts from the state it kept, with the coefficients it kept.  The loop
 works on the coefficient arrays and builds fields only for new states and
 the linear solve's right-hand side.  ``newton_solve`` is that loop alone,
@@ -136,14 +145,7 @@ from .field import (
     project_mean_zero,
     resample,
 )
-from .pde import (
-    LinearizedCoeffs,
-    apply_linearized,
-    continuity_datum,
-    ellipticity_report,
-    linearize,
-    renormalize,
-)
+from .pde import LinearizedCoeffs, _min_lambda, apply_linearized, linearize, renormalize
 
 _KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
 _SINGLE_PRECISION_RTOL = 1e-5  # from this rtol up, the Krylov operator runs in float32
@@ -324,15 +326,15 @@ def solve_linearized(
     return project_mean_zero(ScalarField(grid, w)), applications[0]
 
 
-def _line_search(u, w, angle, ef, res_sup, cfg):
+def _line_search(u, w, angle, g, res_sup, cfg):
     """Backtracking line search from u along the Newton update w.
 
     Halves the step length, at most 10 times, until the trial state
     decreases the sup residual strictly below ``res_sup``, that of u (or
     meets ``newton_tol``), with min Q and min P positive.  One ``linearize``
     per trial, in the frame of ``angle``, gives both tests.  Returns the
-    accepted trial, its coefficients and its residual array against e^F =
-    ``ef``.  Raises LineSearchFailed when no trial is accepted, with the
+    accepted trial, its coefficients and its residual array against the
+    target ``g``.  Raises LineSearchFailed when no trial is accepted, with the
     last trial's sup residual, min Q and min P: no trial state outside the
     cone is ever returned.
     """
@@ -341,7 +343,7 @@ def _line_search(u, w, angle, ef, res_sup, cfg):
         v = u.values + s * w.values
         u_try = u.with_values(v - np.mean(v))
         trial = linearize(u_try, angle)
-        res = trial.lhs() - ef
+        res = trial.lhs() - g
         res_try, min_q, min_p = _sup(res), float(np.min(trial.Q)), float(np.min(trial.P))
         if (res_try < res_sup or res_try <= cfg.newton_tol) and min_q > 0.0 and min_p > 0.0:
             return u_try, trial, res
@@ -362,9 +364,10 @@ def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
     return min(eta, _ETA_MAX)
 
 
-def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
-    """Inexact Newton loop from u0 to tolerance, at most ``cfg.newton_max_iters``
-    steps, in the frame of ``coeffs0``, the linearization of u0.
+def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0):
+    """Inexact Newton loop for ma_lhs(u) = g from u0 to tolerance, at most
+    ``cfg.newton_max_iters`` steps, in the frame of ``coeffs0``, the
+    linearization of u0.
 
     Refuses an inadmissible u0 (EllipticityLost).  Each step solves the
     Newton system to the Eisenstat-Walker forcing term and damps the update
@@ -381,8 +384,7 @@ def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
     # from here on only ``coeffs`` refers to them: the start coefficients are
     # freed at the first accepted step unless the caller keeps its own
     del coeffs0
-    ef = np.exp(F_target.values)
-    res = coeffs.lhs() - ef
+    res = coeffs.lhs() - g
     res_sup, eta, krylov, iters, failure = _sup(res), _ETA_MAX, 0, 0, None
     try:
         min_q, min_p = float(np.min(coeffs.Q)), float(np.min(coeffs.P))
@@ -397,7 +399,7 @@ def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
                 )
             rtol = max(eta, _KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
             w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
-            u, coeffs, res = _line_search(u, w, coeffs.angle, ef, res_sup, cfg)
+            u, coeffs, res = _line_search(u, w, coeffs.angle, g, res_sup, cfg)
             res_prev, res_sup = res_sup, _sup(res)
             iters, krylov = iters + 1, krylov + applications
             eta = _forcing_term(res_sup, res_prev, rtol)
@@ -405,9 +407,9 @@ def _newton_attempt(u0, coeffs0, F_target, cfg, tau=1.0):
         # without its traceback, whose frames hold the failed step's
         # arrays, the error keeps no grid fields alive in the caller
         failure = exc.with_traceback(None)
-    lam = ellipticity_report(u, F_target, coeffs=coeffs).min_lambda
+    lam, _ = _min_lambda(coeffs.P + coeffs.Q, g)
     name = None if failure is None else type(failure).__name__
-    record = TraceRecord(tau, iters, res_sup, lam, name, krylov, F_target.grid.shape)
+    record = TraceRecord(tau, iters, res_sup, lam, name, krylov, u.grid.shape)
     return record, failure, u, coeffs
 
 
@@ -424,7 +426,7 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
         raise GridMismatchError("newton_solve: state grid differs from config grid")
     if F_target.grid != cfg.grid:
         raise GridMismatchError("newton_solve: datum grid differs from config grid")
-    u, _ = _polish(project_mean_zero(u0), F_target, cfg, [])
+    u, _ = _polish(project_mean_zero(u0), np.exp(F_target.values), cfg, [])
     return u
 
 
@@ -446,11 +448,11 @@ def _odd_neighbours(shape: tuple) -> str:
     return " or ".join("x".join(map(str, g)) for g in grids if min(g) >= 5)
 
 
-def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None):
+def _continuation(g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None):
     """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``, in the frame
-    of ``angle``.
+    of ``angle``, along the targets 1 - tau + tau g for g = e^F.
 
-    The first attempt is at tau = 1, the full datum.  Appends one record per
+    The first attempt is at tau = 1, the full target g.  Appends one record per
     tau attempt to ``records``, with the failure that ended it, also when it
     raises.  Doubles the step after any tau accepted with <= 3 Newton
     iterations, halves on failure, and raises ContinuationStalled below
@@ -460,15 +462,16 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     update cannot remove that mean at any tau.  Returns u and
     ``linearize(u, angle)``.
     """
-    u = ScalarField.zeros(F.grid)
+    grid = cfg.grid
+    u = ScalarField.zeros(grid)
     coeffs = linearize(u, angle)
-    even = any(n % 2 == 0 for n in F.grid.shape)
+    even = any(n % 2 == 0 for n in grid.shape)
     tau = 0.0
     step = 1.0
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
-        F_tau = continuity_datum(F, tau_try)
-        record, failure, u_end, coeffs_end = _newton_attempt(u, coeffs, F_tau, cfg, tau_try)
+        g_tau = g if tau_try == 1.0 else 1.0 - tau_try + tau_try * g
+        record, failure, u_end, coeffs_end = _newton_attempt(u, coeffs, g_tau, cfg, tau_try)
         records.append(record)
         if failure is None:
             u, coeffs, tau = u_end, coeffs_end, tau_try
@@ -477,7 +480,7 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
             continue
         step *= 0.5
         if even or step < cfg.tau_min_step:
-            res = coeffs_end.lhs() - np.exp(F_tau.values)
+            res = coeffs_end.lhs() - g_tau
             res_mean = float(np.mean(res))
             spread = _sup(res - res_mean)
             measured = (
@@ -488,10 +491,10 @@ def _continuation(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
             if even and spread <= cfg.newton_tol < res_mean:
                 raise NyquistFloor(
                     f"Nyquist floor at tau = {tau:.6f} on the "
-                    f"{'x'.join(map(str, F.grid.shape))} grid: the mean-zero part is "
+                    f"{'x'.join(map(str, grid.shape))} grid: the mean-zero part is "
                     "solved, and the mean left is energy of u on the Nyquist planes, "
                     "which no tau step removes (the odd grids "
-                    f"{_odd_neighbours(F.grid.shape)} have none); {measured}"
+                    f"{_odd_neighbours(grid.shape)} have none); {measured}"
                 )
             if step < cfg.tau_min_step:
                 raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
@@ -517,15 +520,15 @@ def _coarse_grid(grid: GridSpec) -> GridSpec | None:
 
 
 def _polish(
-    u0: ScalarField, F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None
+    u0: ScalarField, g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None
 ):
-    """One Newton attempt on cfg.grid from u0 against F, in the frame of
-    ``angle``, recorded at tau = 1.
+    """One Newton attempt on cfg.grid from u0 against the target g = e^F, in
+    the frame of ``angle``, recorded at tau = 1.
 
     Returns (u, linearize(u, angle)); raises the ``SolverError`` that ended
     the attempt.
     """
-    record, failure, u, coeffs = _newton_attempt(u0, linearize(u0, angle), F, cfg)
+    record, failure, u, coeffs = _newton_attempt(u0, linearize(u0, angle), g, cfg)
     records.append(record)
     if failure is not None:
         raise failure
@@ -552,7 +555,8 @@ def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     F_coarse = resample(F, coarse)
     if _sup(resample(F_coarse, F.grid).values - F.values) > cfg.newton_tol:
         raise _Unresolved(f"F is not resolved on the coarse grid {coarse.shape}")
-    u_coarse, _ = _continuation(renormalize(F_coarse), replace(cfg, grid=coarse), records, angle)
+    g_coarse = np.exp(renormalize(F_coarse).values)
+    u_coarse, _ = _continuation(g_coarse, replace(cfg, grid=coarse), records, angle)
     return project_mean_zero(resample(u_coarse, F.grid)), coarse.shape
 
 
@@ -589,13 +593,13 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
     check_normalization(F)
-    records = []
-    if _sup(1.0 - np.exp(F.values)) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
+    records, g = [], np.exp(F.values)
+    if _sup(1.0 - g) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
         starts = ()
     for start in starts:
         try:
             u0, coarse_grid = start(F, cfg, records)
-            u, coeffs = _polish(u0, F, cfg, records)
+            u, coeffs = _polish(u0, g, cfg, records)
         except SolverError as failure:
             # the failed stage's arrays live on in the frames of the error's
             # traceback (a cycle through _polish's ``failure``) and in u0:
@@ -606,7 +610,7 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
         coarse_fine_sup = _sup(u.values - u0.values)
         break
     else:
-        u, coeffs = _continuation(F, cfg, records)
+        u, coeffs = _continuation(g, cfg, records)
         coarse_grid = coarse_fine_sup = None
     estimates = verify(u, F, coeffs=coeffs)
     return SolveReport(u, ContinuityTrace(tuple(records)), estimates, coarse_grid, coarse_fine_sup)

@@ -17,3 +17,26 @@ def grid16():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def pde_calls(monkeypatch):
+    """``pde_calls(name)`` returns a list that grows by one per call of
+    ``ktcy.pde.<name>``, in every ktcy module that imports it by name."""
+    import sys
+
+    import ktcy.pde as pde_module
+
+    def count(name):
+        calls, original = [], getattr(pde_module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("ktcy") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return count

@@ -259,6 +259,18 @@ class TestMainCommands:
         code = main(["solve", "--grid", "8,8,8", "--builtin", "zero", "--expr", "0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["solve", "manufacture"])
+    @pytest.mark.parametrize("expr, index", [
+        ("log(x)", (0, 0, 0)), ("1/(x-x)", (0, 0, 0)), ("exp(1000*x)", (6, 0, 0)),
+    ])
+    def test_non_finite_expression_is_a_usage_error(self, capsys, command, expr, index):
+        # numpy's divide, invalid and overflow warnings must not escape main
+        # (they are errors under this suite's filter and under python -W
+        # error); the field rejects the sample and names its grid index
+        code = main([command, "--grid", "8,8,8", "--expr", expr])
+        assert code == EXIT_USAGE
+        assert f"non-finite value at grid index {index}" in capsys.readouterr().err
+
     def test_solve_unnormalized_exits_3(self, capsys):
         code = main(["solve", "--grid", "8,8,8", "--expr", "1"])
         assert code == EXIT_NORMALIZATION

@@ -1,5 +1,4 @@
-"""Tests for the scalar operator, continuity path, linearization and
-ellipticity diagnostics."""
+"""Tests for the scalar operator, linearization and ellipticity diagnostics."""
 
 import math
 
@@ -13,7 +12,6 @@ from ktcy.field import (
     _inverse_symbol,
     _single,
     derivative,
-    integrate,
     mean,
     operator_symbols,
     random_band_limited,
@@ -22,7 +20,6 @@ from ktcy.field import (
 from ktcy.pde import (
     LinearizedCoeffs,
     apply_linearized,
-    continuity_datum,
     ellipticity_report,
     is_solution,
     linearize,
@@ -83,31 +80,6 @@ class TestResidual:
     def test_grid_mismatch(self, grid8, grid16):
         with pytest.raises(GridMismatchError):
             residual(ScalarField.zeros(grid8), ScalarField.zeros(grid16))
-
-
-class TestContinuityDatum:
-    def test_endpoints(self, grid8, rng):
-        F = random_band_limited(grid8, rng, max_mode=2)
-        assert np.max(np.abs(continuity_datum(F, 0.0).values)) == 0.0
-        assert np.array_equal(continuity_datum(F, 1.0).values, F.values)
-
-    def test_half_way_constant(self, grid8):
-        F = ScalarField.constant(grid8, math.log(2.0))
-        out = continuity_datum(F, 0.5)
-        assert np.allclose(out.values, math.log(1.5), atol=1e-15)
-
-    @pytest.mark.parametrize("tau", [-0.1, 1.5])
-    def test_rejects_out_of_range(self, grid8, tau):
-        with pytest.raises(ValueError, match="tau"):
-            continuity_datum(ScalarField.zeros(grid8), tau)
-
-    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
-    def test_normalization_preserved(self, grid16, rng, tau):
-        from ktcy.pde import renormalize
-
-        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.8))
-        Ft = continuity_datum(F, tau)
-        assert integrate(Ft.with_values(np.exp(Ft.values))) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestLinearize:

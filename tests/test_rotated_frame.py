@@ -121,6 +121,14 @@ class TestUnitGridStart:
         assert rotated.report.estimates.passed and not rotated.report.estimates.informative
         assert rotated.sup_vp <= ANGLE.length
 
+    def test_one_ellipticity_report_per_solve(self, rotated_24, pde_calls):
+        # the audit's: every attempt on the unit, coarse and cell grids reads
+        # its lambda_min off the coefficients it holds
+        F, cfg, _ = rotated_24
+        reports = pde_calls("ellipticity_report")
+        solve_rotated(F, ANGLE, cfg)
+        assert len(reports) == 1
+
     def test_agrees_with_the_cell_only_path(self, rotated_24, cell_only):
         F, cfg, _ = rotated_24
         rotated = solve_rotated(F, ANGLE, cfg)
@@ -145,18 +153,18 @@ class TestUnitGridStart:
         F, cfg, _ = rotated_24
         continuation, attempt, failed = solver_module._continuation, solver_module._newton_attempt, []
 
-        def failing_continuation(F_, cfg_, records, angle=None):
+        def failing_continuation(g, cfg_, records, angle=None):
             if angle is not None:
                 raise ContinuationStalled("forced")
-            return continuation(F_, cfg_, records, angle)
+            return continuation(g, cfg_, records, angle)
 
-        def failing_attempt(u0, coeffs0, F_target, cfg_, tau=1.0):
+        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0):
             target = F.grid if stage == "unit" else cfg.grid
             if cfg_.grid == target and not failed:
                 failed.append(1)
                 record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
                 return record, NewtonStalled("forced"), u0, coeffs0
-            return attempt(u0, coeffs0, F_target, cfg_, tau)
+            return attempt(u0, coeffs0, g, cfg_, tau)
 
         if stage == "coarse":
             monkeypatch.setattr(solver_module, "_continuation", failing_continuation)

@@ -16,7 +16,7 @@ from ktcy.field import (
     resample,
     sample,
 )
-from ktcy.pde import apply_linearized, continuity_datum, ellipticity_report, linearize, residual
+from ktcy.pde import apply_linearized, ellipticity_report, linearize, residual
 from ktcy.solver import (
     ContinuationStalled,
     EllipticityLost,
@@ -64,30 +64,23 @@ def step_calls(monkeypatch):
     return calls
 
 
-def _attempt(u, F, cfg):
-    """One Newton attempt from u against F, as ``_newton_attempt`` returns it."""
+def _attempt(u, g, cfg):
+    """One Newton attempt from u against the target g, as ``_newton_attempt``
+    returns it."""
     import ktcy.solver as solver_module
 
-    return solver_module._newton_attempt(u, linearize(u), F, cfg)
+    return solver_module._newton_attempt(u, linearize(u), g, cfg)
+
+
+def _path_target(F, tau):
+    """The continuation's target at tau, 1 - tau + tau e^F."""
+    return 1.0 - tau + tau * np.exp(F.values)
 
 
 @pytest.fixture
-def linearize_calls(monkeypatch):
+def linearize_calls(pde_calls):
     """List that grows by one per ``linearize`` call, in every module that imports it."""
-    import sys
-
-    import ktcy.pde as pde_module
-
-    calls, original = [], pde_module.linearize
-
-    def counting_linearize(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ktcy") and getattr(module, "linearize", None) is original:
-            monkeypatch.setattr(module, "linearize", counting_linearize)
-    return calls
+    return pde_calls("linearize")
 
 
 class TestSolverConfig:
@@ -218,7 +211,7 @@ class TestNewtonStep:
     def test_zero_residual_returns_input(self, grid16, cfg16, step_calls):
         # a start that meets newton_tol comes back unchanged with no Krylov work
         u = ScalarField.zeros(grid16)
-        record, failure, u_end, _ = _attempt(u, ScalarField.zeros(grid16), cfg16)
+        record, failure, u_end, _ = _attempt(u, np.ones(grid16.shape), cfg16)
         assert failure is None and u_end is u and not step_calls
         assert (record.newton_iters, record.krylov_applications) == (0, 0)
 
@@ -233,18 +226,17 @@ class TestNewtonStep:
         # near tau = 0 the start u = 0 is close to the path solution and one
         # step must reduce the sup-residual by a wide factor
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
-        F_tau = continuity_datum(F, 0.1)
+        g_tau = _path_target(F, 0.1)
         u = ScalarField.zeros(grid16)
-        before = _sup(residual(u, F_tau).values)
-        record, _, u_next, _ = _attempt(u, F_tau, SolverConfig(grid=grid16, newton_max_iters=1))
+        before = _sup(linearize(u).lhs() - g_tau)
+        record, _, u_next, _ = _attempt(u, g_tau, SolverConfig(grid=grid16, newton_max_iters=1))
         assert record.newton_iters == 1
-        assert _sup(residual(u_next, F_tau).values) <= before / 10.0
+        assert _sup(linearize(u_next).lhs() - g_tau) <= before / 10.0
 
     def test_accepted_step_is_mean_zero(self, grid16, rng):
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
-        F_tau = continuity_datum(F, 0.2)
         cfg = SolverConfig(grid=grid16, newton_max_iters=1)
-        record, _, u_next, _ = _attempt(ScalarField.zeros(grid16), F_tau, cfg)
+        record, _, u_next, _ = _attempt(ScalarField.zeros(grid16), _path_target(F, 0.2), cfg)
         assert record.newton_iters == 1
         assert abs(mean(u_next)) < 1e-15
 
@@ -329,11 +321,11 @@ class TestNewtonAttempt:
 
         grid = GridSpec(9, 9, 9)
         F = renormalize(random_band_limited(grid, np.random.default_rng(3), max_mode=2, amplitude=1.5))
-        F_tau = continuity_datum(F, 0.5)
+        g_tau = _path_target(F, 0.5)
         cfg = SolverConfig(grid=grid, newton_max_iters=2)
         u0 = ScalarField.zeros(grid)
         record, failure, u, coeffs = solver_module._newton_attempt(
-            u0, linearize(u0, angle), F_tau, cfg, 0.5
+            u0, linearize(u0, angle), g_tau, cfg, 0.5
         )
         assert isinstance(failure, NewtonStalled) and record.failure == "NewtonStalled"
         assert (record.tau, record.newton_iters, record.grid) == (0.5, 2, grid.shape)
@@ -342,8 +334,11 @@ class TestNewtonAttempt:
         assert coeffs.angle == angle
         for name in "PQRS":
             assert np.array_equal(getattr(coeffs, name), getattr(fresh, name))
-        assert record.final_residual_sup == _sup(fresh.lhs() - np.exp(F_tau.values)) > cfg.newton_tol
-        assert record.lambda_min == ellipticity_report(u, F_tau, coeffs=fresh).min_lambda
+        assert record.final_residual_sup == _sup(fresh.lhs() - g_tau) > cfg.newton_tol
+        F_tau = u.with_values(np.log(g_tau))
+        assert record.lambda_min == pytest.approx(
+            ellipticity_report(u, F_tau, coeffs=fresh).min_lambda, rel=0.0, abs=1e-15
+        )
 
     def test_failing_solves_linearize_each_state_once(self, linearize_calls):
         # the first 10^3 draw of the even-grid survey ends on the Nyquist
@@ -419,7 +414,7 @@ class TestSolve:
         assert report.final_residual_sup <= cfg16.newton_tol
         u, fixed_applications = ScalarField.zeros(grid16), 0
         for record in report.trace.accepted:
-            ef = np.exp(continuity_datum(F, record.tau).values)
+            ef = _path_target(F, record.tau)
             coeffs = linearize(u)
             res = coeffs.lhs() - ef
             while _sup(res) > cfg16.newton_tol:
@@ -540,17 +535,17 @@ class TestGridSequencing:
         full = _continuation_only(F, cfg)
         continuation, attempt, fine_calls = solver_module._continuation, solver_module._newton_attempt, []
 
-        def failing_continuation(F_, cfg_, records, angle=None):
+        def failing_continuation(g, cfg_, records, angle=None):
             if cfg_.grid != cfg.grid:
                 raise ContinuationStalled("forced")
-            return continuation(F_, cfg_, records, angle)
+            return continuation(g, cfg_, records, angle)
 
-        def failing_attempt(u0, coeffs0, F_target, cfg_, tau=1.0):
+        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0):
             if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
                 fine_calls.append(1)
                 record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
                 return record, NewtonStalled("forced"), u0, coeffs0
-            return attempt(u0, coeffs0, F_target, cfg_, tau)
+            return attempt(u0, coeffs0, g, cfg_, tau)
 
         if stage == "coarse":
             monkeypatch.setattr(solver_module, "_continuation", failing_continuation)
@@ -579,6 +574,58 @@ class TestGridSequencing:
 
 
 class TestContinuation:
+    def test_one_ellipticity_report_per_solve(self, pde_calls, monkeypatch):
+        # each attempt reads lambda_min off the coefficients it holds, by the
+        # report's formula against its own target: the audit's report is the
+        # solve's only one.  This march accepts tau = 0.5 before tau = 1
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(9, 9, 9)
+        F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
+        attempt, ended = solver_module._newton_attempt, []
+
+        def recording_attempt(*args):
+            ended.append(attempt(*args))
+            return ended[-1]
+
+        monkeypatch.setattr(solver_module, "_newton_attempt", recording_attempt)
+        reports = pde_calls("ellipticity_report")
+        _continuation_only(F, SolverConfig(grid=grid, newton_max_iters=5))
+        assert len(reports) == 1
+        inner = [(record, u) for record, _, u, _ in ended if record.tau < 1.0]
+        assert inner and all(record.accepted for record, _ in inner)
+        for record, u in inner:
+            F_tau = u.with_values(np.log(_path_target(F, record.tau)))
+            want = ellipticity_report(u, F_tau).min_lambda
+            assert abs(record.lambda_min - want) <= 1e-15
+
+    def test_path_targets(self, grid16, rng, monkeypatch):
+        # the march hands each attempt the target 1 - tau + tau e^F: e^F
+        # itself at tau = 1, and of mean 1 (the volume normalization) at
+        # every tau.  A scripted attempt that refuses the first three taus
+        # walks the dyadic taus 1/8, ..., 7/8 at a fixed step of 1/8
+        import ktcy.solver as solver_module
+
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.8))
+        targets = []
+
+        def scripted_attempt(u0, coeffs0, g, cfg_, tau=1.0):
+            targets.append((tau, g))
+            failure = NewtonStalled("scripted") if len(targets) <= 3 else None
+            name = None if failure is None else "NewtonStalled"
+            record = TraceRecord(tau, 4, 0.0, 1.0, name, 0, cfg_.grid.shape)
+            return record, failure, u0, coeffs0
+
+        monkeypatch.setattr(solver_module, "_newton_attempt", scripted_attempt)
+        solver_module._continuation(np.exp(F.values), SolverConfig(grid=grid16), [])
+        taus = [tau for tau, _ in targets]
+        assert taus == [1.0, 0.5, 0.25] + [k / 8 for k in range(1, 9)]
+        for tau, g in targets:
+            if tau == 1.0:
+                assert np.array_equal(g, np.exp(F.values))
+            else:
+                assert np.min(g) > 0.0 and abs(np.mean(g) - 1.0) <= 1e-15
+
     def test_failed_attempt_hands_its_kept_state_on(self, monkeypatch):
         # the march keeps the coefficients of the state it restarts from, so
         # after a failed attempt every Newton step still gets those of its
@@ -606,7 +653,7 @@ class TestContinuation:
         monkeypatch.setattr(solver_module, "solve_linearized", recording_solve)
         monkeypatch.setattr(solver_module, "_line_search", checking_search)
         records = []
-        solver_module._continuation(F, cfg, records)
+        solver_module._continuation(np.exp(F.values), cfg, records)
         assert not records[0].accepted and records[-1].accepted
         assert len(given) > 1 and all(given)
 
@@ -617,7 +664,7 @@ class TestContinuation:
         cfg = SolverConfig(grid=grid16, newton_max_iters=1, tau_min_step=0.1)
         records = []
         with pytest.raises(ContinuationStalled):
-            solver_module._continuation(F, cfg, records)
+            solver_module._continuation(np.exp(F.values), cfg, records)
         assert records and {r.failure for r in records} == {"NewtonStalled"}
         assert not any(r.accepted for r in records)
 
@@ -678,7 +725,7 @@ class TestContinuation:
         F = _band_limited_datum(16)
         records = []
         with pytest.raises(NyquistFloor, match="odd grids 15x15x15 or 17x17x17") as info:
-            solver_module._continuation(F, SolverConfig(grid=F.grid), records)
+            solver_module._continuation(np.exp(F.values), SolverConfig(grid=F.grid), records)
         assert [(r.tau, r.accepted) for r in records] == [(1.0, False)]
         assert isinstance(info.value, ContinuationStalled)
 
