@@ -5,7 +5,14 @@ overrides; reports are deterministic key-value text, with every numeric
 value carrying its check name.  Data come from exactly one of: a builtin
 name with parameters, a field dump, or a closed-form expression in a small
 arithmetic/trig grammar (sums and products of constants, sin/cos, exp and
-log of the coordinates x, y, t and pi, Lx, Ly, Lt).
+log of the coordinates x, y, t and pi, Lx, Ly, Lt).  A builtin is a
+template of that grammar with its parameters filled in.
+
+The four report commands (solve, verify, rotate, manufacture) share one
+pipeline: each validates its inputs, starts its report, computes, and
+returns the report with the fields to dump; ``main`` times the run and
+prints the report or writes it and the dumps to ``--out``.  ``export``
+writes no report.
 
 Exit codes: 0 success, 2 usage/config error, 3 normalization error,
 4 continuation stalled, 5 non-positive manufactured left-hand side,
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .estimates import EstimateReport, verify
-from .field import GridSpec, ScalarField, integrate, read_field, sample, write_field
+from .field import GridSpec, ScalarField, integrate, read_field, write_field
 from .pde import NonPositiveLHS, manufacture, renormalize
 from .rotation import RationalAngle, rotated_grid, solve_rotated
 from .solver import ContinuationStalled, NormalizationError, SolverConfig, solve
@@ -60,12 +67,9 @@ def evaluate_expression(expr: str, grid: GridSpec) -> ScalarField:
     """Sample a closed-form expression on the grid.
 
     Anything richer than the grammar (powers, comparisons, attribute access,
-    unknown names) must come in as a field dump.
+    unknown names) must come in as a field dump, and so must an expression
+    nested beyond Python's recursion limit.
     """
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression: {exc}") from exc
     X, Y, T = grid.meshgrid()
     env = {
         "x": X, "y": Y, "t": T,
@@ -91,14 +95,31 @@ def evaluate_expression(expr: str, grid: GridSpec) -> ScalarField:
             return fn(ev(node.args[0]))
         raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
-    # a non-finite sample is the field's to reject, naming its grid index,
-    # not numpy's to warn about (an error under ``-W error``)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = np.broadcast_to(np.asarray(ev(tree.body), dtype=float), grid.shape)
+    try:
+        tree = ast.parse(expr, mode="eval")
+        # a non-finite sample is the field's to reject, naming its grid
+        # index, not numpy's to warn about (an error under ``-W error``)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = np.broadcast_to(np.asarray(ev(tree.body), dtype=float), grid.shape)
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse expression: {exc}") from exc
+    except RecursionError:  # from the parser or from ev
+        raise ExpressionError("expression nests too deeply") from None
     return ScalarField(grid, values)
 
 
 # -- builtin data ----------------------------------------------------------
+
+# name -> (grammar template, default parameters).  Each parameter enters the
+# template as its repr, which parses back to the same float.
+_BUILTINS = {
+    "zero": ("0", {}),
+    "triple_sine": ("{amplitude}*(sin(2*pi*x/Lx)*sin(2*pi*y/Ly)*sin(2*pi*t/Lt))",
+                    {"amplitude": 0.3}),
+    "two_mode": ("{a1}*sin(2*pi*x/Lx) + {a2}*cos(2*pi*y/Ly)*sin(2*pi*t/Lt)",
+                 {"a1": 0.01, "a2": 0.005}),
+}
+
 
 def builtin_field(spec: str, grid: GridSpec) -> ScalarField:
     """Named parametrized data: ``name`` or ``name:key=value,key=value``.
@@ -115,28 +136,16 @@ def builtin_field(spec: str, grid: GridSpec) -> ScalarField:
             if not val:
                 raise ExpressionError(f"malformed builtin parameter {piece!r}")
             params[key.strip()] = float(val)
-    tau = 2.0 * np.pi
-    if name == "zero":
-        if params:
-            raise ExpressionError(f"builtin 'zero' takes no parameters: {sorted(params)}")
-        return ScalarField.zeros(grid)
-    if name == "triple_sine":
-        a = params.pop("amplitude", 0.3)
-        f = lambda x, y, t: a * (
-            np.sin(tau * x / grid.L_x) * np.sin(tau * y / grid.L_y) * np.sin(tau * t / grid.L_t)
-        )
-    elif name == "two_mode":
-        a1 = params.pop("a1", 0.01)
-        a2 = params.pop("a2", 0.005)
-        f = lambda x, y, t: (
-            a1 * np.sin(tau * x / grid.L_x)
-            + a2 * np.cos(tau * y / grid.L_y) * np.sin(tau * t / grid.L_t)
-        )
-    else:
+    if name not in _BUILTINS:
         raise ExpressionError(f"unknown builtin {name!r}")
-    if params:
-        raise ExpressionError(f"unknown parameters for builtin {name!r}: {sorted(params)}")
-    return sample(f, grid)
+    template, defaults = _BUILTINS[name]
+    if params and not defaults:
+        raise ExpressionError(f"builtin {name!r} takes no parameters: {sorted(params)}")
+    unknown = sorted(params.keys() - defaults.keys())
+    if unknown:
+        raise ExpressionError(f"unknown parameters for builtin {name!r}: {unknown}")
+    values = {key: repr(value) for key, value in {**defaults, **params}.items()}
+    return evaluate_expression(template.format(**values), grid)
 
 
 # -- report serialization ---------------------------------------------------
@@ -167,15 +176,6 @@ class RunReport:
     def add(self, key: str, value):
         self.pairs.append((key, _fmt(value)))
 
-    def add_config_echo(self, items: dict):
-        for key in items:
-            self.add(f"config.{key}", items[key])
-
-    def add_grid(self, grid: GridSpec):
-        self.add("grid.shape", _shape_text(grid.shape))
-        self.add("grid.periods", f"{grid.L_x:.17g} {grid.L_y:.17g} {grid.L_t:.17g}")
-        self.add("grid.checksum", grid_checksum(grid))
-
     def add_audit(self, est: EstimateReport):
         """Residual norms, ellipticity and estimates of one audit."""
         self.add("residual.sup", est.residual_sup)
@@ -193,9 +193,18 @@ class RunReport:
         self.add("estimate.sup_u", est.sup_u)
         self.add("estimate.sup_laplacian", est.sup_laplacian)
 
-    def add_trace(self, trace):
-        self.add("trace.records", len(trace.records))
-        for i, r in enumerate(trace.records, start=1):
+    def add_solve(self, solve_report):
+        """Trace, resolution and audit of a solve.
+
+        Every tau attempt gives one row group; ``resolution.*`` names the
+        continuation grid of a sequenced solve and the sup change its last
+        Newton attempt made (for ``rotate`` started on the unit grid: the
+        unit grid's coarse grid and the change of the cell polish), ``none``
+        when the continuation ran on the requested grid.
+        """
+        records = solve_report.trace.records
+        self.add("trace.records", len(records))
+        for i, r in enumerate(records, start=1):
             self.add(f"trace.{i}.tau", r.tau)
             self.add(f"trace.{i}.newton_iters", r.newton_iters)
             self.add(f"trace.{i}.residual_sup", r.final_residual_sup)
@@ -204,22 +213,13 @@ class RunReport:
             self.add(f"trace.{i}.failure", r.failure or "none")
             self.add(f"trace.{i}.krylov_applications", r.krylov_applications)
             self.add(f"trace.{i}.grid", _shape_text(r.grid))
-
-    def add_resolution(self, solve_report):
-        """The continuation grid of a sequenced solve and the sup change its
-        last Newton attempt made (for ``rotate`` started on the unit grid:
-        the unit grid's coarse grid and the change of the cell polish),
-        ``none`` when the continuation ran on the requested grid."""
         coarse, sup = solve_report.coarse_grid, solve_report.coarse_fine_sup
         self.add("resolution.coarse_grid", "none" if coarse is None else _shape_text(coarse))
         self.add("resolution.coarse_fine_sup", "none" if sup is None else sup)
+        self.add_audit(solve_report.estimates)
 
     def text(self) -> str:
         return "\n".join(f"{k} = {v}" for k, v in self.pairs) + "\n"
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.text())
 
 
 def write_csv_slice(u: ScalarField, path, axis: str, index: int) -> None:
@@ -227,21 +227,16 @@ def write_csv_slice(u: ScalarField, path, axis: str, index: int) -> None:
     order = ["x", "y", "t"]
     if axis not in order:
         raise ValueError(f"axis must be one of {order}")
+    fixed_ax = order.index(axis)
     order.remove(axis)
     a1, a2 = order
-    fixed_ax = {"x": 0, "y": 1, "t": 2}[axis]
     n_fixed = u.grid.shape[fixed_ax]
     if not 0 <= index < n_fixed:
         raise ValueError(f"slice index {index} outside 0..{n_fixed - 1}")
     plane = np.take(u.values, index, axis=fixed_ax)
-    c1 = u.grid.coordinates(a1)
-    c2 = u.grid.coordinates(a2)
-    lines = [f"{a1},{a2},value"]
-    for i, x1 in enumerate(c1):
-        for j, x2 in enumerate(c2):
-            lines.append(f"{x1:.17g},{x2:.17g},{plane[i, j]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    c1, c2 = np.meshgrid(u.grid.coordinates(a1), u.grid.coordinates(a2), indexing="ij")
+    rows = np.column_stack([c1.ravel(), c2.ravel(), plane.ravel()])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=f"{a1},{a2},value", comments="")
 
 
 # -- configuration -----------------------------------------------------------
@@ -380,106 +375,75 @@ class RunConfig:
             F = evaluate_expression(text, grid or self.grid())
         return renormalize(F) if self.renormalize else F
 
-    def echo(self) -> dict:
-        return {k: self.settings[k] for k in sorted(self.settings)}
-
 
 # -- commands ----------------------------------------------------------------
+#
+# A report command returns (report, dumps), ``dumps`` mapping a file name
+# under --out to a field; ``main`` writes both.
 
-def _ensure_out(settings) -> str | None:
-    out = settings.get("out")
-    if out:
-        os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _begin_report(config: RunConfig) -> RunReport:
+def _start_report(config: RunConfig, grid: GridSpec) -> RunReport:
+    """Create the output directory, so that an unwritable --out fails before
+    any solve, and start the report: tool, version, command, the settings
+    in key order and the grid."""
+    if config.settings.get("out"):
+        os.makedirs(config.settings["out"], exist_ok=True)
     report = RunReport()
     report.add("tool", "ktcy")
     report.add("version", __version__)
     report.add("command", config.command)
-    report.add_config_echo(config.echo())
+    for key in sorted(config.settings):
+        report.add(f"config.{key}", config.settings[key])
+    report.add("grid.shape", _shape_text(grid.shape))
+    report.add("grid.periods", f"{grid.L_x:.17g} {grid.L_y:.17g} {grid.L_t:.17g}")
+    report.add("grid.checksum", grid_checksum(grid))
     return report
 
 
-def _finish(report: RunReport, out, started: float, u=None, datum=None) -> int:
-    report.add("timing.total_s", time.perf_counter() - started)
-    if out:
-        report.write(os.path.join(out, "report.txt"))
-        if u is not None:
-            write_field(u, os.path.join(out, "solution.field"))
-        if datum is not None:
-            write_field(datum, os.path.join(out, "datum.field"))
-        sys.stdout.write(f"report written to {os.path.join(out, 'report.txt')}\n")
-    else:
-        sys.stdout.write(report.text())
-    return EXIT_OK
-
-
-def cmd_solve(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_solve(config: RunConfig) -> tuple[RunReport, dict]:
     F = config.datum()
     cfg = config.solver_config(config.grid(F.grid))
-    out = _ensure_out(config.settings)
-    report = _begin_report(config)
-    report.add_grid(F.grid)
+    report = _start_report(config, F.grid)
     solve_report = solve(F, cfg)
-    report.add_trace(solve_report.trace)
-    report.add_resolution(solve_report)
-    report.add_audit(solve_report.estimates)
-    return _finish(report, out, started, u=solve_report.u, datum=F)
+    report.add_solve(solve_report)
+    return report, {"solution.field": solve_report.u, "datum.field": F}
 
 
-def cmd_verify(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_verify(config: RunConfig) -> tuple[RunReport, dict]:
     solution_path = config.settings.get("solution")
     if not solution_path:
         raise ValueError("verify requires --solution PATH (a field dump)")
     u = read_field(solution_path)
     F = config.datum(config.grid(u.grid))
-    out = _ensure_out(config.settings)
-    report = _begin_report(config)
-    report.add_grid(u.grid)
+    report = _start_report(config, u.grid)
     report.add_audit(verify(u, F))
-    return _finish(report, out, started)
+    return report, {}
 
 
-def cmd_rotate(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_rotate(config: RunConfig) -> tuple[RunReport, dict]:
     angle = config.angle()
     grid = rotated_grid(angle, *config.grid().shape)
     F = config.datum()
     cfg = config.solver_config(grid)
-    out = _ensure_out(config.settings)
-    report = _begin_report(config)
-    report.add_grid(grid)
+    report = _start_report(config, grid)
     report.add("rotation.m", angle.m)
     report.add("rotation.n", angle.n)
     report.add("rotation.period", angle.length)
     rotated = solve_rotated(F, angle, cfg)
     report.add("rotation.cell_normalization", rotated.cell_normalization)
     report.add("rotation.sup_vp", rotated.sup_vp)
-    report.add_trace(rotated.report.trace)
-    report.add_resolution(rotated.report)
-    report.add_audit(rotated.report.estimates)
-    return _finish(report, out, started, u=rotated.report.u)
+    report.add_solve(rotated.report)
+    return report, {"solution.field": rotated.report.u}
 
 
-def cmd_manufacture(config: RunConfig) -> int:
-    started = time.perf_counter()
+def cmd_manufacture(config: RunConfig) -> tuple[RunReport, dict]:
     u_star = config.datum()
     grid = config.grid(u_star.grid)
     F, u0 = manufacture(u_star)
-    out = _ensure_out(config.settings)
-    report = _begin_report(config)
-    report.add_grid(grid)
+    report = _start_report(config, grid)
     report.add("manufacture.min_lhs", float(np.min(np.exp(F.values))))
     report.add("manufacture.datum_integral", integrate(F.with_values(np.exp(F.values))))
     report.add("manufacture.volume", F.grid.volume())
-    if out:
-        write_field(F, os.path.join(out, "F.field"))
-        write_field(u0, os.path.join(out, "u_star.field"))
-    return _finish(report, out, started)
+    return report, {"F.field": F, "u_star.field": u0}
 
 
 def cmd_export(config: RunConfig) -> int:
@@ -489,7 +453,8 @@ def cmd_export(config: RunConfig) -> int:
         raise ValueError("export requires --field PATH")
     u = read_field(path)
     fmt = settings.get("format", "field-dump")
-    out = _ensure_out(settings) or "."
+    out = settings.get("out") or "."
+    os.makedirs(out, exist_ok=True)
     if fmt == "field-dump":
         target = os.path.join(out, "export.field")
         write_field(u, target)
@@ -554,9 +519,24 @@ def _merge_settings(args) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         config = RunConfig(args.command, _merge_settings(args))
-        return _COMMANDS[args.command](config)
+        if args.command == "export":
+            return cmd_export(config)
+        report, dumps = _COMMANDS[args.command](config)
+        report.add("timing.total_s", time.perf_counter() - started)
+        out = config.settings.get("out")
+        if out:
+            path = os.path.join(out, "report.txt")
+            with open(path, "w") as fh:
+                fh.write(report.text())
+            for name, field in dumps.items():
+                write_field(field, os.path.join(out, name))
+            sys.stdout.write(f"report written to {path}\n")
+        else:
+            sys.stdout.write(report.text())
+        return EXIT_OK
     except NormalizationError as exc:
         sys.stderr.write(f"normalization error: {exc}\n")
         return EXIT_NORMALIZATION

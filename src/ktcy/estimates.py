@@ -28,6 +28,7 @@ from .field import (
 from .pde import (
     EllipticityReport,
     LinearizedCoeffs,
+    _exp_overflow,
     ellipticity_report,
     linearize,
     solution_residual_bound,
@@ -115,8 +116,11 @@ def verify(
     uxx = c.Q - 1.0
     p_factor = c.P - 1.0  # u_yy + u_tt + u_t
     nrm = norms(u, grad)
-    ef = np.exp(F.values)
+    with np.errstate(over="ignore"):
+        ef = np.exp(F.values)
     sup_one_plus_ef = float(np.max(np.abs(1.0 + ef)))
+    if np.isinf(sup_one_plus_ef):
+        raise _exp_overflow(F)
     ell = ellipticity_report(u, F, coeffs=c)  # first: it rejects an F on another grid
     res = u.with_values(c.lhs() - ef)
     res_sup = float(np.max(np.abs(res.values)))

@@ -74,15 +74,9 @@ class GridSpec:
     def volume(self) -> float:
         return self.L_x * self.L_y * self.L_t
 
-    def size(self, axis: str) -> int:
-        return self.shape[_AXIS_INDEX[axis]]
-
-    def period(self, axis: str) -> float:
-        return self.periods[_AXIS_INDEX[axis]]
-
     def coordinates(self, axis: str) -> np.ndarray:
         """Sample coordinates along one axis."""
-        n, L = self.size(axis), self.period(axis)
+        n, L = self.shape[_AXIS_INDEX[axis]], self.periods[_AXIS_INDEX[axis]]
         return np.arange(n) * (L / n)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

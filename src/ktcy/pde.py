@@ -38,7 +38,7 @@ import numpy as np
 
 from .field import (
     GridMismatchError, GridSpec, ScalarField, _from_spectrum, _single_symbols, _spectrum,
-    derivative, mean, operator_symbols, project_mean_zero,
+    derivative, operator_symbols, project_mean_zero,
 )
 
 _TRACE_TOL = 1e-8  # relative slack of the trace-floor test, as in the estimate audit
@@ -124,9 +124,27 @@ def residual(u: ScalarField, F: ScalarField) -> ScalarField:
 
 
 def renormalize(F: ScalarField) -> ScalarField:
-    """Shift F by a constant so the integral of e^F equals the box volume."""
-    shift = float(np.log(mean(F.with_values(np.exp(F.values)))))
-    return F - shift
+    """Shift F by a constant so the integral of e^F equals the box volume.
+
+    Raises ValueError, naming the largest F, when e^F or its integral
+    overflows float64.
+    """
+    volume = F.grid.volume()
+    # field.mean on the array, where an overflow leaves a mean of inf
+    with np.errstate(over="ignore"):
+        ef = np.exp(F.values)
+        mean_ef = float(np.sum(ef)) * volume / ef.size / volume
+    if np.isinf(mean_ef):
+        raise _exp_overflow(F)
+    return F - float(np.log(mean_ef))
+
+
+def _exp_overflow(F: ScalarField) -> ValueError:
+    """The error for a datum whose e^F overflows float64."""
+    return ValueError(
+        f"e^F overflows float64: max F is {float(np.max(F.values)):.6g}, "
+        f"above log of the largest float, {np.log(np.finfo(float).max):.6g}"
+    )
 
 
 class NonPositiveLHS(ValueError):
@@ -225,9 +243,11 @@ class EllipticityReport:
         Lambda = (T - sqrt(T^2 - 4 e^F)) / 2,   T = trace factor,
 
     with the square-root argument clamped at zero (and flagged) when the
-    state is far from a solution.  The report never aborts: it is a
-    diagnostic for Newton iterates, which are not solutions.  A caller that
-    already holds ``linearize(u)`` passes it as ``coeffs``.
+    state is far from a solution.  The report never aborts, so it describes
+    any state, solution or not.  The estimate audit
+    (:func:`~ktcy.estimates.verify`) builds it; the solver's trace records
+    take only Lambda, from the same formula.  A caller that already holds
+    ``linearize(u)`` passes it as ``coeffs``.
     """
 
     min_q: float          # min of u_xx + 1

@@ -91,10 +91,6 @@ class RationalAngle:
     def sin_theta(self) -> float:
         return self.n / self.length
 
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.n, self.m)
-
 
 def rotated_grid(angle: RationalAngle, n_p: int, n_q: int, n_t: int) -> GridSpec:
     """Grid on the (L, L, 1) periodic cell of the rotated problem."""

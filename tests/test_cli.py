@@ -9,6 +9,7 @@ import pytest
 from scipy.special import i0
 
 from ktcy.cli import (
+    EXIT_IO,
     EXIT_NONPOSITIVE,
     EXIT_NORMALIZATION,
     EXIT_OK,
@@ -32,7 +33,7 @@ from ktcy.field import (
     write_field,
 )
 from ktcy.pde import NonPositiveLHS, manufacture, renormalize
-from ktcy.solver import SolverConfig
+from ktcy.solver import NormalizationError, SolverConfig, check_normalization
 
 TAU = 2.0 * np.pi
 
@@ -640,3 +641,111 @@ class TestReportDeterminism:
             ]
             outs.append(lines)
         assert outs[0] == outs[1]
+
+
+class TestExpOverflow:
+    """An e^F beyond float64 is a typed error, under any warning filter
+    (this suite turns numpy's RuntimeWarning into an error)."""
+
+    # max F = 720 on 5^3 and 800 on 9^3, above log(max float) = 709.78
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--grid", "5,5,5"],
+        ["rotate", "--grid", "9,9,9", "--angle", "1,1"],
+    ], ids=["solve", "rotate"])
+    def test_unnormalized_datum_names_an_integral_of_inf(self, capsys, argv):
+        assert main([*argv, "--expr", "900*x"]) == EXIT_NORMALIZATION
+        assert "integral of e^F is inf, expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, max_f", [
+        (["solve", "--grid", "5,5,5"], "720"),
+        (["rotate", "--grid", "9,9,9", "--angle", "1,1"], "800"),
+    ], ids=["solve", "rotate"])
+    def test_renormalize_names_the_largest_f(self, capsys, argv, max_f):
+        assert main([*argv, "--expr", "900*x", "--renormalize"]) == EXIT_USAGE
+        assert f"e^F overflows float64: max F is {max_f}," in capsys.readouterr().err
+
+    def test_verify_names_the_largest_f(self, tmp_path, capsys):
+        path = tmp_path / "u.field"
+        write_field(ScalarField.zeros(GridSpec(5, 5, 5)), path)
+        assert main(["verify", "--solution", str(path), "--expr", "900*x"]) == EXIT_USAGE
+        assert "e^F overflows float64: max F is 720," in capsys.readouterr().err
+
+    def test_an_overflowing_sum_is_caught_too(self):
+        # every e^709 is finite, their sum over 125 samples is not
+        F = ScalarField.constant(GridSpec(5, 5, 5), 709.0)
+        with pytest.raises(ValueError, match="max F is 709,"):
+            renormalize(F)
+        with pytest.raises(NormalizationError, match=r"integral of e\^F is inf"):
+            check_normalization(F)
+
+
+class TestExpressionDepth:
+    @pytest.mark.parametrize("expr", [
+        "+".join(["x"] * 1200),  # deep in the evaluator
+        "-" * 3000 + "1",        # deep in the parser
+    ], ids=["sum", "unary"])
+    def test_deep_nesting_is_a_usage_error(self, grid8, capsys, expr):
+        with pytest.raises(ExpressionError, match="expression nests too deeply"):
+            evaluate_expression(expr, grid8)
+        assert main(["solve", "--grid", "5,5,5", f"--expr={expr}"]) == EXIT_USAGE
+        assert "error: expression nests too deeply" in capsys.readouterr().err
+
+
+class TestRunPipeline:
+    """The four report commands share one pipeline: the same report goes to
+    stdout or to ``--out`` with the command's dumps."""
+
+    DUMPS = {
+        "solve": {"report.txt", "solution.field", "datum.field"},
+        "verify": {"report.txt"},
+        "rotate": {"report.txt", "solution.field"},
+        "manufacture": {"report.txt", "F.field", "u_star.field"},
+    }
+
+    @pytest.fixture(params=sorted(DUMPS))
+    def argv(self, request, zero_dump):
+        datum = ["--builtin", "triple_sine:amplitude=0.1", "--renormalize"]
+        return request.param, {
+            "solve": ["solve", "--grid", "9,9,9", *datum],
+            "verify": ["verify", "--solution", str(zero_dump), "--builtin", "zero"],
+            "rotate": ["rotate", "--grid", "9,9,9", "--angle", "1,1", *datum],
+            "manufacture": ["manufacture", "--grid", "9,9,9", "--builtin", "two_mode"],
+        }[request.param]
+
+    @staticmethod
+    def _stable(text):
+        return [
+            line for line in text.splitlines()
+            if not line.startswith(("timing.", "config.out"))
+        ]
+
+    def test_stdout_and_out_carry_the_same_report(self, argv, tmp_path, capsys):
+        command, args = argv
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"report written to {out / 'report.txt'}\n"
+        assert self._stable(printed) == self._stable((out / "report.txt").read_text())
+        assert f"command = {command}" in printed
+        assert {p.name for p in out.iterdir()} == self.DUMPS[command]
+
+    def test_unwritable_out_fails_before_the_solve(self, argv, tmp_path, capsys, monkeypatch):
+        import ktcy.cli
+
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve", "solve_rotated", "verify", "manufacture"):
+            monkeypatch.setattr(ktcy.cli, name, counting(getattr(ktcy.cli, name)))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*argv[1], "--out", str(blocker / "o")]) == EXIT_IO
+        assert "I/O failure" in capsys.readouterr().err
+        # manufacture validates its datum by manufacturing it, before --out
+        assert calls == (["manufacture"] if argv[0] == "manufacture" else [])
