@@ -24,6 +24,7 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import time
@@ -135,7 +136,10 @@ def builtin_field(spec: str, grid: GridSpec) -> ScalarField:
             key, _, val = piece.partition("=")
             if not val:
                 raise ExpressionError(f"malformed builtin parameter {piece!r}")
-            params[key.strip()] = float(val)
+            key = key.strip()
+            params[key] = float(val)
+            if not math.isfinite(params[key]):
+                raise ExpressionError(f"builtin parameter {key!r} must be finite, got {val!r}")
     if name not in _BUILTINS:
         raise ExpressionError(f"unknown builtin {name!r}")
     template, defaults = _BUILTINS[name]

@@ -18,20 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
+    GridMismatchError,
     ScalarField,
-    gradient,
-    integrate,
-    norms,
+    _derivatives,
+    _integral,
+    _norms,
     project_mean_zero,
     random_band_limited,
 )
 from .pde import (
     EllipticityReport,
     LinearizedCoeffs,
+    _coefficients,
     _exp_overflow,
+    _solution_bound,
     ellipticity_report,
     linearize,
-    solution_residual_bound,
 )
 
 
@@ -105,26 +107,43 @@ def verify(
     (i) inf Lambda(u) > 0
     (j) mean residual vanishes
 
-    One ``linearize`` gives the second derivatives, the residual, the
-    ellipticity report and, from that residual, the solution test
-    (:func:`~ktcy.pde.is_solution`); a caller that already holds
-    ``linearize(u)`` passes it as ``coeffs``.
+    A fresh audit takes the gradient of u and the coefficients P, Q, R, S
+    of :func:`~ktcy.pde.linearize` from one :func:`~ktcy.field._derivatives`
+    call, 5 forward and 8 inverse transforms, and builds no field.  From
+    them, and one e^F, come the residual, the ellipticity report and the
+    solution test, sup |residual| <= :func:`~ktcy.pde.solution_residual_bound`.
+    A caller that already holds ``linearize(u)`` passes it as ``coeffs``,
+    and the audit then transforms only for the gradient (3 + 3).
+
+    Raises :class:`~ktcy.field.GridMismatchError` for an F on another grid,
+    and ValueError, naming the largest F, when e^F or the audit's arithmetic
+    on it overflows float64.
     """
     grid = u.grid
-    c = linearize(u) if coeffs is None else coeffs
-    ux, _, ut = grad = gradient(u)
-    uxx = c.Q - 1.0
-    p_factor = c.P - 1.0  # u_yy + u_tt + u_t
-    nrm = norms(u, grad)
+    if F.grid != grid:
+        raise GridMismatchError("verify: u and F live on different grids")
+    d = _derivatives(u, second=coeffs is None)
+    c = _coefficients(grid, d) if coeffs is None else coeffs
     with np.errstate(over="ignore"):
         ef = np.exp(F.values)
     sup_one_plus_ef = float(np.max(np.abs(1.0 + ef)))
     if np.isinf(sup_one_plus_ef):
         raise _exp_overflow(F)
-    ell = ellipticity_report(u, F, coeffs=c)  # first: it rejects an F on another grid
-    res = u.with_values(c.lhs() - ef)
-    res_sup = float(np.max(np.abs(res.values)))
-    scale = grid.volume() / res.values.size
+    try:
+        # a finite e^F above the square root of the largest float overflows
+        # in the squares of the residual: a typed error, under any warning filter
+        with np.errstate(over="raise"):
+            uxx = c.Q - 1.0
+            p_factor = c.P - 1.0  # u_yy + u_tt + u_t
+            nrm = _norms(u.values, grid, (d.x, d.y, d.t))
+            ell = ellipticity_report(u, F, coeffs=c, ef=ef)
+            res = c.lhs() - ef
+            res_sup = float(np.max(np.abs(res)))
+            residual_l2 = float(np.sqrt(np.sum(res**2) * (grid.volume() / res.size)))
+            mean_residual = _integral(res, grid) / grid.volume()
+            sup_laplacian = float(np.max(np.abs(uxx + p_factor - d.t)))
+    except FloatingPointError:
+        raise _audit_overflow(u, F) from None
 
     max_period = max(grid.periods)
     lam1 = (2.0 * math.pi / max_period) ** 2
@@ -133,7 +152,7 @@ def verify(
     )
 
     checks = (
-        _upper("a_sup_ux_bound", float(np.max(np.abs(ux.values))), grid.L_x,
+        _upper("a_sup_ux_bound", float(np.max(np.abs(d.x))), grid.L_x,
                note="bound is the first-axis period"),
         _lower("b_uxx_above_minus_one", float(np.min(uxx)), -1.0,
                note="strict in theory; raw minimum reported"),
@@ -145,18 +164,29 @@ def verify(
                0.25 * nrm["l2"] ** 2 + 2.5 * sup_one_plus_ef * nrm["l2"]),
         _upper("g_poincare", lam1 * nrm["l2"] ** 2, nrm["grad_l2"] ** 2,
                note=poincare_note),
-        _identity("h_ut_moment", integrate(u * ut)),
+        _identity("h_ut_moment", _integral(u.values * d.t, grid)),
         _lower("i_uniform_ellipticity", ell.min_lambda, 0.0),
-        _identity("j_mean_residual", integrate(res) / grid.volume()),
+        _identity("j_mean_residual", mean_residual),
     )
     return EstimateReport(
         checks=checks,
-        informative=not res_sup <= solution_residual_bound(F),
+        informative=not res_sup <= _solution_bound(ef),
         sup_u=nrm["sup"],
-        sup_laplacian=float(np.max(np.abs(uxx + p_factor - ut.values))),
+        sup_laplacian=sup_laplacian,
         ellipticity=ell,
         residual_sup=res_sup,
-        residual_l2=float(np.sqrt(np.sum(res.values**2) * scale)),
+        residual_l2=residual_l2,
+    )
+
+
+def _audit_overflow(u: ScalarField, F: ScalarField) -> ValueError:
+    """The error for an audit whose arithmetic overflows float64."""
+    n = F.values.size
+    return ValueError(
+        f"the estimate audit overflows float64: max F is {float(np.max(F.values)):.6g} "
+        f"and sup |u| is {float(np.max(np.abs(u.values))):.6g}; it sums the squared "
+        f"residual ma_lhs(u) - e^F over the {n} grid points, which e^F alone "
+        f"overflows above F = {0.5 * (np.log(np.finfo(float).max) - np.log(n)):.6g}"
     )
 
 

@@ -9,6 +9,10 @@ knows which transform lengths are fast.  The other modules transform through
 :func:`_spectrum` and :func:`_from_spectrum` against the symbols built here
 (:func:`operator_symbols` and the preconditioner's :func:`_inverse_symbol`),
 and the solver picks its coarse grid sizes with :func:`_is_fast_odd_length`.
+The grid-frame linearization and the estimate audit take their derivatives
+as arrays from :func:`_derivatives`, which transforms a field once per axis
+and gives each axis's first and second derivatives, u_xy and u_xt from u_x:
+bitwise the values of the :func:`derivative` calls they stand for.
 The two transforms keep the precision of their input: float64 values go
 through ``numpy.fft``, and float32 values, with their complex64 spectra,
 through ``scipy.fft``, which transforms single precision natively.
@@ -209,13 +213,60 @@ def derivative(u: ScalarField, axis: str, order: int) -> ScalarField:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    ax = _AXIS_INDEX[axis]
-    n = u.grid.shape[ax]
-    fac = _factor(n, u.grid.periods[ax], order)
+    (values,) = _along(u.values, u.grid, _AXIS_INDEX[axis], (order,))
+    return u.with_values(values)
+
+
+def _along(values: np.ndarray, grid: GridSpec, ax: int, orders: tuple) -> list:
+    """Derivatives of grid values along axis ``ax``, one per order in
+    ``orders``, from one ``rfft`` and one ``irfft`` per order."""
+    n = grid.shape[ax]
     shape = [1, 1, 1]
-    shape[ax] = fac.size
-    spec = np.fft.rfft(u.values, axis=ax) * fac.reshape(shape)
-    return u.with_values(np.fft.irfft(spec, n=n, axis=ax))
+    shape[ax] = n // 2 + 1
+    spec = np.fft.rfft(values, axis=ax)
+    return [
+        np.fft.irfft(spec * _factor(n, grid.periods[ax], order).reshape(shape), n=n, axis=ax)
+        for order in orders
+    ]
+
+
+class _Derivatives(NamedTuple):
+    """Spectral derivatives of a field as arrays; see :func:`_derivatives`."""
+
+    x: np.ndarray
+    y: np.ndarray | None  # None when the gradient was not asked for
+    t: np.ndarray
+    xx: np.ndarray | None  # these five are None when the second order was not
+    yy: np.ndarray | None
+    tt: np.ndarray | None
+    xy: np.ndarray | None
+    xt: np.ndarray | None
+
+
+def _derivatives(u: ScalarField, gradient: bool = True, second: bool = True) -> _Derivatives:
+    """The derivatives of u that the linearization and the estimate audit read.
+
+    One ``rfft`` of u per axis gives that axis's first and second
+    derivatives, and u_xy and u_xt are taken from u_x, so every array is
+    bitwise the values of the :func:`derivative` call it stands for (u_xy of
+    ``derivative(derivative(u, "x", 1), "y", 1)``).  ``gradient`` asks for
+    u_y, and ``second`` for u_xx, u_yy, u_tt, u_xy and u_xt; u_x and u_t
+    come either way.  Forward + inverse transforms: 5 + 8 for both, 5 + 7
+    for the second order alone and 3 + 3 for the gradient alone.
+    """
+    grid, values = u.grid, u.values
+    if not second:
+        ux, uy, ut = (_along(values, grid, ax, (1,))[0] for ax in range(3))
+        return _Derivatives(ux, uy, ut, None, None, None, None, None)
+    ux, uxx = _along(values, grid, 0, (1, 2))
+    if gradient:
+        uy, uyy = _along(values, grid, 1, (1, 2))
+    else:
+        uy, (uyy,) = None, _along(values, grid, 1, (2,))
+    ut, utt = _along(values, grid, 2, (1, 2))
+    (uxy,) = _along(ux, grid, 1, (1,))
+    (uxt,) = _along(ux, grid, 2, (1,))
+    return _Derivatives(ux, uy, ut, uxx, uyy, utt, uxy, uxt)
 
 
 class OperatorSymbols(NamedTuple):
@@ -345,8 +396,12 @@ def gradient(u: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
 
 def integrate(u: ScalarField) -> float:
     """Trapezoid quadrature over the box; spectral-exact for periodic data."""
-    vol = u.grid.volume()
-    return float(np.sum(u.values)) * vol / u.values.size
+    return _integral(u.values, u.grid)
+
+
+def _integral(values: np.ndarray, grid: GridSpec) -> float:
+    """:func:`integrate` of grid values."""
+    return float(np.sum(values)) * grid.volume() / values.size
 
 
 def mean(u: ScalarField) -> float:
@@ -362,12 +417,18 @@ def norms(u: ScalarField, grad: tuple | None = None) -> dict:
 
     A caller that already holds ``gradient(u)`` passes it as ``grad``.
     """
-    ux, uy, ut = gradient(u) if grad is None else grad
-    grad_sq = ux.values**2 + uy.values**2 + ut.values**2
-    scale = u.grid.volume() / u.values.size
+    grad = gradient(u) if grad is None else grad
+    return _norms(u.values, u.grid, tuple(g.values for g in grad))
+
+
+def _norms(values: np.ndarray, grid: GridSpec, grad: tuple) -> dict:
+    """:func:`norms` of grid values, given the arrays (u_x, u_y, u_t)."""
+    ux, uy, ut = grad
+    grad_sq = ux**2 + uy**2 + ut**2
+    scale = grid.volume() / values.size
     return {
-        "sup": float(np.max(np.abs(u.values))),
-        "l2": math.sqrt(float(np.sum(u.values**2)) * scale),
+        "sup": float(np.max(np.abs(values))),
+        "l2": math.sqrt(float(np.sum(values**2)) * scale),
         "grad_sup": math.sqrt(float(np.max(grad_sq))),
         "grad_l2": math.sqrt(float(np.sum(grad_sq)) * scale),
     }

@@ -12,7 +12,10 @@ is the second-order operator
 with P = u_yy + u_tt + u_t + 1, Q = u_xx + 1, R = u_xy, S = u_xt, and
 ma_lhs(u) = Q P - R^2 - S^2.  Only :func:`linearize` computes P, Q, R, S,
 as read-only arrays: what is computed from them stays an array, and fields
-are built only where a function returns one.  Given an angle it takes them
+are built only where a function returns one.  In the grid frame it
+assembles them from the derivative arrays of
+:func:`~ktcy.field._derivatives`, by the one helper that the estimate audit
+also uses when it takes its derivatives from a single kernel call.  Given an angle it takes them
 in a rotated frame, where x and y are replaced by the rotated directions p
 and q, and the coefficients carry that frame to everything that uses them.
 :func:`apply_linearized` takes one forward transform of w and one inverse
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    GridMismatchError, GridSpec, ScalarField, _from_spectrum, _single_symbols, _spectrum,
-    derivative, operator_symbols, project_mean_zero,
+    GridMismatchError, GridSpec, ScalarField, _Derivatives, _derivatives, _from_spectrum,
+    _single_symbols, _spectrum, operator_symbols, project_mean_zero,
 )
 
 _TRACE_TOL = 1e-8  # relative slack of the trace-floor test, as in the estimate audit
@@ -78,12 +81,14 @@ def linearize(u: ScalarField, angle: tuple | None = None) -> LinearizedCoeffs:
     :mod:`ktcy.rotation` is solved on the unit grid of its datum: P = u_qq +
     u_tt + u_t + 1, Q = u_pp + 1, R = u_pq, S = u_pt, from one forward and
     four inverse transforms against the rotated :func:`~ktcy.field.operator_symbols`
-    table.  With no angle they come from seven per-axis
-    :func:`~ktcy.field.derivative` calls.  That path is kept for accuracy,
-    not speed: with the table, acceptance criterion 5's finite-difference
-    error at eps = 1e-5 rises from 8.4e-11 to 1.35e-10, above its 1e-10
-    bound.  The two paths take the same time at 48^3 (about 13 ms), and the
-    table is faster on smaller grids (3.6 against 4.2 ms at 32^3).
+    table.  With no angle they come from one
+    :func:`~ktcy.field._derivatives` call, five forward and seven inverse
+    per-axis transforms, bitwise the values of seven per-axis
+    :func:`~ktcy.field.derivative` calls.  That path is kept for accuracy:
+    with the table, acceptance criterion 5's finite-difference error at
+    eps = 1e-5 rises from 8.4e-11 to 1.35e-10, above its 1e-10 bound.  It
+    costs no more than the table: about 2.1 ms each at 32^3, and 11 against
+    14 ms at 48^3 (medians on a shared 2-CPU x86-64 machine, numpy 2.4).
     """
     if angle is not None:
         symbols = operator_symbols(u.grid, angle)
@@ -96,18 +101,13 @@ def linearize(u: ScalarField, angle: tuple | None = None) -> LinearizedCoeffs:
             S=_from_spectrum(spec, symbols.xt, u.grid),
             angle=angle,
         )
+    return _coefficients(u.grid, _derivatives(u, gradient=False))
 
-    def d(f, axis, order):
-        return derivative(f, axis, order).values
 
-    ux = derivative(u, "x", 1)
-    return LinearizedCoeffs(
-        grid=u.grid,
-        P=d(u, "y", 2) + d(u, "t", 2) + d(u, "t", 1) + 1.0,
-        Q=d(u, "x", 2) + 1.0,
-        R=d(ux, "y", 1),
-        S=d(ux, "t", 1),
-    )
+def _coefficients(grid: GridSpec, d: _Derivatives) -> LinearizedCoeffs:
+    """P, Q, R, S in the grid frame from the arrays of
+    :func:`~ktcy.field._derivatives`."""
+    return LinearizedCoeffs(grid=grid, P=d.yy + d.tt + d.t + 1.0, Q=d.xx + 1.0, R=d.xy, S=d.xt)
 
 
 def ma_lhs(u: ScalarField) -> ScalarField:
@@ -247,7 +247,8 @@ class EllipticityReport:
     any state, solution or not.  The estimate audit
     (:func:`~ktcy.estimates.verify`) builds it; the solver's trace records
     take only Lambda, from the same formula.  A caller that already holds
-    ``linearize(u)`` passes it as ``coeffs``.
+    ``linearize(u)`` passes it as ``coeffs``, and one that holds the array
+    e^F passes it as ``ef``.
     """
 
     min_q: float          # min of u_xx + 1
@@ -278,6 +279,7 @@ def ellipticity_report(
     u: ScalarField,
     F: ScalarField,
     coeffs: LinearizedCoeffs | None = None,
+    ef: np.ndarray | None = None,
 ) -> EllipticityReport:
     if u.grid != F.grid:
         raise GridMismatchError("ellipticity_report: grid mismatch")
@@ -286,7 +288,7 @@ def ellipticity_report(
     min_p = float(np.min(c.P))
     trace = c.P + c.Q
     min_trace = float(np.min(trace))
-    min_lambda, clamped = _min_lambda(trace, np.exp(F.values))
+    min_lambda, clamped = _min_lambda(trace, np.exp(F.values) if ef is None else ef)
     trace_floor = 2.0 * float(np.min(np.exp(0.5 * F.values)))
     return EllipticityReport(
         min_q=min_q,
@@ -309,4 +311,9 @@ def is_solution(u: ScalarField, F: ScalarField) -> bool:
 
 def solution_residual_bound(F: ScalarField) -> float:
     """1e-10 * max(1, sup e^F): the largest sup residual of a solution."""
-    return _SOLUTION_TOL_FACTOR * max(1.0, float(np.max(np.exp(F.values))))
+    return _solution_bound(np.exp(F.values))
+
+
+def _solution_bound(ef: np.ndarray) -> float:
+    """:func:`solution_residual_bound` given ef = e^F."""
+    return _SOLUTION_TOL_FACTOR * max(1.0, float(np.max(ef)))

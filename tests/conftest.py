@@ -40,3 +40,20 @@ def pde_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A Counter of the ``numpy.fft`` transforms called during the test, by name."""
+    from collections import Counter
+
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls

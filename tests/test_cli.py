@@ -23,6 +23,7 @@ from ktcy.cli import (
     parse_config_file,
     write_csv_slice,
 )
+from ktcy.estimates import verify
 from ktcy.field import (
     GridSpec,
     ScalarField,
@@ -159,6 +160,17 @@ class TestBuiltins:
     def test_rejects_malformed(self, grid8, spec):
         with pytest.raises(ExpressionError):
             builtin_field(spec, grid8)
+
+    @pytest.mark.parametrize("spec, key", [
+        ("triple_sine:amplitude=inf", "amplitude"),
+        ("triple_sine:amplitude=nan", "amplitude"),
+        ("two_mode:a1=-inf", "a1"),
+    ])
+    def test_rejects_non_finite_parameters(self, grid8, capsys, spec, key):
+        with pytest.raises(ExpressionError, match=f"builtin parameter '{key}' must be finite"):
+            builtin_field(spec, grid8)
+        assert main(["manufacture", "--grid", "5,5,5", "--builtin", spec]) == EXIT_USAGE
+        assert f"builtin parameter '{key}' must be finite" in capsys.readouterr().err
 
 
 class TestCsvSlice:
@@ -669,6 +681,21 @@ class TestExpOverflow:
         write_field(ScalarField.zeros(GridSpec(5, 5, 5)), path)
         assert main(["verify", "--solution", str(path), "--expr", "900*x"]) == EXIT_USAGE
         assert "e^F overflows float64: max F is 720," in capsys.readouterr().err
+
+    # e^360 is finite but its square is not, and 4 e^709 is not finite either
+    @pytest.mark.parametrize("max_f", ["360", "709"])
+    def test_verify_names_the_largest_f_when_the_audit_overflows(self, tmp_path, capsys, max_f):
+        path = tmp_path / "u.field"
+        write_field(ScalarField.zeros(GridSpec(5, 5, 5)), path)
+        assert main(["verify", "--solution", str(path), "--expr", f"{max_f}+0*x"]) == EXIT_USAGE
+        assert f"the estimate audit overflows float64: max F is {max_f} " in capsys.readouterr().err
+
+    def test_an_audit_below_the_overflow_reports(self):
+        # 125 e^704 is finite: the audit reports, and fails
+        grid = GridSpec(5, 5, 5)
+        report = verify(ScalarField.zeros(grid), ScalarField.constant(grid, 352.0))
+        assert report.informative and not report.passed
+        assert np.isfinite(report.residual_l2)
 
     def test_an_overflowing_sum_is_caught_too(self):
         # every e^709 is finite, their sum over 125 samples is not

@@ -74,27 +74,63 @@ class TestVerify:
         for a, b in zip(first.checks, second.checks):
             assert a.margin == b.margin  # bitwise
 
-    def test_linearizes_once(self, grid16, rng, monkeypatch):
+    def test_linearizes_once(self, grid16, rng, monkeypatch, pde_calls):
+        # a fresh audit takes its derivatives from one kernel call and calls
+        # no linearize; given the coefficients it asks the kernel for the gradient
         import ktcy.estimates
-        import ktcy.pde
+        from ktcy.pde import linearize
 
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.01)
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
         fresh = verify(u, F)
-        calls, linearize = [], ktcy.pde.linearize
+        calls, kernel = [], ktcy.estimates._derivatives
 
-        def counting(v):
-            calls.append(1)
-            return linearize(v)
+        def counting(v, **kwargs):
+            calls.append(kwargs)
+            return kernel(v, **kwargs)
 
-        monkeypatch.setattr(ktcy.pde, "linearize", counting)
-        monkeypatch.setattr(ktcy.estimates, "linearize", counting)
+        monkeypatch.setattr(ktcy.estimates, "_derivatives", counting)
+        linearizes = pde_calls("linearize")
         verify(u, F)
-        assert len(calls) == 1
+        assert calls == [{"second": True}] and linearizes == []
         given = verify(u, F, coeffs=linearize(u))
-        assert len(calls) == 1
+        assert calls[1:] == [{"second": False}]
         assert [c.margin for c in given.checks] == [c.margin for c in fresh.checks]
         assert given.informative == fresh.informative
+
+    def test_transform_counts(self, grid16, rng, fft_calls):
+        # a fresh audit: the 5 + 7 of linearize and u_y; given the
+        # coefficients, the gradient alone
+        from ktcy.pde import linearize
+
+        u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.01)
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
+        c = linearize(u)
+        fft_calls.clear()
+        verify(u, F)
+        assert fft_calls == {"rfft": 5, "irfft": 8}
+        fft_calls.clear()
+        verify(u, F, coeffs=c)
+        assert fft_calls == {"rfft": 3, "irfft": 3}
+
+    def test_fresh_and_given_audits_agree_on_a_solution(self, grid16, rng):
+        # the benchmark re-audits a solve's solution and gates on the
+        # solve's own margins, bitwise
+        from ktcy.pde import linearize
+
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.4))
+        report = solve(F, SolverConfig(grid=grid16))
+        fresh = verify(report.u, F)
+        assert fresh.passed and not fresh.informative
+        for given in (report.estimates, verify(report.u, F, coeffs=linearize(report.u))):
+            assert [c.margin for c in given.checks] == [c.margin for c in fresh.checks]
+            assert given == fresh
+
+    def test_grid_mismatch(self, grid8, grid16):
+        from ktcy.field import GridMismatchError
+
+        with pytest.raises(GridMismatchError):
+            verify(ScalarField.zeros(grid16), ScalarField.zeros(grid8))
 
     @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
     def test_takes_the_residual_once(self, grid16, rng, monkeypatch, solved):

@@ -9,6 +9,7 @@ from ktcy.field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _derivatives,
     _inverse_symbol,
     _single,
     derivative,
@@ -132,6 +133,47 @@ class TestLinearize:
         lhs = linearize(u).lhs()
         assert isinstance(lhs, np.ndarray)
         assert np.array_equal(lhs, ma_lhs(u).values)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(9, 11, 7),
+            GridSpec(12, 8, 6, L_x=1.5, L_y=0.7, L_t=2.0),
+            GridSpec(18, 18, 8, L_x=math.sqrt(5.0), L_y=math.sqrt(5.0)),
+        ],
+        ids=["9x11x7", "12x8x6", "18x18x8-sqrt5"],
+    )
+    def test_kernel_is_bitwise_the_per_axis_derivatives(self, grid, rng):
+        # one rfft per axis, and u_xy, u_xt from u_x: white noise excites
+        # every mode, Nyquist included
+        def d(f, a, k=1):
+            return derivative(f, a, k)
+
+        u = ScalarField(grid, rng.standard_normal(grid.shape))
+        ux = d(u, "x")
+        want = {
+            "x": ux, "y": d(u, "y"), "t": d(u, "t"),
+            "xx": d(u, "x", 2), "yy": d(u, "y", 2), "tt": d(u, "t", 2),
+            "xy": d(ux, "y"), "xt": d(ux, "t"),
+        }
+        kernel = _derivatives(u)
+        for name, field in want.items():
+            assert np.array_equal(getattr(kernel, name), field.values), name
+        for name in "xyt":
+            assert np.array_equal(getattr(_derivatives(u, second=False), name), want[name].values)
+        assert _derivatives(u, gradient=False).y is None
+        c = linearize(u)
+        assert np.array_equal(c.P, (want["yy"] + want["tt"] + want["t"] + 1.0).values)
+        assert np.array_equal(c.Q, (want["xx"] + 1.0).values)
+        assert np.array_equal(c.R, want["xy"].values)
+        assert np.array_equal(c.S, want["xt"].values)
+
+    def test_one_forward_transform_per_axis(self, grid16, rng, fft_calls):
+        # 3 forward transforms of u and 2 of u_x; 7 inverse, one per derivative
+        u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.05)
+        fft_calls.clear()
+        linearize(u)
+        assert fft_calls == {"rfft": 5, "irfft": 7}
 
     def test_coefficients_vanish_for_x_only_states(self, grid8):
         u = sample(lambda x, y, t: 0.01 * np.sin(TAU * x), grid8)
