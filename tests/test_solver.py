@@ -20,12 +20,14 @@ from ktcy.pde import apply_linearized, ellipticity_report, linearize, residual
 from ktcy.solver import (
     ContinuationStalled,
     EllipticityLost,
+    KrylovStalled,
     LineSearchFailed,
     NewtonStalled,
     NormalizationError,
     NyquistFloor,
     SolverConfig,
     TraceRecord,
+    _gmres,
     newton_solve,
     solve,
     solve_linearized,
@@ -109,12 +111,12 @@ class TestSolverConfig:
 class TestKrylov:
     def test_flat_case_single_iteration(self, grid16, rng):
         # at u = 0 the preconditioner equals the operator, so GMRES needs one
-        # inner iteration (two operator applications counting the initial
-        # residual)
+        # iteration, one operator application: it stops on its least-squares
+        # residual, with no application to confirm it
         rhs = random_band_limited(grid16, rng, max_mode=4)
         coeffs = linearize(ScalarField.zeros(grid16))
         w, applications = solve_linearized(coeffs, rhs)
-        assert applications <= 2
+        assert applications == 1
         out = apply_linearized(coeffs, w)
         assert np.allclose(out.values, project_mean_zero(rhs).values, atol=1e-12)
 
@@ -175,8 +177,8 @@ class TestKrylov:
         assert seen and set(seen) == {(np.dtype(dtype), np.dtype(symbol))}
 
     def test_trace_scaling_cuts_krylov_work(self, large_state, rng):
-        # the grid-mean operator alone takes 46 applications here, the trace
-        # scaled one 22
+        # the grid-mean operator alone takes 45 applications here, the trace
+        # scaled one 21
         cfg, coeffs = large_state
         rhs = project_mean_zero(random_band_limited(cfg.grid, rng, max_mode=4))
         _, applications = solve_linearized(coeffs, rhs)
@@ -194,6 +196,87 @@ class TestKrylov:
         rhs = random_band_limited(other, rng, max_mode=3)
         with pytest.raises(GridMismatchError, match="rhs grid"):
             solve_linearized(linearize(ScalarField.zeros(grid16)), rhs)
+
+
+def _counted(matvec):
+    """``matvec`` with a list that grows by one per application."""
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return matvec(v)
+
+    return apply, calls
+
+
+class TestGmres:
+    @staticmethod
+    def _dense(seed=0, n=40):
+        rng = np.random.default_rng(seed)
+        return 8.0 * np.eye(n) + rng.standard_normal((n, n)), rng.standard_normal(n)
+
+    def test_dense_nonsymmetric_system(self):
+        A, b = self._dense()
+        assert not np.allclose(A, A.T)
+        y, ok = _gmres(lambda v: A @ v, b, 1e-12)
+        assert ok
+        assert np.allclose(y, np.linalg.solve(A, b), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("rtol", [1e-1, 1e-5, 1e-9])
+    def test_true_residual_meets_rtol(self, rtol):
+        # the stop test reads the least-squares residual; the residual of
+        # the returned y meets it without an application to confirm it
+        A, b = self._dense(1)
+        apply, calls = _counted(lambda v: A @ v)
+        y, ok = _gmres(apply, b, rtol)
+        assert ok and len(calls) < len(b)
+        assert np.linalg.norm(b - A @ y) <= rtol * np.linalg.norm(b)
+
+    def test_restarts_from_the_true_residual(self):
+        # eigenvalues 1 to 1000: more than one cycle of 50 iterations
+        spectrum = np.linspace(1.0, 1000.0, 400)
+        b = np.ones_like(spectrum)
+        apply, calls = _counted(lambda v: spectrum * v)
+        y, ok = _gmres(apply, b, 1e-9)
+        assert ok and len(calls) > 51
+        assert np.linalg.norm(b - spectrum * y) <= 1e-9 * np.linalg.norm(b)
+
+    def test_stagnation_ends_after_twelve_cycles(self):
+        # the cyclic shift maps e_k to e_{k+1}, so it maps the Krylov space
+        # of b = e_1 to span(e_2, ..., e_{k+1}), orthogonal to b for k < 700:
+        # no cycle reduces the residual
+        b = np.zeros(700)
+        b[0] = 1.0
+        apply, calls = _counted(lambda v: np.roll(v, 1))
+        y, ok = _gmres(apply, b, 1e-9)
+        assert not ok and not y.any()
+        assert len(calls) == 12 * 50 + 11  # eleven restart residuals
+
+    def test_stagnation_raises_krylov_stalled(self, monkeypatch):
+        # on 9^3 the mean-zero cyclic shift has 729 > 600 unknowns
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(9, 9, 9)
+        monkeypatch.setattr(
+            solver_module, "apply_linearized",
+            lambda c, w, right_inverse=None: w.with_values(np.roll(w.values.ravel(), 1).reshape(grid.shape)),
+        )
+        rhs = np.zeros(grid.shape)
+        rhs[0, 0, 0] = 1.0
+        with pytest.raises(KrylovStalled, match="611 operator applications"):
+            solve_linearized(linearize(ScalarField.zeros(grid)), ScalarField(grid, rhs))
+
+    def test_zero_rhs_takes_no_application(self):
+        apply, calls = _counted(lambda v: 2.0 * v)
+        y, ok = _gmres(apply, np.zeros(30), 1e-9)
+        assert ok and calls == [] and not y.any()
+
+    def test_identity_takes_one_application(self):
+        b = np.random.default_rng(2).standard_normal(30)
+        apply, calls = _counted(lambda v: v)
+        y, ok = _gmres(apply, b, 1e-9)
+        assert ok and len(calls) == 1
+        assert np.allclose(y, b, rtol=1e-15, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -740,9 +823,9 @@ class TestGridRefinement:
         assert diff <= 1e-6
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # GMRES is imported by the linear solve that runs it, so the commands
-    # that solve nothing (verify, manufacture, export) do not pay for it
+def _scipy_modules_after(code):
+    """The scipy.sparse and scipy.linalg modules loaded after ``import ktcy``
+    and ``code`` in a fresh interpreter."""
     import os
     import pathlib
     import subprocess
@@ -751,9 +834,31 @@ def test_import_leaves_scipy_sparse_unloaded():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    listing = "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))))"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, ktcy; print('scipy.sparse' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, ktcy\n{code}\n{listing}"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the commands that solve nothing (verify, manufacture, export) load
+    # neither scipy.sparse nor scipy.linalg
+    assert _scipy_modules_after("") == "[]"
+
+
+def test_solve_leaves_scipy_sparse_and_linalg_unloaded():
+    # GMRES is the solver's own: a solve, float32 Krylov operator included,
+    # loads no sparse or dense scipy linear algebra
+    code = (
+        "import numpy as np\n"
+        "g = ktcy.GridSpec(9, 9, 9)\n"
+        "X, Y, T = g.meshgrid()\n"
+        "F = ktcy.renormalize(ktcy.ScalarField(g, 0.3 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y)"
+        " * np.sin(2 * np.pi * T)))\n"
+        "assert ktcy.solve(F, ktcy.SolverConfig(grid=g)).estimates.passed\n"
+        "assert 'scipy.fft' in sys.modules"
+    )
+    assert _scipy_modules_after(code) == "[]"
