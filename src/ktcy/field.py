@@ -9,6 +9,10 @@ knows which transform lengths are fast.  The other modules transform through
 :func:`_spectrum` and :func:`_from_spectrum` against the symbols built here
 (:func:`operator_symbols` and the preconditioner's :func:`_inverse_symbol`),
 and the solver picks its coarse grid sizes with :func:`_is_fast_odd_length`.
+:func:`resample` copies the kept modes of one ``rfftn`` into the target
+grid's half layout and takes one ``irfftn``.  :func:`interpolant_modes` and
+:func:`synthesize` hold the interpolant by signed mode, with the same
+Nyquist split, for :func:`evaluate` and the rotated pullback.
 The grid-frame linearization and the estimate audit take their derivatives
 as arrays from :func:`_derivatives`, which transforms a field once per axis
 and gives each axis's first and second derivatives, u_xy and u_xt from u_x:
@@ -27,6 +31,7 @@ fastest, then y, then t.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -514,6 +519,36 @@ def synthesize(grid: GridSpec, coeffs: np.ndarray, modes: tuple) -> ScalarField:
     return ScalarField(grid, np.fft.ifftn(spec).real * spec.size)
 
 
+def _mode_map(n: int, n_new: int, half: bool) -> list:
+    """:func:`resample`'s index remap on one axis of n samples onto n_new.
+
+    Returns (target, source, weight) index pairs: the target entry gains
+    weight times the source entry, on a full FFT axis or, with ``half``, on
+    the last axis of the ``rfftn`` layout (modes m >= 0).  The modes inside
+    both grids' bands keep their signed place.  Upsampling splits an even
+    axis's Nyquist mode into +-n/2 halves; downsampling to an even n_new
+    folds +-n_new/2 into its Nyquist mode.  The half layout stores only
+    +n_new/2 of that fold, but ``irfftn`` reads its Nyquist plane by the
+    Hermitian part, (c(k) + conj c(-k)) / 2 over the other axes' modes k,
+    and conj c(-k) there is the -n_new/2 mode: twice the stored plane is
+    the fold.
+    """
+    h = min((n - 1) // 2, (n_new - 1) // 2)
+    pairs = [(slice(0, h + 1), slice(0, h + 1), 1.0)]
+    if not half:
+        pairs.append((slice(n_new - h, n_new), slice(n - h, n), 1.0))
+    k = n_new // 2
+    if n % 2 == 0 and n_new > n:  # the split
+        pairs.append((n // 2, n // 2, 0.5))
+        if not half:
+            pairs.append((n_new - n // 2, n // 2, 0.5))
+    elif n_new % 2 == 0 and n_new == n:  # the two halves fold back whole
+        pairs.append((k, k, 1.0))
+    elif n_new % 2 == 0 and n_new < n:  # the fold
+        pairs += [(k, k, 2.0)] if half else [(k, k, 1.0), (k, n - k, 1.0)]
+    return pairs
+
+
 def resample(u: ScalarField, grid: GridSpec) -> ScalarField:
     """Spectral interpolation onto a grid with the same periods.
 
@@ -521,16 +556,21 @@ def resample(u: ScalarField, grid: GridSpec) -> ScalarField:
     |m| <= n_new / 2 move to index m mod n_new and the others are dropped.
     Upsampling thus splits an even grid's Nyquist mode into its +-n/2
     halves, and downsampling truncates, folding +-n_new/2 into an even
-    target's Nyquist mode.  Exact for fields resolved by both grids.
+    target's Nyquist mode.  Exact for fields resolved by both grids.  One
+    ``rfftn``, a copy of the kept modes into the target's half layout
+    (:func:`_mode_map`) and one ``irfftn``; the values agree with
+    ``synthesize`` of the kept :func:`interpolant_modes` to rounding.
     """
     if u.grid.periods != grid.periods:
         raise GridMismatchError("resample requires identical periods")
     if u.grid == grid:
         return u
-    coeffs, modes = interpolant_modes(u)
-    keep = [np.abs(k) <= n // 2 for k, n in zip(modes, grid.shape)]
-    kept_modes = np.ix_(*(k[kept] for k, kept in zip(modes, keep)))
-    return synthesize(grid, coeffs[np.ix_(*keep)], kept_modes)
+    spec = np.fft.rfftn(u.values, norm="forward")
+    out = np.zeros((grid.n_x, grid.n_y, grid.n_t // 2 + 1), dtype=spec.dtype)
+    maps = (_mode_map(n, n_new, ax == 2) for ax, (n, n_new) in enumerate(zip(u.grid.shape, grid.shape)))
+    for (tx, sx, wx), (ty, sy, wy), (tt, st, wt) in itertools.product(*maps):
+        out[tx, ty, tt] += (wx * wy * wt) * spec[sx, sy, st]
+    return ScalarField(grid, np.fft.irfftn(out, s=grid.shape, axes=(0, 1, 2), norm="forward"))
 
 
 def evaluate(u: ScalarField, x, y, t) -> np.ndarray:

@@ -35,11 +35,23 @@ solution, so any good start will do (nested iteration, as in Kelley's and
 Deuflhard's Newton texts).  When F is resolved on an odd grid of about half
 the size per axis (restriction then prolongation gives F back to
 newton_tol), the start marches there and spectrally prolongs the solution,
-and one Newton attempt finishes it on the requested grid.  Odd grids have no
-Nyquist mode, so discrete integration by parts holds exactly there and the
-coarse march has no mean-residual floor.  If the datum is not resolved, or
-either stage fails, the march runs on the requested grid from u = 0, so the
-sequencing never loses a solve.  On a grid with an even axis, a failed
+and one Newton attempt finishes it on the requested grid.  The coarse
+march solves only as far as its grid can tell: its attempt at tau = 1 ends
+once the next Newton correction it predicts, sup |w_k|^2 / sup |w_{k-1}|
+after a full step k >= 2, is at most the largest coefficient on the coarse
+grid's outermost Fourier shell, that grid's own truncation error
+(Deuflhard, *Newton Methods for Nonlinear Problems*, Springer 2004, on
+nested iteration).  Prolongation leaves a fine residual of the truncation
+error's size whatever the coarse residual, so the steps this saves would
+not shorten the finish: on the benchmark's large-amplitude 32^3 data the
+15^3 march takes 5 Newton steps instead of 7, and the 32^3 finish the same
+3.  A datum resolved on the coarse grid has its outermost shell at
+rounding level, and its march runs to newton_tol as before.  Odd grids have
+no Nyquist mode, so discrete integration by parts holds exactly there and
+the coarse march has no mean-residual floor.  If the datum is not resolved,
+or either stage fails, the march runs on the requested grid from u = 0, so
+the sequencing never loses a solve, and every solve meets newton_tol on the
+requested grid.  On a grid with an even axis, a failed
 attempt whose residual is all mean (sup |res - mean| <= newton_tol < mean)
 ends the march at once with ``NyquistFloor``: that mean is the solution's
 energy on the Nyquist planes, which the mean-zero Newton update cannot
@@ -221,10 +233,14 @@ class SolverConfig:
 class TraceRecord:
     tau: float
     newton_iters: int
+    # an accepted record meets newton_tol, except the coarse march's attempt
+    # at tau = 1, which may stop above it at the coarse grid's truncation level
     final_residual_sup: float
     lambda_min: float
     failure: str | None  # SolverError class that ended the attempt, None if accepted
-    krylov_applications: int  # operator applications over the attempt's linear solves
+    # operator applications over all the attempt's linear solves, those of a
+    # step whose line search failed included
+    krylov_applications: int
     grid: tuple  # shape of the grid the attempt ran on
 
     @property
@@ -429,7 +445,24 @@ def _forcing_term(res_sup: float, res_prev: float, eta_prev: float) -> float:
     return min(eta, _ETA_MAX)
 
 
-def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0):
+def _truncation_level(u: ScalarField) -> float:
+    """Largest Fourier coefficient magnitude of u on its grid's outermost
+    shell, |m| = (n - 1)/2 on some axis of an odd grid (no Nyquist mode).
+
+    The coarse march's estimate of its discretization error: the modes the
+    grid drops are of about this size.  One forward transform.
+    """
+    spec = np.abs(_spectrum(u.values))
+    nx, ny, _ = u.grid.shape
+    shell = max(
+        float(np.max(spec[[nx // 2, -(nx // 2)]])),
+        float(np.max(spec[:, [ny // 2, -(ny // 2)]])),
+        float(np.max(spec[..., -1])),
+    )
+    return shell / u.values.size
+
+
+def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
     """Inexact Newton loop for ma_lhs(u) = g from u0 to tolerance, at most
     ``cfg.newton_max_iters`` steps, in the frame of ``coeffs0``, the
     linearization of u0.
@@ -444,6 +477,15 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0):
     lambda_min all describe u.  failure is None on success, the
     ``SolverError`` a step raised, or a ``NewtonStalled`` when the step
     budget ran out.  A start that meets ``newton_tol`` is returned unchanged.
+    A step's Krylov applications count in the record also when its line
+    search fails.
+
+    With ``truncation_stop`` the attempt also succeeds above ``newton_tol``,
+    after a full step k >= 2 (line-search factor 1) whose Newton correction
+    w_k predicts a next correction sup |w_k|^2 / sup |w_{k-1}| at most
+    :func:`_truncation_level` of the new state: Deuflhard's nested-iteration
+    stop, once the iteration error falls below the grid's own truncation
+    error.
     """
     u, coeffs = u0, coeffs0
     # from here on only ``coeffs`` refers to them: the start coefficients are
@@ -451,6 +493,7 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0):
     del coeffs0
     res = coeffs.lhs() - g
     res_sup, eta, krylov, iters, failure = _sup(res), _ETA_MAX, 0, 0, None
+    w_prev = None
     try:
         min_q, min_p = float(np.min(coeffs.Q)), float(np.min(coeffs.P))
         if not (min_q > 0.0 and min_p > 0.0):
@@ -464,10 +507,20 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0):
                 )
             rtol = max(eta, _KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
             w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
+            krylov += applications
+            u_prev, w_sup = u, _sup(w.values)
             u, coeffs, res = _line_search(u, w, coeffs.angle, g, res_sup, cfg)
             res_prev, res_sup = res_sup, _sup(res)
-            iters, krylov = iters + 1, krylov + applications
+            iters += 1
             eta = _forcing_term(res_sup, res_prev, rtol)
+            if (
+                truncation_stop and w_prev is not None and res_sup > cfg.newton_tol
+                # the line search halves, so a full step moved u by all of w
+                and _sup(u.values - u_prev.values) > 0.75 * w_sup
+                and w_sup * w_sup <= w_prev * _truncation_level(u)
+            ):
+                break
+            w_prev = w_sup
     except SolverError as exc:
         # without its traceback, whose frames hold the failed step's
         # arrays, the error keeps no grid fields alive in the caller
@@ -517,7 +570,10 @@ def _odd_neighbours(shape: tuple) -> str:
     return " or ".join("x".join(map(str, g)) for g in grids if min(g) >= 5)
 
 
-def _continuation(g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None):
+def _continuation(
+    g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None,
+    truncation_stop: bool = False,
+):
     """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``, in the frame
     of ``angle``, along the targets 1 - tau + tau g for g = e^F.
 
@@ -528,7 +584,9 @@ def _continuation(g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple 
     tau_min_step with the failed attempt's residual.  On a grid with an even
     axis, a failed attempt whose residual is all mean, sup |res - mean| <=
     newton_tol < mean, raises NyquistFloor at once: the mean-zero Newton
-    update cannot remove that mean at any tau.  Returns u and
+    update cannot remove that mean at any tau.  ``truncation_stop`` lets the
+    attempt at tau = 1 stop at the grid's truncation level (see
+    :func:`_newton_attempt`), above newton_tol.  Returns u and
     ``linearize(u, angle)``.
     """
     grid = cfg.grid
@@ -540,7 +598,9 @@ def _continuation(g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple 
     while tau < 1.0:
         tau_try = min(1.0, tau + step)
         g_tau = g if tau_try == 1.0 else 1.0 - tau_try + tau_try * g
-        record, failure, u_end, coeffs_end = _newton_attempt(u, coeffs, g_tau, cfg, tau_try)
+        record, failure, u_end, coeffs_end = _newton_attempt(
+            u, coeffs, g_tau, cfg, tau_try, truncation_stop=truncation_stop and tau_try == 1.0
+        )
         records.append(record)
         if failure is None:
             u, coeffs, tau = u_end, coeffs_end, tau_try
@@ -615,8 +675,11 @@ def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     Raises _Unresolved when F has no coarse grid or is not resolved there
     (restriction then prolongation misses F by more than newton_tol), and
     the continuation's error when it fails; appends its records to
-    ``records``.  Returns the spectrally prolonged coarse solution, mean
-    zero, and the coarse grid shape.
+    ``records``.  The continuation's attempt at tau = 1 stops at the coarse
+    grid's truncation level (see :func:`_newton_attempt`), so its record may
+    end above newton_tol: the finish on cfg.grid meets it.  Returns the
+    spectrally prolonged coarse solution, mean zero, and the coarse grid
+    shape.
     """
     coarse = _coarse_grid(F.grid)
     if coarse is None:
@@ -625,7 +688,9 @@ def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     if _sup(resample(F_coarse, F.grid).values - F.values) > cfg.newton_tol:
         raise _Unresolved(f"F is not resolved on the coarse grid {coarse.shape}")
     g_coarse = np.exp(renormalize(F_coarse).values)
-    u_coarse, _ = _continuation(g_coarse, replace(cfg, grid=coarse), records, angle)
+    u_coarse, _ = _continuation(
+        g_coarse, replace(cfg, grid=coarse), records, angle, truncation_stop=True
+    )
     return project_mean_zero(resample(u_coarse, F.grid)), coarse.shape
 
 
@@ -637,8 +702,9 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     that u = 0 already solves gets one Newton attempt from u = 0, which
     takes no step.  When F is resolved on the coarse grid (restriction then
     prolongation reproduces it to newton_tol), the tau continuation runs on
-    that grid for the renormalized restriction of F, its solution is
-    spectrally prolonged to cfg.grid, and one Newton attempt finishes there.
+    that grid for the renormalized restriction of F, down to that grid's
+    truncation level, its solution is spectrally prolonged to cfg.grid, and
+    one Newton attempt finishes there.
     If F is not resolved, the coarse continuation fails or the fine Newton
     attempt fails, the continuation runs on cfg.grid from u = 0.  Either way
     the result meets newton_tol on cfg.grid; the trace keeps every attempt,

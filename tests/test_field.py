@@ -21,6 +21,7 @@ from ktcy.field import (
     evaluate,
     gradient,
     integrate,
+    interpolant_modes,
     mean,
     norms,
     operator_symbols,
@@ -29,6 +30,7 @@ from ktcy.field import (
     read_field,
     resample,
     sample,
+    synthesize,
     write_field,
 )
 
@@ -407,6 +409,28 @@ class TestResample:
         want = sample(lambda x, y, t: np.cos(TAU * 2 * x) * np.sin(TAU * y + 0.3), g_coarse)
         got = resample(kept + dropped, g_coarse)
         assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "source,target",
+        [
+            ((9, 9, 9), (16, 17, 20)), ((16, 17, 20), (9, 9, 9)),  # odd up to mixed, and back down
+            ((8, 10, 12), (13, 15, 17)), ((13, 15, 17), (8, 10, 12)),  # even up to odd, odd down to even
+            ((8, 9, 10), (12, 14, 16)), ((12, 14, 16), (8, 9, 10)),  # even to even both ways
+            ((10, 7, 6), (6, 11, 10)),  # down and up at once
+        ],
+        ids=str,
+    )
+    def test_matches_the_interpolant_remap(self, source, target):
+        # the real-transform remap against the signed-mode one it replaces:
+        # keep |m| <= n_new / 2, split an even source's Nyquist mode, fold
+        # +-n_new/2 onto an even target's, on white noise (every mode set)
+        periods = (2.0, 0.5, 3.0)
+        u = ScalarField(GridSpec(*source, *periods), np.random.default_rng(7).standard_normal(source))
+        grid = GridSpec(*target, *periods)
+        coeffs, modes = interpolant_modes(u)
+        keep = [np.abs(k) <= n // 2 for k, n in zip(modes, grid.shape)]
+        want = synthesize(grid, coeffs[np.ix_(*keep)], np.ix_(*(k[kept] for k, kept in zip(modes, keep))))
+        assert np.max(np.abs(resample(u, grid).values - want.values)) <= 1e-14
 
     def test_period_mismatch_rejected(self, grid8, rng):
         u = random_band_limited(grid8, rng)

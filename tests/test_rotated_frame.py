@@ -155,18 +155,18 @@ class TestUnitGridStart:
         F, cfg, _ = rotated_24
         continuation, attempt, failed = solver_module._continuation, solver_module._newton_attempt, []
 
-        def failing_continuation(g, cfg_, records, angle=None):
+        def failing_continuation(g, cfg_, records, angle=None, truncation_stop=False):
             if angle is not None:
                 raise ContinuationStalled("forced")
-            return continuation(g, cfg_, records, angle)
+            return continuation(g, cfg_, records, angle, truncation_stop)
 
-        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0):
+        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0, truncation_stop=False):
             target = F.grid if stage == "unit" else cfg.grid
             if cfg_.grid == target and not failed:
                 failed.append(1)
                 record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
                 return record, NewtonStalled("forced"), u0, coeffs0
-            return attempt(u0, coeffs0, g, cfg_, tau)
+            return attempt(u0, coeffs0, g, cfg_, tau, truncation_stop)
 
         if stage == "coarse":
             monkeypatch.setattr(solver_module, "_continuation", failing_continuation)

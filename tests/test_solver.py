@@ -425,22 +425,25 @@ class TestNewtonAttempt:
 
     def test_failing_solves_linearize_each_state_once(self, linearize_calls):
         # the first 10^3 draw of the even-grid survey ends on the Nyquist
-        # floor; the 17^3 datum falls back to the continuation after its
-        # Newton finish is refused.  Linearizing a kept or an end state again
-        # after a failed attempt would raise these counts (to 50 and 19)
+        # floor: a 5^3 march of 3 steps, stopped at its truncation level, a
+        # 10^3 finish of 10 steps whose next line search fails, and one
+        # failed 10^3 attempt from u = 0.  The 17^3 datum falls back to the
+        # continuation after its Newton finish from a 9^3 march of 4 steps
+        # is refused.  Linearizing the end state again after each failed
+        # attempt would raise these counts (to 53 and 17)
         rng = np.random.default_rng(1000)
         amplitude = 0.2 + 1.8 * rng.uniform()
         F = renormalize(random_band_limited(GridSpec(10, 10, 10), rng, 1, amplitude))
         with pytest.raises(NyquistFloor):
             solve(F, SolverConfig(grid=F.grid))
-        assert len(linearize_calls) == 47
+        assert len(linearize_calls) == 51
         linearize_calls.clear()
         F = renormalize(random_band_limited(
             GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
         ))
         report = solve(F, SolverConfig(grid=F.grid))
         assert report.coarse_grid is None and not report.trace.records[1].accepted
-        assert len(linearize_calls) == 18
+        assert len(linearize_calls) == 16
 
 
 class TestSolve:
@@ -595,6 +598,29 @@ def _continuation_only(F, cfg):
         solver_module._coarse_grid = original
 
 
+def _large_amplitude_datum(n, amplitude, seed):
+    """a sin 2 pi x sin 2 pi y sin 2 pi t plus band-limited noise of a tenth
+    of its size, renormalized: a small ``large-amp-32`` datum."""
+    grid = GridSpec(n, n, n)
+    sss = sample(lambda x, y, t: np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid)
+    noise = random_band_limited(grid, np.random.default_rng(seed), max_mode=2, amplitude=0.1 * amplitude)
+    return renormalize(amplitude * sss + noise)
+
+
+@pytest.fixture
+def without_truncation_stop(monkeypatch):
+    """Calls ``solve`` with the coarse march's truncation level patched to 0,
+    so that the march runs to newton_tol as it did before the stop."""
+    import ktcy.solver as solver_module
+
+    def run(F, cfg):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_truncation_level", lambda u: 0.0)
+            return solve(F, cfg)
+
+    return run
+
+
 class TestGridSequencing:
     def test_agrees_with_continuation_only(self):
         F = _band_limited_datum(24)
@@ -618,17 +644,17 @@ class TestGridSequencing:
         full = _continuation_only(F, cfg)
         continuation, attempt, fine_calls = solver_module._continuation, solver_module._newton_attempt, []
 
-        def failing_continuation(g, cfg_, records, angle=None):
+        def failing_continuation(g, cfg_, records, angle=None, truncation_stop=False):
             if cfg_.grid != cfg.grid:
                 raise ContinuationStalled("forced")
-            return continuation(g, cfg_, records, angle)
+            return continuation(g, cfg_, records, angle, truncation_stop)
 
-        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0):
+        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0, truncation_stop=False):
             if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
                 fine_calls.append(1)
                 record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
                 return record, NewtonStalled("forced"), u0, coeffs0
-            return attempt(u0, coeffs0, g, cfg_, tau)
+            return attempt(u0, coeffs0, g, cfg_, tau, truncation_stop)
 
         if stage == "coarse":
             monkeypatch.setattr(solver_module, "_continuation", failing_continuation)
@@ -656,6 +682,86 @@ class TestGridSequencing:
         assert np.array_equal(report.u.values, _continuation_only(F, cfg16).u.values)
 
 
+    def test_coarse_march_stops_at_its_truncation_level(self, without_truncation_stop):
+        # the 15^3 march ends once its predicted next correction is below
+        # the grid's top Fourier shell; the 24^3 finish takes as many steps
+        # as from the start marched to newton_tol, and lands on the same u
+        F = _large_amplitude_datum(24, 3.0, 1)
+        cfg = SolverConfig(grid=F.grid)
+        stopped, full = solve(F, cfg), without_truncation_stop(F, cfg)
+        (coarse, fine), (coarse_full, fine_full) = stopped.trace.records, full.trace.records
+        assert coarse.grid == coarse_full.grid == (15, 15, 15) and coarse.accepted
+        assert coarse.final_residual_sup > cfg.newton_tol >= coarse_full.final_residual_sup
+        assert coarse.newton_iters < coarse_full.newton_iters
+        assert coarse.krylov_applications < coarse_full.krylov_applications
+        assert fine.newton_iters == fine_full.newton_iters and fine.final_residual_sup <= cfg.newton_tol
+        assert _sup(stopped.u.values - full.u.values) <= 1e-12
+        assert stopped.estimates.passed
+
+    def test_resolved_datum_runs_as_without_the_stop(self, without_truncation_stop):
+        # u is resolved on 15^3: its top shell is at rounding level, far
+        # below any predicted correction, so the march never stops early
+        F = _band_limited_datum(24)
+        cfg = SolverConfig(grid=F.grid)
+        stopped, full = solve(F, cfg), without_truncation_stop(F, cfg)
+        assert stopped.trace.records == full.trace.records
+        assert np.array_equal(stopped.u.values, full.u.values)
+        assert stopped.coarse_fine_sup == full.coarse_fine_sup
+
+    def test_truncation_level_reads_the_outer_shell(self):
+        # modes with |m| = 3 on some axis of a 7^3 grid, of coefficient 0.02
+        # (x), 0.05 (y) and 0.015 (t); the larger inner mode m = 2 is not read
+        import ktcy.solver as solver_module
+
+        u = sample(
+            lambda x, y, t: 0.04 * np.cos(3 * TAU * x) + 0.1 * np.sin(3 * TAU * y - 0.4)
+            + 0.03 * np.cos(TAU * x + 3 * TAU * t) + 0.5 * np.sin(2 * TAU * x),
+            GridSpec(7, 7, 7),
+        )
+        assert solver_module._truncation_level(u) == pytest.approx(0.05, rel=1e-13)
+        assert solver_module._truncation_level(u - u.with_values(
+            0.1 * np.sin(3 * TAU * u.grid.meshgrid()[1] - 0.4)
+        )) == pytest.approx(0.02, rel=1e-13)
+
+
+def _hard_datum(name):
+    """A hard 25^3 datum by name: a.sss is renormalize(a sin 2 pi x sin 2 pi y
+    sin 2 pi t), seed s a = A a ``random_band_limited`` draw of max_mode 3."""
+    grid = GridSpec(25, 25, 25)
+    if name.endswith("sss"):
+        sss = sample(lambda x, y, t: np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid)
+        return renormalize(float(name[0]) * sss)
+    seed, amplitude = (int(part.split("=")[1]) for part in name.split())
+    return renormalize(random_band_limited(grid, np.random.default_rng(seed), 3, amplitude))
+
+
+class TestHardData:
+    @pytest.mark.parametrize("name", ["5.sss", "8.sss", "seed=7 a=4", "seed=9 a=6"])
+    def test_solves_and_counts_every_application(self, name, monkeypatch):
+        # these stiff data take the coarse march, and seed 9 fails steps in
+        # it and in the fallback: each record counts the operator
+        # applications of all its linear solves, a failed step's included
+        import ktcy.solver as solver_module
+
+        spent, linear_solve = [], solver_module.solve_linearized
+
+        def counting_solve(*args, **kwargs):
+            w, applications = linear_solve(*args, **kwargs)
+            spent.append(applications)
+            return w, applications
+
+        monkeypatch.setattr(solver_module, "solve_linearized", counting_solve)
+        F = _hard_datum(name)
+        cfg = SolverConfig(grid=F.grid)
+        report = solve(F, cfg)
+        assert report.final_residual_sup <= cfg.newton_tol and report.estimates.passed
+        records = report.trace.records
+        assert records[0].grid == (15, 15, 15)
+        assert sum(r.krylov_applications for r in records) == sum(spent)
+        if name == "seed=9 a=6":
+            assert "LineSearchFailed" in {r.failure for r in records}
+
+
 class TestContinuation:
     def test_one_ellipticity_report_per_solve(self, pde_calls, monkeypatch):
         # each attempt reads lambda_min off the coefficients it holds, by the
@@ -667,8 +773,8 @@ class TestContinuation:
         F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
         attempt, ended = solver_module._newton_attempt, []
 
-        def recording_attempt(*args):
-            ended.append(attempt(*args))
+        def recording_attempt(*args, **kwargs):
+            ended.append(attempt(*args, **kwargs))
             return ended[-1]
 
         monkeypatch.setattr(solver_module, "_newton_attempt", recording_attempt)
@@ -692,7 +798,7 @@ class TestContinuation:
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.8))
         targets = []
 
-        def scripted_attempt(u0, coeffs0, g, cfg_, tau=1.0):
+        def scripted_attempt(u0, coeffs0, g, cfg_, tau=1.0, truncation_stop=False):
             targets.append((tau, g))
             failure = NewtonStalled("scripted") if len(targets) <= 3 else None
             name = None if failure is None else "NewtonStalled"
