@@ -48,6 +48,7 @@ from .geometry import (
 from .pde import (
     EllipticityReport,
     LinearizedCoeffs,
+    MeanPreconditioner,
     NonPositiveLHS,
     apply_linearized,
     ellipticity_report,
@@ -57,7 +58,6 @@ from .pde import (
     manufacture,
     renormalize,
     residual,
-    symbol_eigenvalues,
 )
 from .solver import (
     ContinuationStalled,

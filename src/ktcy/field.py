@@ -21,8 +21,8 @@ The two transforms keep the precision of their input: float64 values go
 through ``numpy.fft``, and float32 values, with their complex64 spectra,
 through ``scipy.fft``, which transforms single precision natively.
 ``scipy.fft`` is imported on the first single-precision transform, so
-importing the package does not load it.  :func:`_single` and
-:func:`_single_symbols` give the symbols in single precision.
+importing the package does not load it.  :func:`_single` casts a symbol
+to single precision.
 
 Axis convention: values are indexed ``[i, j, k]`` for the point
 ``(i*L_x/n_x, j*L_y/n_y, k*L_t/n_t)``.  The text dump format stores x
@@ -339,21 +339,12 @@ def _inverse_symbol(grid: GridSpec, pbar: float, qbar: float, angle: tuple | Non
 
 
 def _single(symbol: np.ndarray) -> np.ndarray:
-    """A symbol in single precision: float32, or complex64 if it is complex.
+    """A symbol or array in single precision: float32, or complex64 if complex.
 
     A complex symbol never goes to a real dtype, which would drop its
     imaginary part: the d_t part of ``yy_tt_t`` and the M^{-1} symbol.
     """
     return symbol.astype(np.complex64 if np.iscomplexobj(symbol) else np.float32)
-
-
-@functools.lru_cache(maxsize=8)
-def _single_symbols(grid: GridSpec, angle: tuple | None = None) -> OperatorSymbols:
-    """The cached :func:`operator_symbols` table in single precision (read-only)."""
-    table = OperatorSymbols(*(_single(symbol) for symbol in operator_symbols(grid, angle)))
-    for symbol in table:
-        symbol.flags.writeable = False
-    return table
 
 
 def _spectrum(values: np.ndarray) -> np.ndarray:

@@ -22,10 +22,12 @@ and q, and the coefficients carry that frame to everything that uses them.
 transform per derivative group against the cached
 :func:`~ktcy.field.operator_symbols` table.  Every transform goes through
 :mod:`ktcy.field`, which alone chooses the FFT backend and the layout of
-the spectra and symbols.  Given a Fourier-diagonal
-``right_inverse`` symbol of an operator M, it multiplies the spectrum of w by
-that symbol between the two, applying L M^{-1} in the same five transforms:
-this is how the solver's right preconditioning runs.
+the spectra and symbols.  Given the :class:`MeanPreconditioner` of the
+coefficients, it applies L M^{-1} for the grid-mean operator M in one
+forward and three inverse transforms: M^{-1} is folded into the
+derivative groups, and the group of Q is rewritten through the xx group
+and the mean-zero projection.  This is how the solver's right
+preconditioning runs.
 
 :func:`renormalize` and :func:`manufacture` make solver-ready data: the
 integral of e^F equals the box volume, so e^F has mean 1.  The solver works
@@ -41,7 +43,7 @@ import numpy as np
 
 from .field import (
     GridMismatchError, GridSpec, ScalarField, _Derivatives, _derivatives, _from_spectrum,
-    _single_symbols, _spectrum, operator_symbols, project_mean_zero,
+    _inverse_symbol, _single, _spectrum, operator_symbols, project_mean_zero,
 )
 
 _TRACE_TOL = 1e-8  # relative slack of the trace-floor test, as in the estimate audit
@@ -175,63 +177,95 @@ def manufacture(u_star: ScalarField) -> tuple[ScalarField, ScalarField]:
     return lhs.with_values(np.log(lhs.values)), u0
 
 
+class MeanPreconditioner:
+    """M^{-1} for the grid-mean operator of coefficients c, folded into L.
+
+    M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t) in the frame of c, with Pbar
+    and Qbar the grid means of P and Q; its inverse symbol is 0 on the zero
+    mode (:func:`~ktcy.field._inverse_symbol`).  On every other mode the
+    symbol of the Q group times M^{-1} is (1 - Pbar xx M^{-1}) / Qbar, so
+
+        L M^{-1} w = (P - (Pbar/Qbar) Q) d_xx M^{-1} w + (Q/Qbar) Pi w
+                     - 2 R d_xy M^{-1} w - 2 S d_xt M^{-1} w
+
+    with Pi the mean-zero projection: one forward and three inverse
+    transforms against the composite symbols xx M^{-1}, -2 xy M^{-1} and
+    -2 xt M^{-1}, which carry the factor -2 of the mixed groups.  The
+    identity holds mode by mode on odd and even grids (M and the composite
+    symbols share the Nyquist-zeroed first-order factors) and in a rotated
+    frame.
+
+    Everything is built once, in float64 from the float64 coefficients, and
+    held in ``dtype``: float32 arrays and complex64 symbols for float32.
+    The folded apply (:func:`apply_linearized`) and :meth:`solve` run in
+    that precision.  Nothing is stored on c: what is built here is freed
+    with the preconditioner, at the end of the linear solve that builds it.
+    """
+
+    def __init__(self, c: LinearizedCoeffs, dtype=np.float64):
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+        # each product is cast as it is made, so at most one float64
+        # temporary is alive at a time
+        held = _single if dtype == np.float32 else (lambda a: a)
+        pbar, qbar = float(np.mean(c.P)), float(np.mean(c.Q))
+        inverse = _inverse_symbol(c.grid, pbar, qbar, c.angle)
+        symbols = operator_symbols(c.grid, c.angle)
+        self.grid, self.angle, self.dtype = c.grid, c.angle, dtype
+        self.P_fold = held(c.P - (pbar / qbar) * c.Q)
+        self.Q_fold = held(c.Q / qbar)
+        self.R, self.S = held(c.R), held(c.S)
+        self.xx = held(symbols.xx * inverse)
+        self.xy = held(-2.0 * symbols.xy * inverse)
+        self.xt = held(-2.0 * symbols.xt * inverse)
+        self.inverse = held(inverse)
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """M^{-1} of grid values, one forward and one inverse transform in
+        the preconditioner's precision; an array of that precision."""
+        spec = _spectrum(values.astype(self.dtype, copy=False))
+        return _from_spectrum(spec, self.inverse, self.grid)
+
+
 def apply_linearized(
-    c: LinearizedCoeffs, w: ScalarField, right_inverse: np.ndarray | None = None
+    c: LinearizedCoeffs, w: ScalarField, preconditioner: MeanPreconditioner | None = None
 ) -> ScalarField:
-    """L w, or L M^{-1} w when ``right_inverse`` holds the Fourier symbol of M^{-1}.
+    """L w, or L M^{-1} w given the :class:`MeanPreconditioner` of ``c``.
 
-    ``right_inverse`` is an array broadcastable over the spectral layout of
-    :mod:`ktcy.field`.  It multiplies the spectrum of w before the four
-    inverse transforms, so a right-preconditioned apply costs the same five
-    transforms as a plain one.
-    The derivative groups are those of the frame of ``c``.
-
-    The apply runs in the precision of the coefficients.  The coefficients of
-    :func:`linearize` are float64.  With float32 coefficients, w is rounded to
-    float32 and the transforms and products run in single precision against
-    the single-precision symbol table; ``right_inverse`` should then be
-    complex64 (``field._single``).  The result is a float64 field either way.
-    In single precision it matched the float64 apply to 3e-7 relative on
-    16^3 test fields, and to 6e-6 on the Newton corrections of the benchmark
-    solves, whose high modes L amplifies.
+    L w takes one forward and four inverse float64 transforms, one per
+    derivative group of the frame of ``c``.  L M^{-1} w takes one forward
+    and three inverse transforms, in the precision of the preconditioner:
+    float32 rounds w to float32 and runs the transforms and products in
+    single precision.  The result is a float64 field either way.  In single
+    precision it matched the float64 preconditioned apply to 1.6e-7 relative
+    (sup) on white-noise w, and to 6.1e-7 on the 270 float32 Krylov vectors
+    of the first three data of each benchmark workload.
     """
     if c.grid != w.grid:
         raise GridMismatchError("apply_linearized: coefficient/argument grid mismatch")
-    if c.P.dtype == np.float32:
-        symbols = _single_symbols(w.grid, c.angle)
-        spec = _spectrum(w.values.astype(np.float32))
-    else:
-        symbols = operator_symbols(w.grid, c.angle)
+    grid = w.grid
+    if preconditioner is None:
+        symbols = operator_symbols(grid, c.angle)
         spec = _spectrum(w.values)
-    if right_inverse is not None:
-        spec *= right_inverse
+        return w.with_values(
+            c.P * _from_spectrum(spec, symbols.xx, grid)
+            + c.Q * _from_spectrum(spec, symbols.yy_tt_t, grid)
+            - 2.0 * (c.R * _from_spectrum(spec, symbols.xy, grid))
+            - 2.0 * (c.S * _from_spectrum(spec, symbols.xt, grid))
+        )
+    K = preconditioner
+    if (K.grid, K.angle) != (c.grid, c.angle):
+        raise ValueError("apply_linearized: the preconditioner is not that of the coefficients")
+    values = w.values.astype(K.dtype, copy=False)
+    spec = _spectrum(values)
+    mean_zero = values - spec[0, 0, 0].real / values.size
     return w.with_values(
-        c.P * _from_spectrum(spec, symbols.xx, w.grid)
-        + c.Q * _from_spectrum(spec, symbols.yy_tt_t, w.grid)
-        - 2.0 * (c.R * _from_spectrum(spec, symbols.xy, w.grid))
-        - 2.0 * (c.S * _from_spectrum(spec, symbols.xt, w.grid))
+        K.P_fold * _from_spectrum(spec, K.xx, grid)
+        + K.Q_fold * mean_zero
+        + K.R * _from_spectrum(spec, K.xy, grid)
+        + K.S * _from_spectrum(spec, K.xt, grid)
     )
-
-
-def symbol_eigenvalues(u: ScalarField):
-    """Eigenvalue fields of the 3x3 principal-symbol matrix
-
-        [ P  R  S ]
-        [ R  Q  0 ]
-        [ S  0  Q ]
-
-    from its factored characteristic polynomial: one linear factor Q and a
-    quadratic with roots lam_pm.  Returns (lam_minus, lam_plus, Q); the
-    discriminant (P - Q)^2 + 4 R^2 + 4 S^2 is nonnegative, so the roots are
-    always real and satisfy lam_minus <= Q <= lam_plus.
-    """
-    c = linearize(u)
-    P, Q, R, S = c.P, c.Q, c.R, c.S
-    half_sum = 0.5 * (P + Q)
-    half_disc = 0.5 * np.sqrt((P - Q) ** 2 + 4.0 * R**2 + 4.0 * S**2)
-    lam_minus = u.with_values(half_sum - half_disc)
-    lam_plus = u.with_values(half_sum + half_disc)
-    return lam_minus, lam_plus, u.with_values(Q)
 
 
 @dataclass(frozen=True)

@@ -66,45 +66,44 @@ M is the constant-coefficient operator
     M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
 
 with Pbar, Qbar the grid means of the linearization coefficients.  It is
-diagonal in Fourier space, and nonsingular on mean-zero functions.  The
-solver only chooses M, by its means and frame; :mod:`ktcy.field` builds its
-inverse symbol from the same ``operator_symbols`` table as the linearized
-apply, with the zero mode pinned to 0, and runs every transform the solver
-needs.  D multiplies by the trace ratio
-d = (P + Q) / (Pbar + Qbar), which M cannot see: where P and Q vary
-together, L is close to d M, so L K is close to the identity; on the flat
-state d = 1 and K = M^{-1}.  On large data this about halves the Krylov work
-(Saad, *Iterative Methods for Sparse Linear Systems*, 2003, section 9.3, on
-right preconditioning).  The first-order term makes L non-symmetric, hence a
-residual-minimizing Krylov method.  GMRES runs on L K: each application
-divides its vector by d and passes the inverse symbol of M to
-``apply_linearized``, which applies it between its forward and inverse
-transforms, and w = M^{-1}(y / d) is recovered once at the end, so
-||b - L K y||_2 is the residual ||b - L w||_2 of the Newton system itself.
-GMRES is the solver's own, ``_gmres``: it stops on its least-squares
-residual, which equals ||b - L K y||_2 in exact arithmetic (Saad, Prop.
-6.9; Kelley's ``nsoli`` in *Solving Nonlinear Equations with Newton's
-Method*, SIAM 2003, stops on it too), and spends no operator application
-to confirm it.  A restart starts from the true residual.
+diagonal in Fourier space, and nonsingular on mean-zero functions.
+:class:`~ktcy.pde.MeanPreconditioner` builds it, once per linear solve, in
+the frame of the coefficients and from the same ``operator_symbols`` table
+as the linearized apply, with the zero mode pinned to 0.  D multiplies by
+the trace ratio d = (P + Q) / (Pbar + Qbar), which M cannot see: where P
+and Q vary together, L is close to d M, so L K is close to the identity; on
+the flat state d = 1 and K = M^{-1}.  On large data this about halves the
+Krylov work (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
+section 9.3, on right preconditioning).  The first-order term makes L
+non-symmetric, hence a residual-minimizing Krylov method.  GMRES runs on
+L K: each application divides its vector by d and passes the preconditioner
+to ``apply_linearized``, which folds M^{-1} into L and applies L M^{-1} in
+one forward and three inverse transforms, and w = M^{-1}(y / d) is
+recovered once at the end, so ||b - L K y||_2 is the residual ||b - L w||_2
+of the Newton system itself.  GMRES is the solver's own, ``_gmres``: it
+stops on its least-squares residual, which equals ||b - L K y||_2 in exact
+arithmetic (Saad, Prop. 6.9; Kelley's ``nsoli`` in *Solving Nonlinear
+Equations with Newton's Method*, SIAM 2003, stops on it too), and spends no
+operator application to confirm it.  A restart starts from the true
+residual.
 
-The operator runs in float32 when a solve asks for rtol >= 1e-5
-(mixed-precision inexact Newton: Kelley, *Newton's method in mixed
-precision*, SIAM Review 64, 2022).  On the first three data of each
-benchmark workload, 86 of the 87 linear solves did; the smallest forcing
-term there was 9.1e-6.  The coefficients P, Q, R, S and the M^{-1} symbol
-are cast once per linear solve, and ``apply_linearized`` transforms in
-single precision through :mod:`ktcy.field`.  GMRES itself, the mean
-projection of each application and the recovery of w stay float64, as
+The preconditioned operator runs in float32 when a solve asks for
+rtol >= 1e-5 (mixed-precision inexact Newton: Kelley, *Newton's method in
+mixed precision*, SIAM Review 64, 2022).  On the first three data of each
+benchmark workload, 80 of the 81 linear solves did; the smallest forcing
+term there was 9.1e-6.  The preconditioner is then built in float32, and
+both the applications and the recovery of w transform in single precision
+through :mod:`ktcy.field`: such a linear solve takes no float64 transform.
+GMRES itself and the mean projection of each application stay float64, as
 does every other computation: the residual, ``linearize``, the line search
 and the audit.  The float64 residual fixes the Newton fixed point, so the
-answer does not change.  Below 1e-5 the operator is float64.  GMRES stops
-on the least-squares residual of the operator it applies, and the float64
-||b - L K y||_2 still met rtol ||b||_2 in every linear solve measured: at
-most 0.993 rtol ||b||_2 in the 87 solves above, whose relative residual
-came no closer to rtol than 2.2e-6 below it, and at most 0.987 rtol
-||b||_2 in the 53 solves of two hard 25^3 data, the renormalized
-8 sin 2 pi x sin 2 pi y sin 2 pi t and ``random_band_limited`` of seed 7,
-max_mode 3 and amplitude 4.
+answer does not change.  Below 1e-5 the operator and the recovery are
+float64.  GMRES stops on the least-squares residual of the operator it
+applies, and the float64 ||b - L w||_2 still met rtol ||b||_2 in every
+linear solve measured: at most 0.959 rtol ||b||_2 in the 81 solves above,
+and at most 0.987 rtol ||b||_2 in the 48 solves of two hard 25^3 data, the
+renormalized 8 sin 2 pi x sin 2 pi y sin 2 pi t and ``random_band_limited``
+of seed 7, max_mode 3 and amplitude 4.
 
 The Newton loop solves each system only as accurately as the step needs
 (inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
@@ -159,15 +158,14 @@ from .field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
-    _from_spectrum,
-    _inverse_symbol,
     _is_fast_odd_length,
-    _single,
     _spectrum,
     project_mean_zero,
     resample,
 )
-from .pde import LinearizedCoeffs, _min_lambda, apply_linearized, linearize, renormalize
+from .pde import (
+    LinearizedCoeffs, MeanPreconditioner, _min_lambda, apply_linearized, linearize, renormalize,
+)
 
 _KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
 _SINGLE_PRECISION_RTOL = 1e-5  # from this rtol up, the Krylov operator runs in float32
@@ -293,17 +291,19 @@ def solve_linearized(
     once GMRES's least-squares residual, equal to ||b - L w||_2 in exact
     arithmetic, is at most rtol ||b||_2, b the mean-zero part of rhs, with no
     operator application to confirm it; raises KrylovStalled after 12 cycles
-    of 50 iterations.  rtol defaults to 1e-9, the floor of the Newton loop's
-    forcing terms.  Returns the solution and the number of operator
-    applications.
+    of 50 iterations, or when GMRES breaks down.  Each application takes one
+    forward and three inverse transforms.  rtol defaults to 1e-9, the floor
+    of the Newton loop's forcing terms.  Returns the solution and the number
+    of operator applications.
 
-    Precision: for rtol >= 1e-5 the operator L K runs in float32, on P, Q,
-    R, S and the M^{-1} symbol cast once per call, so the stop test runs on
-    the float32 operator, not on L.  The float64 ||b - L w||_2 still met
-    rtol ||b||_2 in all 140 solves of the three benchmark workloads' first
-    three data and two hard 25^3 data, at most 0.993 rtol ||b||_2.
-    Below 1e-5 the operator is float64 throughout.  GMRES, the mean
-    projections and the recovery of w are float64 at every rtol.
+    Precision: for rtol >= 1e-5 the operator L K and the recovery of w run
+    in float32, against the :class:`~ktcy.pde.MeanPreconditioner` built in
+    float32 once per call, so the stop test runs on the float32 operator, not
+    on L, and the call takes no float64 transform.  The float64
+    ||b - L w||_2 still met rtol ||b||_2 in all 129 solves of the three
+    benchmark workloads' first three data and two hard 25^3 data, at most
+    0.987 rtol ||b||_2.  Below 1e-5 the operator and the recovery are
+    float64.  GMRES and the mean projections are float64 at every rtol.
     """
     grid = rhs.grid
     if grid != coeffs.grid:
@@ -316,16 +316,9 @@ def solve_linearized(
     d = trace / float(np.mean(trace))
     # M in the frame of the linearized apply, so it inverts the flat-case
     # linearization in a single Krylov iteration
-    inv_symbol = _inverse_symbol(
-        grid, float(np.mean(coeffs.P)), float(np.mean(coeffs.Q)), coeffs.angle
+    preconditioner = MeanPreconditioner(
+        coeffs, np.float32 if rtol >= _SINGLE_PRECISION_RTOL else np.float64
     )
-    op_coeffs, op_symbol = coeffs, inv_symbol
-    if rtol >= _SINGLE_PRECISION_RTOL:
-        op_coeffs = LinearizedCoeffs(
-            grid, *(a.astype(np.float32) for a in (coeffs.P, coeffs.Q, coeffs.R, coeffs.S)),
-            angle=coeffs.angle,
-        )
-        op_symbol = _single(inv_symbol)
 
     applications = [0]
 
@@ -336,7 +329,7 @@ def solve_linearized(
         # above tolerance
         applications[0] += 1
         y = ScalarField(grid, v.reshape(shape) / d)
-        out = apply_linearized(op_coeffs, y, right_inverse=op_symbol).values
+        out = apply_linearized(coeffs, y, preconditioner=preconditioner).values
         return (out - np.mean(out)).ravel()
 
     b = (rhs.values - np.mean(rhs.values)).ravel()
@@ -346,7 +339,7 @@ def solve_linearized(
             f"GMRES missed rtol {rtol:.1e} in {_GMRES_MAX_CYCLES} cycles of "
             f"{_GMRES_RESTART}, after {applications[0]} operator applications"
         )
-    w = _from_spectrum(_spectrum(y.reshape(shape) / d), inv_symbol, grid)
+    w = preconditioner.solve(y.reshape(shape) / d)
     return project_mean_zero(ScalarField(grid, w)), applications[0]
 
 
@@ -358,7 +351,10 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
     most rtol ||b||_2: in exact arithmetic it equals ||b - A y||_2 (Saad,
     2003, Prop. 6.9), so no application confirms it.  A restart starts from
     the true residual b - A y.  Returns (y, ok); ok is False after
-    ``_GMRES_MAX_CYCLES`` cycles.  b = 0 takes no application.
+    ``_GMRES_MAX_CYCLES`` cycles, and on a breakdown that leaves the
+    Hessenberg matrix singular (an Arnoldi step with h_kk = h_{k+1,k} = 0
+    after the rotations), with y that of the last restart.  b = 0 takes no
+    application.
     """
     y = np.zeros_like(b)
     tol = rtol * float(np.linalg.norm(b))
@@ -385,6 +381,10 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
             # LAPACK dlartg's rotation in its unscaled range: c >= 0, and rho
             # takes the sign of h[k]
             d = math.sqrt(h[k] * h[k] + h_next * h_next)
+            if d == 0.0:
+                # breakdown: the rotated Hessenberg matrix is singular, so no
+                # iterate of this Krylov space improves on y
+                return y, False
             rho = math.copysign(d, h[k])
             c, s = abs(h[k]) / d, h_next / rho
             h[k] = rho

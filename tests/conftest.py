@@ -44,16 +44,20 @@ def pde_calls(monkeypatch):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A Counter of the ``numpy.fft`` transforms called during the test, by name."""
+    """A Counter of the FFT transforms called during the test, keyed by backend
+    and name: ``numpy.fft.rfftn`` or ``scipy.fft.rfftn``."""
     from collections import Counter
 
+    import scipy.fft
+
     calls = Counter()
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-        original = getattr(np.fft, name)
+    for backend, module in (("numpy.fft", np.fft), ("scipy.fft", scipy.fft)):
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            original = getattr(module, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+            def counting(*args, _key=f"{backend}.{name}", _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counting)
+            monkeypatch.setattr(module, name, counting)
     return calls

@@ -15,7 +15,6 @@ from ktcy.field import (
     _from_spectrum,
     _inverse_symbol,
     _single,
-    _single_symbols,
     _spectrum,
     derivative,
     evaluate,
@@ -529,13 +528,6 @@ class TestSinglePrecision:
             single = _single(symbol)
             assert single.dtype == (np.complex64 if np.iscomplexobj(symbol) else np.float32)
             assert np.allclose(single, symbol, rtol=1e-6, atol=0.0)
-
-    @pytest.mark.parametrize("angle", [None, ANGLE], ids=["axes", "rotated"])
-    def test_single_symbols_are_the_cast_table(self, angle):
-        grid = GridSpec(9, 8, 10)
-        for single, symbol in zip(_single_symbols(grid, angle), operator_symbols(grid, angle)):
-            assert np.array_equal(single, _single(symbol)) and single.dtype == _single(symbol).dtype
-            assert not single.flags.writeable
 
     def test_transforms_keep_the_precision_of_their_input(self, rng):
         grid = GridSpec(9, 8, 10)

@@ -10,8 +10,6 @@ from ktcy.field import (
     GridSpec,
     ScalarField,
     _derivatives,
-    _inverse_symbol,
-    _single,
     derivative,
     mean,
     operator_symbols,
@@ -20,13 +18,13 @@ from ktcy.field import (
 )
 from ktcy.pde import (
     LinearizedCoeffs,
+    MeanPreconditioner,
     apply_linearized,
     ellipticity_report,
     is_solution,
     linearize,
     ma_lhs,
     residual,
-    symbol_eigenvalues,
 )
 
 TAU = 2.0 * np.pi
@@ -173,7 +171,7 @@ class TestLinearize:
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.05)
         fft_calls.clear()
         linearize(u)
-        assert fft_calls == {"rfft": 5, "irfft": 7}
+        assert fft_calls == {"numpy.fft.rfft": 5, "numpy.fft.irfft": 7}
 
     def test_coefficients_vanish_for_x_only_states(self, grid8):
         u = sample(lambda x, y, t: 0.01 * np.sin(TAU * x), grid8)
@@ -223,63 +221,136 @@ class TestLinearize:
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
-        # the right inverse of a grid-mean operator M, fused into the apply,
-        # equals applying L to M^{-1} w
-        symbols = operator_symbols(grid)
-        symbol = 1.3 * symbols.xx + 0.8 * symbols.yy_tt_t
-        symbol[0, 0, 0] = 1.0
-        inverse = 1.0 / symbol
-        inverse[0, 0, 0] = 0.0
-        spec = np.fft.rfftn(w.values) * inverse
-        m_inv_w = w.with_values(np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2)))
-        want = apply_linearized(linearize(u), m_inv_w)
-        got = apply_linearized(linearize(u), w, right_inverse=inverse)
+        # the grid-mean preconditioner, folded into the apply, equals
+        # applying L to M^{-1} w
+        c = linearize(u)
+        want = apply_linearized(c, _mean_inverse(c, w))
+        got = apply_linearized(c, w, preconditioner=MeanPreconditioner(c))
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
 
+def _mean_inverse(c, w):
+    """M^{-1} w for the grid-mean operator M = Pbar d_xx + Qbar (d_yy + d_tt +
+    d_t) of c in its frame, zero on the zero mode, built from the symbol table."""
+    grid = w.grid
+    symbols = operator_symbols(grid, c.angle)
+    symbol = float(np.mean(c.P)) * symbols.xx + float(np.mean(c.Q)) * symbols.yy_tt_t
+    symbol[0, 0, 0] = 1.0
+    inverse = 1.0 / symbol
+    inverse[0, 0, 0] = 0.0
+    spec = np.fft.rfftn(w.values) * inverse
+    return w.with_values(np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2)))
+
+
+PRECONDITIONED_CASES = pytest.mark.parametrize(
+    "grid, angle",
+    [
+        (GridSpec(9, 11, 7), None),
+        (GridSpec(12, 8, 6, L_x=2.0, L_y=1.5, L_t=0.7), None),
+        (GridSpec(10, 9, 8), (0.6, 0.8)),
+    ],
+    ids=["9x11x7", "12x8x6", "rotated"],
+)
+
+
+class TestPreconditionedApply:
+    """L M^{-1} w in one forward and three inverse transforms: the Q group of
+    L M^{-1} is rewritten through the xx group and the mean-zero projection."""
+
+    @staticmethod
+    def _state(grid, angle, rng):
+        # u varies in every direction and t, so R, S and the d_t part of M
+        # all enter; white noise w excites every mode, Nyquist included
+        u = random_band_limited(grid, rng, max_mode=1, amplitude=0.05)
+        return linearize(u, angle), ScalarField(grid, rng.standard_normal(grid.shape))
+
+    @PRECONDITIONED_CASES
+    def test_equals_the_apply_of_the_explicit_inverse(self, grid, angle, rng):
+        c, w = self._state(grid, angle, rng)
+        want = apply_linearized(c, _mean_inverse(c, w)).values
+        got = apply_linearized(c, w, preconditioner=MeanPreconditioner(c)).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @PRECONDITIONED_CASES
+    def test_float32_matches_float64(self, grid, angle, rng):
+        c, w = self._state(grid, angle, rng)
+        want = apply_linearized(c, w, preconditioner=MeanPreconditioner(c)).values
+        got = apply_linearized(c, w, preconditioner=MeanPreconditioner(c, np.float32)).values
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "dtype, backend", [(np.float64, "numpy.fft"), (np.float32, "scipy.fft")]
+    )
+    def test_one_forward_and_three_inverse_transforms(self, grid16, rng, fft_calls, dtype, backend):
+        c, w = self._state(grid16, None, rng)
+        K = MeanPreconditioner(c, dtype)
+        fft_calls.clear()
+        apply_linearized(c, w, preconditioner=K)
+        assert fft_calls == {f"{backend}.rfftn": 1, f"{backend}.irfftn": 3}
+        fft_calls.clear()
+        assert K.solve(w.values).dtype == dtype
+        assert fft_calls == {f"{backend}.rfftn": 1, f"{backend}.irfftn": 1}
+
+    def test_refuses_the_preconditioner_of_another_frame(self, grid16, rng):
+        c, w = self._state(grid16, None, rng)
+        K = MeanPreconditioner(linearize(ScalarField.zeros(grid16), (0.6, 0.8)))
+        with pytest.raises(ValueError, match="preconditioner"):
+            apply_linearized(c, w, preconditioner=K)
+
+
 class TestSinglePrecisionApply:
-    """apply_linearized runs in the precision of its coefficients."""
+    """The preconditioned apply runs in the precision of its preconditioner."""
 
     @pytest.mark.parametrize("angle", [None, (0.6, 0.8)], ids=["axes", "rotated"])
     def test_float32_coefficients_match_the_float64_apply(self, grid16, rng, angle):
-        # u and w vary in t, so the d_t part of yy_tt_t and the complex
-        # M^{-1} symbol both enter: dropping either imaginary part misses by
-        # far more than the bound
+        # u and w vary in t, so the d_t part of M and the complex composite
+        # symbols both enter: dropping either imaginary part misses by far
+        # more than the bound
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.02)
         w = random_band_limited(grid16, rng, max_mode=4)
         assert np.max(np.abs(derivative(u, "t", 1).values)) > 0.01
         c = linearize(u, angle)
-        single = LinearizedCoeffs(
-            c.grid, *(a.astype(np.float32) for a in (c.P, c.Q, c.R, c.S)), angle=angle
-        )
-        inverse = _inverse_symbol(grid16, float(np.mean(c.P)), float(np.mean(c.Q)), angle)
-        for right, right_single in ((None, None), (inverse, _single(inverse))):
-            want = apply_linearized(c, w, right_inverse=right).values
-            got = apply_linearized(single, w, right_inverse=right_single).values
-            assert got.dtype == np.float64
-            assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+        single = MeanPreconditioner(c, np.float32)
+        assert single.dtype == np.float32
+        for name in ("P_fold", "Q_fold", "R", "S"):
+            assert getattr(single, name).dtype == np.float32
+        for name in ("xx", "xy", "xt", "inverse"):
+            assert getattr(single, name).dtype == np.complex64
+        want = apply_linearized(c, w, preconditioner=MeanPreconditioner(c)).values
+        got = apply_linearized(c, w, preconditioner=single).values
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 class TestSymbolEigenvalues:
+    """The smallest eigenvalue Lambda of the principal symbol [[P, R, S],
+    [R, Q, 0], [S, 0, Q]], as ``ellipticity_report`` takes it from the trace
+    factor and e^F."""
+
     def test_diagonal_case(self, grid8):
-        # no mixed derivatives: eigenvalues are {P, Q, Q}
+        # no mixed derivatives: the eigenvalues are {P, Q, Q}, and at
+        # F = log ma_lhs(u) = log PQ the report's min Lambda is min(P, Q)
         u = sample(
             lambda x, y, t: 0.002 * np.sin(TAU * x) + 0.003 * np.sin(TAU * y), grid8
         )
-        lam_minus, lam_plus, q = symbol_eigenvalues(u)
         c = linearize(u)
-        lo = np.minimum(c.P, c.Q)
-        hi = np.maximum(c.P, c.Q)
-        assert np.allclose(lam_minus.values, lo, atol=1e-12)
-        assert np.allclose(lam_plus.values, hi, atol=1e-12)
+        rep = ellipticity_report(u, u.with_values(np.log(c.lhs())), coeffs=c)
+        assert rep.min_lambda == pytest.approx(float(np.min(np.minimum(c.P, c.Q))), abs=1e-12)
+        assert not rep.sqrt_clamped
 
     @pytest.mark.parametrize("seed", [8, 9, 10])
     def test_eigenvalue_sandwich(self, grid16, seed):
-        u = random_band_limited(grid16, np.random.default_rng(seed), max_mode=3, amplitude=0.05)
-        lam_minus, lam_plus, q = symbol_eigenvalues(u)
-        assert np.all(lam_minus.values <= q.values + 1e-13)
-        assert np.all(q.values <= lam_plus.values + 1e-13)
+        # at F = log ma_lhs(u) the discriminant is (P - Q)^2 + 4 R^2 + 4 S^2,
+        # never negative, and 0 < Lambda <= Q pointwise; the amplitude keeps
+        # ma_lhs(u) positive, with |R| and |S| up to about 0.3
+        u = random_band_limited(grid16, np.random.default_rng(seed), max_mode=3, amplitude=0.002)
+        lhs = ma_lhs(u)
+        assert np.min(lhs.values) > 0.0
+        rep = ellipticity_report(u, lhs.with_values(np.log(lhs.values)))
+        assert not rep.sqrt_clamped
+        assert 0.0 < rep.min_lambda <= rep.min_q + 1e-13
 
 
 class TestEllipticityReport:

@@ -161,20 +161,33 @@ class TestKrylov:
         assert abs(mean(w)) < 1e-15
 
     @pytest.mark.parametrize("rtol, dtype", [(1e-5, np.float32), (5e-6, np.float64)])
-    def test_operator_precision_follows_rtol(self, grid16, rng, monkeypatch, rtol, dtype):
+    def test_operator_precision_follows_rtol(self, grid16, rng, monkeypatch, fft_calls, rtol, dtype):
+        # every application gets the grid-mean preconditioner of the float64
+        # coefficients in the operator's precision, and the recovery of w
+        # runs in it too: a float32 solve takes no numpy.fft transform
         import ktcy.solver as solver_module
 
         seen = []
 
-        def recording_apply(c, w, right_inverse=None):
-            seen.append((c.P.dtype, right_inverse.dtype))
-            return apply_linearized(c, w, right_inverse)
+        def recording_apply(c, w, preconditioner=None):
+            seen.append((c.P.dtype, preconditioner.dtype, preconditioner.xx.dtype))
+            return apply_linearized(c, w, preconditioner=preconditioner)
 
         monkeypatch.setattr(solver_module, "apply_linearized", recording_apply)
         coeffs = linearize(random_band_limited(grid16, rng, max_mode=3, amplitude=0.001))
-        solve_linearized(coeffs, random_band_limited(grid16, rng, max_mode=4), rtol=rtol)
-        symbol = np.complex64 if dtype == np.float32 else np.complex128
-        assert seen and set(seen) == {(np.dtype(dtype), np.dtype(symbol))}
+        rhs = random_band_limited(grid16, rng, max_mode=4)
+        fft_calls.clear()
+        _, applications = solve_linearized(coeffs, rhs, rtol=rtol)
+        symbol, backend = (
+            (np.complex64, "scipy.fft") if dtype == np.float32 else (np.complex128, "numpy.fft")
+        )
+        assert seen and set(seen) == {(np.dtype(np.float64), np.dtype(dtype), np.dtype(symbol))}
+        # one forward and three inverse transforms per application, and one
+        # of each for the recovery
+        assert applications == len(seen)
+        assert fft_calls == {
+            f"{backend}.rfftn": applications + 1, f"{backend}.irfftn": 3 * applications + 1,
+        }
 
     def test_trace_scaling_cuts_krylov_work(self, large_state, rng):
         # the grid-mean operator alone takes 45 applications here, the trace
@@ -259,12 +272,31 @@ class TestGmres:
         grid = GridSpec(9, 9, 9)
         monkeypatch.setattr(
             solver_module, "apply_linearized",
-            lambda c, w, right_inverse=None: w.with_values(np.roll(w.values.ravel(), 1).reshape(grid.shape)),
+            lambda c, w, preconditioner=None: w.with_values(np.roll(w.values.ravel(), 1).reshape(grid.shape)),
         )
         rhs = np.zeros(grid.shape)
         rhs[0, 0, 0] = 1.0
         with pytest.raises(KrylovStalled, match="611 operator applications"):
             solve_linearized(linearize(ScalarField.zeros(grid)), ScalarField(grid, rhs))
+
+    def test_breakdown_returns_not_ok(self):
+        # the zero operator leaves h_kk = h_{k+1,k} = 0 at the first Arnoldi
+        # step: the Givens rotation is undefined, and no iterate helps
+        apply, calls = _counted(lambda v: np.zeros_like(v))
+        y, ok = _gmres(apply, np.ones(10), 1e-3)
+        assert not ok and not y.any() and len(calls) == 1
+
+    def test_breakdown_raises_krylov_stalled(self, monkeypatch):
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(9, 9, 9)
+        monkeypatch.setattr(
+            solver_module, "apply_linearized",
+            lambda c, w, **kwargs: w.with_values(np.zeros(grid.shape)),
+        )
+        rhs = random_band_limited(grid, np.random.default_rng(0), max_mode=2)
+        with pytest.raises(KrylovStalled, match="after 1 operator applications"):
+            solve_linearized(linearize(ScalarField.zeros(grid)), rhs)
 
     def test_zero_rhs_takes_no_application(self):
         apply, calls = _counted(lambda v: 2.0 * v)
@@ -426,17 +458,17 @@ class TestNewtonAttempt:
     def test_failing_solves_linearize_each_state_once(self, linearize_calls):
         # the first 10^3 draw of the even-grid survey ends on the Nyquist
         # floor: a 5^3 march of 3 steps, stopped at its truncation level, a
-        # 10^3 finish of 10 steps whose next line search fails, and one
-        # failed 10^3 attempt from u = 0.  The 17^3 datum falls back to the
-        # continuation after its Newton finish from a 9^3 march of 4 steps
-        # is refused.  Linearizing the end state again after each failed
-        # attempt would raise these counts (to 53 and 17)
+        # 10^3 finish of 11 steps whose next line search fails, and one
+        # failed 10^3 attempt of 10 steps from u = 0.  The 17^3 datum falls
+        # back to the continuation after its Newton finish from a 9^3 march
+        # of 4 steps is refused.  Linearizing the end state again after each
+        # failed attempt would raise these counts (to 56 and 17)
         rng = np.random.default_rng(1000)
         amplitude = 0.2 + 1.8 * rng.uniform()
         F = renormalize(random_band_limited(GridSpec(10, 10, 10), rng, 1, amplitude))
         with pytest.raises(NyquistFloor):
             solve(F, SolverConfig(grid=F.grid))
-        assert len(linearize_calls) == 51
+        assert len(linearize_calls) == 54
         linearize_calls.clear()
         F = renormalize(random_band_limited(
             GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
