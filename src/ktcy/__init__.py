@@ -52,7 +52,6 @@ from .pde import (
     NonPositiveLHS,
     apply_linearized,
     ellipticity_report,
-    is_solution,
     linearize,
     ma_lhs,
     manufacture,

@@ -433,7 +433,6 @@ def cmd_rotate(config: RunConfig) -> tuple[RunReport, dict]:
     report.add("rotation.n", angle.n)
     report.add("rotation.period", angle.length)
     rotated = solve_rotated(F, angle, cfg)
-    report.add("rotation.cell_normalization", rotated.cell_normalization)
     report.add("rotation.sup_vp", rotated.sup_vp)
     report.add_solve(rotated.report)
     return report, {"solution.field": rotated.report.u}

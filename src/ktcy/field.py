@@ -108,7 +108,9 @@ class ScalarField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
+        # one conversion and copy; C order, so that sums over the array do
+        # not depend on the layout of the source
+        values = np.array(values, dtype=np.float64, order="C")
         if values.shape != grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.shape}"
@@ -116,7 +118,6 @@ class ScalarField:
         if not np.all(np.isfinite(values)):
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
             raise ValueError(f"non-finite value at grid index {bad}")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -408,13 +409,9 @@ def project_mean_zero(u: ScalarField) -> ScalarField:
     return u.with_values(u.values - np.mean(u.values))
 
 
-def norms(u: ScalarField, grad: tuple | None = None) -> dict:
-    """Sup and L2 norms of the field and of its spectral gradient.
-
-    A caller that already holds ``gradient(u)`` passes it as ``grad``.
-    """
-    grad = gradient(u) if grad is None else grad
-    return _norms(u.values, u.grid, tuple(g.values for g in grad))
+def norms(u: ScalarField) -> dict:
+    """Sup and L2 norms of the field and of its spectral gradient."""
+    return _norms(u.values, u.grid, tuple(g.values for g in gradient(u)))
 
 
 def _norms(values: np.ndarray, grid: GridSpec, grad: tuple) -> dict:
@@ -469,9 +466,10 @@ def _split_modes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (source index, signed mode, weight): every FFT index once with
     weight 1, except on an even grid the Nyquist index, which appears twice,
     as -n/2 and +n/2 with weight 1/2 each.  The two halves sum to its real
-    cosine branch, the one Nyquist convention of :func:`evaluate`,
-    :func:`resample` and the rotated pullback.  An odd grid has no Nyquist
-    mode.
+    cosine branch, the Nyquist convention of :func:`interpolant_modes`, and
+    so of :func:`evaluate` and the rotated pullback.  :func:`resample` makes
+    the same split by its own index remap, :func:`_mode_map`.  An odd grid
+    has no Nyquist mode.
     """
     index = np.arange(n)
     mode = np.fft.fftfreq(n, d=1.0 / n).astype(int)

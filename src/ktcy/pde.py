@@ -46,7 +46,6 @@ from .field import (
     _inverse_symbol, _single, _spectrum, operator_symbols, project_mean_zero,
 )
 
-_TRACE_TOL = 1e-8  # relative slack of the trace-floor test, as in the estimate audit
 _SOLUTION_TOL_FACTOR = 1e-10  # sup residual of a solution, relative to max(1, sup e^F)
 
 
@@ -122,7 +121,7 @@ def residual(u: ScalarField, F: ScalarField) -> ScalarField:
     takes ``coeffs.lhs() - e^F`` from them instead."""
     if u.grid != F.grid:
         raise GridMismatchError("residual: u and F live on different grids")
-    return u.with_values(linearize(u).lhs() - np.exp(F.values))
+    return u.with_values(linearize(u).lhs() - _exp(F))
 
 
 def renormalize(F: ScalarField) -> ScalarField:
@@ -132,13 +131,23 @@ def renormalize(F: ScalarField) -> ScalarField:
     overflows float64.
     """
     volume = F.grid.volume()
+    ef = _exp(F)
     # field.mean on the array, where an overflow leaves a mean of inf
     with np.errstate(over="ignore"):
-        ef = np.exp(F.values)
         mean_ef = float(np.sum(ef)) * volume / ef.size / volume
     if np.isinf(mean_ef):
         raise _exp_overflow(F)
     return F - float(np.log(mean_ef))
+
+
+def _exp(F: ScalarField) -> np.ndarray:
+    """The array e^F; raises the ValueError of :func:`_exp_overflow` when an
+    entry overflows float64."""
+    with np.errstate(over="ignore"):
+        ef = np.exp(F.values)
+    if np.isinf(np.max(ef)):
+        raise _exp_overflow(F)
+    return ef
 
 
 def _exp_overflow(F: ScalarField) -> ValueError:
@@ -277,12 +286,14 @@ class EllipticityReport:
         Lambda = (T - sqrt(T^2 - 4 e^F)) / 2,   T = trace factor,
 
     with the square-root argument clamped at zero (and flagged) when the
-    state is far from a solution.  The report never aborts, so it describes
-    any state, solution or not.  The estimate audit
+    state is far from a solution.  The report never aborts on a state, so
+    it describes any state, solution or not; a datum whose e^F overflows
+    float64 is a ValueError.  It holds measured numbers only: the pass/fail
+    verdicts on them are the audit's checks.  The estimate audit
     (:func:`~ktcy.estimates.verify`) builds it; the solver's trace records
     take only Lambda, from the same formula.  A caller that already holds
-    ``linearize(u)`` passes it as ``coeffs``, and one that holds the array
-    e^F passes it as ``ef``.
+    ``linearize(u)`` passes it as ``coeffs``, in any frame but on the grid
+    of u, and one that holds the array e^F passes it as ``ef``.
     """
 
     min_q: float          # min of u_xx + 1
@@ -291,13 +302,6 @@ class EllipticityReport:
     min_lambda: float
     trace_floor: float    # 2 * min e^{F/2}
     sqrt_clamped: bool
-    q_positive: bool      # u_xx + 1 > 0 everywhere
-    p_positive: bool      # u_yy + u_tt + u_t + 1 > 0 everywhere
-    trace_bound_ok: bool  # min_trace >= trace_floor within 1e-8 (1 + trace_floor)
-
-    @property
-    def admissible(self) -> bool:
-        return self.q_positive and self.p_positive
 
 
 def _min_lambda(trace: np.ndarray, ef: np.ndarray) -> tuple[float, bool]:
@@ -315,39 +319,22 @@ def ellipticity_report(
     coeffs: LinearizedCoeffs | None = None,
     ef: np.ndarray | None = None,
 ) -> EllipticityReport:
-    if u.grid != F.grid:
+    if u.grid != F.grid or (coeffs is not None and coeffs.grid != u.grid):
         raise GridMismatchError("ellipticity_report: grid mismatch")
     c = linearize(u) if coeffs is None else coeffs
-    min_q = float(np.min(c.Q))
-    min_p = float(np.min(c.P))
     trace = c.P + c.Q
-    min_trace = float(np.min(trace))
-    min_lambda, clamped = _min_lambda(trace, np.exp(F.values) if ef is None else ef)
-    trace_floor = 2.0 * float(np.min(np.exp(0.5 * F.values)))
+    min_lambda, clamped = _min_lambda(trace, _exp(F) if ef is None else ef)
     return EllipticityReport(
-        min_q=min_q,
-        min_p=min_p,
-        min_trace=min_trace,
+        min_q=float(np.min(c.Q)),
+        min_p=float(np.min(c.P)),
+        min_trace=float(np.min(trace)),
         min_lambda=min_lambda,
-        trace_floor=trace_floor,
+        trace_floor=2.0 * float(np.min(np.exp(0.5 * F.values))),
         sqrt_clamped=clamped,
-        q_positive=min_q > 0.0,
-        p_positive=min_p > 0.0,
-        trace_bound_ok=min_trace - trace_floor >= -_TRACE_TOL * (1.0 + abs(trace_floor)),
     )
 
 
-def is_solution(u: ScalarField, F: ScalarField) -> bool:
-    """Solution test: sup |residual| <= :func:`solution_residual_bound`."""
-    r = residual(u, F)
-    return float(np.max(np.abs(r.values))) <= solution_residual_bound(F)
-
-
-def solution_residual_bound(F: ScalarField) -> float:
-    """1e-10 * max(1, sup e^F): the largest sup residual of a solution."""
-    return _solution_bound(np.exp(F.values))
-
-
 def _solution_bound(ef: np.ndarray) -> float:
-    """:func:`solution_residual_bound` given ef = e^F."""
+    """1e-10 * max(1, sup e^F) for ef = e^F: the largest sup residual of a
+    solution, the estimate audit's solution test."""
     return _SOLUTION_TOL_FACTOR * max(1.0, float(np.max(ef)))

@@ -45,7 +45,6 @@ from .field import (
     GridSpec,
     ScalarField,
     evaluate,
-    integrate,
     interpolant_modes,
     project_mean_zero,
     synthesize,
@@ -137,8 +136,7 @@ class RotatedSolveReport:
 
     angle: RationalAngle
     report: SolveReport
-    sup_vp: float              # sup |v_p|; bounded by L for solutions
-    cell_normalization: float  # integral of e^G over the cell; L^2 for normalized F
+    sup_vp: float  # sup |v_p|; bounded by L for solutions
 
     @property
     def v(self) -> ScalarField:
@@ -185,7 +183,9 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     :func:`~ktcy.solver.solve`.  The report includes the rotated-frame estimate
     audit with the first-axis gradient bound sup |v_p| <= L.  An
     unnormalized F fails with NormalizationError, naming the integral of e^F
-    itself (the cell integral of e^G is L^2 times larger).
+    itself (the cell integral of e^G is L^2 times larger).  The cell solve
+    raises it too unless the cell integral of e^G is L^2 within 1e-10 L^2,
+    so every returned report implies that value.
     """
     _check_rotated_grid(angle, cfg.grid)
     check_normalization(F)
@@ -195,10 +195,7 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
         starts = (partial(_unit_grid_start, F, angle), _coarse_start)
     report = _solve(G, cfg, starts)
     return RotatedSolveReport(
-        angle=angle,
-        report=report,
-        sup_vp=report.estimates.check("a_sup_ux_bound").lhs,
-        cell_normalization=integrate(G.with_values(np.exp(G.values))),
+        angle=angle, report=report, sup_vp=report.estimates.check("a_sup_ux_bound").lhs
     )
 
 

@@ -164,7 +164,8 @@ from .field import (
     resample,
 )
 from .pde import (
-    LinearizedCoeffs, MeanPreconditioner, _min_lambda, apply_linearized, linearize, renormalize,
+    LinearizedCoeffs, MeanPreconditioner, _exp, _min_lambda, apply_linearized, linearize,
+    renormalize,
 )
 
 _KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
@@ -202,7 +203,12 @@ class NormalizationError(SolverError):
 
 
 class ContinuationStalled(SolverError):
-    """tau step underflow: the datum is numerically out of reach here."""
+    """tau step underflow: the step fell below ``tau_min_step``.
+
+    The message gives what was measured: the tau reached and the failed
+    attempt's residual sup, mean and sup |residual - mean|.  It says nothing
+    about the datum: a datum whose discrete solution is known can stall too.
+    """
 
 
 class NyquistFloor(ContinuationStalled):
@@ -535,7 +541,8 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     """Plain Newton iteration from a warm start at fixed datum (no path).
 
     Raises GridMismatchError unless u0 and F_target are both on cfg.grid,
-    before any work.  Otherwise raises the ``SolverError`` that ended the
+    before any work, and ValueError, naming the largest F, when e^F
+    overflows float64.  Otherwise raises the ``SolverError`` that ended the
     attempt: ``EllipticityLost`` for a start outside the cone,
     ``NewtonStalled`` when the step budget ran out, otherwise the error of
     the failed step.
@@ -544,7 +551,7 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
         raise GridMismatchError("newton_solve: state grid differs from config grid")
     if F_target.grid != cfg.grid:
         raise GridMismatchError("newton_solve: datum grid differs from config grid")
-    u, _ = _polish(project_mean_zero(u0), np.exp(F_target.values), cfg, [])
+    u, _ = _polish(project_mean_zero(u0), _exp(F_target), cfg, [])
     return u
 
 

@@ -37,6 +37,7 @@ from ktcy.field import (
     GridSpec,
     ScalarField,
     derivative,
+    integrate,
     mean,
     random_band_limited,
     resample,
@@ -44,7 +45,7 @@ from ktcy.field import (
 )
 from ktcy.geometry import alpha_from_u, exterior_d, metric_field, standard_form, wedge_ratio
 from ktcy.pde import apply_linearized, ellipticity_report, linearize, ma_lhs
-from ktcy.rotation import RationalAngle, rotated_grid, solve_rotated
+from ktcy.rotation import RationalAngle, pullback_datum, rotated_grid, solve_rotated
 from ktcy.solver import SolverConfig, solve
 
 TAU = 2.0 * np.pi
@@ -231,8 +232,10 @@ def test_09_rotation_identity(admissible_manufactured):
 def test_10_rotation_bound(admissible_manufactured):
     F, _ = admissible_manufactured
     angle = RationalAngle(1, 1)
-    rotated = solve_rotated(F, angle, SolverConfig(grid=rotated_grid(angle, 32, 32, 16)))
-    norm_err = abs(rotated.cell_normalization - 2.0)
+    cell = rotated_grid(angle, 32, 32, 16)
+    rotated = solve_rotated(F, angle, SolverConfig(grid=cell))
+    G = pullback_datum(F, angle, cell)
+    norm_err = abs(integrate(G.with_values(np.exp(G.values))) - 2.0)
     bound_ok = rotated.sup_vp <= math.sqrt(2.0) + 1e-8
 
     quarter = RationalAngle(0, 1)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ktcy.pde import ellipticity_report, is_solution, manufacture, renormalize, residual
+from ktcy.pde import (
+    _solution_bound, ellipticity_report, linearize, manufacture, renormalize, residual,
+)
 from ktcy.estimates import uniqueness_probe, verify
 from ktcy.field import GridSpec, ScalarField, random_band_limited, sample
 from ktcy.solver import SolverConfig, solve
@@ -132,6 +134,26 @@ class TestVerify:
         with pytest.raises(GridMismatchError):
             verify(ScalarField.zeros(grid16), ScalarField.zeros(grid8))
 
+    @pytest.mark.parametrize("periods", [(2.0, 1.0, 1.0), None], ids=["periods", "shape"])
+    def test_rejects_coefficients_of_another_grid(self, periods):
+        # the same values on periods (2, 1, 1) have a quarter of the u_xx that
+        # check b reads on the unit box
+        from ktcy.field import GridMismatchError
+
+        grid = GridSpec(9, 9, 9)
+        u = random_band_limited(grid, np.random.default_rng(3), max_mode=3, amplitude=0.05)
+        other = GridSpec(9, 9, 9, *periods) if periods else GridSpec(11, 9, 9)
+        v = ScalarField(other, u.values) if periods else ScalarField.zeros(other)
+        with pytest.raises(GridMismatchError, match="coeffs"):
+            verify(u, ScalarField.zeros(grid), coeffs=linearize(v))
+
+    def test_rejects_coefficients_of_a_rotated_frame(self):
+        # the audit's checks are stated in the grid frame
+        grid = GridSpec(9, 9, 9)
+        u = random_band_limited(grid, np.random.default_rng(3), max_mode=3, amplitude=0.05)
+        with pytest.raises(ValueError, match="grid frame"):
+            verify(u, ScalarField.zeros(grid), coeffs=linearize(u, (0.6, 0.8)))
+
     @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
     def test_takes_the_residual_once(self, grid16, rng, monkeypatch, solved):
         # from its one linearization: ma_lhs(u) is taken once, and the
@@ -152,7 +174,8 @@ class TestVerify:
         monkeypatch.setattr(LinearizedCoeffs, "lhs", counting)
         report = verify(u, F)
         assert len(calls) == 1
-        assert report.informative == (not is_solution(u, F))
+        res_sup = float(np.max(np.abs(residual(u, F).values)))
+        assert report.informative == (not res_sup <= _solution_bound(np.exp(F.values)))
 
     @pytest.mark.parametrize("solved", [False, True], ids=["state", "solution"])
     def test_carries_ellipticity_and_residual_norms(self, grid16, rng, solved):
@@ -193,6 +216,35 @@ class TestVerify:
         u = random_band_limited(g, rng, max_mode=3, amplitude=0.01)
         report = verify(u, ScalarField.zeros(g))
         assert "rescaled" in report.check("g_poincare").note
+
+
+class TestSolutionTest:
+    """The audit's solution test: u solves F when sup |residual| <= 1e-10
+    max(1, sup e^F), and the report is then not informative."""
+
+    def test_flat_is_solution(self, grid8):
+        assert not verify(ScalarField.zeros(grid8), ScalarField.zeros(grid8)).informative
+
+    def test_non_solution(self, grid8):
+        u = sample(lambda x, y, t: np.sin(TAU * x) / TAU, grid8)
+        assert verify(u, ScalarField.zeros(grid8)).informative
+
+    def test_threshold_scales_with_datum(self):
+        grid = GridSpec(9, 9, 9)
+        # against sup e^F <= 1 the bound is 1e-10: a residual of 2e-10 misses it
+        F = ScalarField.constant(grid, np.log(1.0 - 2e-10))
+        report = verify(ScalarField.zeros(grid), F)
+        assert report.residual_sup == pytest.approx(2e-10, rel=1e-5)
+        assert report.informative
+        # ma_lhs(u) = (1 - 0.8 sin 2 pi x)(1 - 0.8 sin 2 pi y), of sup about
+        # 3.2 on this grid: the same residual of 2e-10 is a solution's
+        a = 0.8 / TAU**2
+        u = sample(lambda x, y, t: a * np.sin(TAU * x) + a * np.sin(TAU * y), grid)
+        F = u.with_values(np.log(linearize(u).lhs() - 2e-10))
+        report = verify(u, F)
+        assert float(np.max(np.exp(F.values))) == pytest.approx(3.2, abs=0.01)
+        assert report.residual_sup == pytest.approx(2e-10, rel=1e-5)
+        assert not report.informative
 
 
 class TestUniquenessProbe:

@@ -279,6 +279,18 @@ class TestArithmeticAndCompatibility:
         with pytest.raises(ValueError):
             u.values[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("layout", ["fortran", "float32"])
+    def test_values_are_an_own_c_ordered_float64_copy(self, grid8, rng, layout):
+        source = rng.standard_normal(grid8.shape)
+        source = np.asfortranarray(source) if layout == "fortran" else source.astype(np.float32)
+        u = ScalarField(grid8, source)
+        assert u.values.dtype == np.float64 and u.values.flags.c_contiguous
+        assert not u.values.flags.writeable
+        assert np.array_equal(u.values, source.astype(np.float64))
+        before = u.values.copy()
+        source[0, 0, 0] += 1.0
+        assert np.array_equal(u.values, before)
+
 
 class TestDumpFormat:
     def test_round_trip_bitwise(self, grid8, rng, tmp_path):

@@ -21,7 +21,6 @@ from ktcy.pde import (
     MeanPreconditioner,
     apply_linearized,
     ellipticity_report,
-    is_solution,
     linearize,
     ma_lhs,
     residual,
@@ -360,9 +359,7 @@ class TestEllipticityReport:
         assert rep.min_lambda == pytest.approx(1.0)
         assert rep.min_q == pytest.approx(1.0)
         assert rep.min_p == pytest.approx(1.0)
-        assert rep.q_positive and rep.p_positive and rep.trace_bound_ok
         assert not rep.sqrt_clamped
-        assert rep.admissible
 
     def test_closed_form_lambda(self, grid8):
         # e^F = 1/4 at the flat state: Lambda = (2 - sqrt(3)) / 2
@@ -396,19 +393,17 @@ class TestEllipticityReport:
         assert ellipticity_report(u, F, coeffs=linearize(u)) == ellipticity_report(u, F)
 
 
-class TestSolutionTest:
-    def test_flat_is_solution(self, grid8):
-        assert is_solution(ScalarField.zeros(grid8), ScalarField.zeros(grid8))
+    def test_rejects_coefficients_of_another_grid(self):
+        grid = GridSpec(9, 9, 9)
+        u = random_band_limited(grid, np.random.default_rng(3), max_mode=3, amplitude=0.005)
+        other = linearize(ScalarField(GridSpec(9, 9, 9, 2.0, 1.0, 1.0), u.values))
+        with pytest.raises(GridMismatchError):
+            ellipticity_report(u, ScalarField.zeros(grid), coeffs=other)
 
-    def test_non_solution(self, grid8):
-        u = sample(lambda x, y, t: np.sin(TAU * x) / TAU, grid8)
-        assert not is_solution(u, ScalarField.zeros(grid8))
-
-    def test_threshold_scales_with_datum(self, grid8):
-        u = ScalarField.zeros(grid8)
-        F = ScalarField.constant(grid8, 0.0)
-        assert is_solution(u, F)
-        # residual 5e-9 against tolerance 1e-10 * max(1, sup e^F)
-        u2 = u.with_values(u.values + 0.0)
-        r = residual(u2, F)
-        assert np.max(np.abs(r.values)) < 1e-10
+    def test_takes_coefficients_of_a_rotated_frame(self):
+        # the rotated solve's lambda_min comes from them
+        grid = GridSpec(9, 9, 9)
+        u = random_band_limited(grid, np.random.default_rng(3), max_mode=3, amplitude=0.005)
+        c = linearize(u, (0.6, 0.8))
+        rep = ellipticity_report(u, ScalarField.zeros(grid), coeffs=c)
+        assert rep.min_q == float(np.min(c.Q)) and rep.min_p == float(np.min(c.P))

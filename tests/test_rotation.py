@@ -172,7 +172,6 @@ class TestSolveRotated:
         F, _ = _admissible_datum()
         angle = RationalAngle(1, 1)
         rotated = solve_rotated(F, angle, SolverConfig(grid=rotated_grid(angle, 32, 32, 16)))
-        assert rotated.cell_normalization == pytest.approx(2.0, abs=1e-10)
         assert rotated.sup_vp <= math.sqrt(2.0) + 1e-8
         assert rotated.report.estimates.passed
         # the first-axis gradient bound in the audit carries the cell period

@@ -16,6 +16,7 @@ from ktcy.field import (
     resample,
     sample,
 )
+from ktcy.estimates import verify
 from ktcy.pde import apply_linearized, ellipticity_report, linearize, residual
 from ktcy.solver import (
     ContinuationStalled,
@@ -792,6 +793,21 @@ class TestHardData:
         assert sum(r.krylov_applications for r in records) == sum(spent)
         if name == "seed=9 a=6":
             assert "LineSearchFailed" in {r.failure for r in records}
+
+
+class TestSeparableOracle:
+    """sep(a, b), whose discrete solution is known in closed form."""
+
+    @pytest.mark.parametrize("n, a, b", [(25, 1.0, 1.0), (25, 8.0, 0.0), (17, 1.0, 1.0)])
+    def test_solve_finds_the_closed_form(self, separable, n, a, b):
+        F, closed = separable(GridSpec(n, n, n), a, b)
+        cfg = SolverConfig(grid=F.grid)
+        assert float(np.max(np.abs(residual(closed, F).values))) <= cfg.newton_tol
+        audit = verify(closed, F)
+        assert audit.passed and not audit.informative
+        report = solve(F, cfg)
+        assert float(np.max(np.abs(report.u.values - closed.values))) <= 1e-12
+        assert report.estimates.passed
 
 
 class TestContinuation:
