@@ -69,14 +69,14 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SolverError,
+    UniquenessProbe,
     newton_solve,
     solve,
+    uniqueness_probe,
 )
 from .estimates import (
     EstimateCheck,
     EstimateReport,
-    UniquenessProbe,
-    uniqueness_probe,
     verify,
 )
 from .rotation import (

@@ -1,8 +1,8 @@
 """Runtime audit of the a-priori bounds satisfied by solutions.
 
 Each check compares a computed quantity against its proven bound and
-reports a signed margin; a check passes when margin >= -tol with
-tol = 1e-8 * (1 + |rhs|).  Strict inequalities are tested against their
+records the signed margin; its verdict follows from the margin by one rule,
+margin >= -1e-8 (1 + |rhs|).  Strict inequalities are tested against their
 raw bound with no artificial gap asserted.  Two quantities with inexplicit
 constants (sup |u| and sup |laplacian u|) are recorded as informational
 values without a pass/fail threshold.
@@ -23,8 +23,6 @@ from .field import (
     _derivatives,
     _integral,
     _norms,
-    project_mean_zero,
-    random_band_limited,
 )
 from .pde import (
     EllipticityReport,
@@ -33,10 +31,7 @@ from .pde import (
     _exp,
     _solution_bound,
     ellipticity_report,
-    linearize,
 )
-
-_PROBE_SEED = 20570  # seed of the uniqueness probe's warm-start bumps
 
 
 @dataclass(frozen=True)
@@ -44,9 +39,12 @@ class EstimateCheck:
     name: str
     lhs: float
     rhs: float
-    margin: float
-    passed: bool
-    note: str = ""
+    margin: float  # signed: negative when lhs is on the wrong side of rhs
+
+    @property
+    def passed(self) -> bool:
+        """margin >= -1e-8 (1 + |rhs|), the one verdict rule of every check."""
+        return self.margin >= -1e-8 * (1.0 + abs(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -70,25 +68,19 @@ class EstimateReport:
         raise KeyError(name)
 
 
-def _tol(rhs: float) -> float:
-    return 1e-8 * (1.0 + abs(rhs))
-
-
-def _upper(name, lhs, rhs, note=""):
+def _upper(name, lhs, rhs):
     """Check lhs <= rhs."""
-    margin = rhs - lhs
-    return EstimateCheck(name, lhs, rhs, margin, margin >= -_tol(rhs), note)
+    return EstimateCheck(name, lhs, rhs, rhs - lhs)
 
 
-def _lower(name, lhs, rhs, note=""):
+def _lower(name, lhs, rhs):
     """Check lhs >= rhs."""
-    margin = lhs - rhs
-    return EstimateCheck(name, lhs, rhs, margin, margin >= -_tol(rhs), note)
+    return EstimateCheck(name, lhs, rhs, lhs - rhs)
 
 
-def _identity(name, value, note=""):
+def _identity(name, value):
     """Check value == 0."""
-    return EstimateCheck(name, value, 0.0, -abs(value), abs(value) <= _tol(0.0), note)
+    return EstimateCheck(name, value, 0.0, -abs(value))
 
 
 def verify(
@@ -152,25 +144,17 @@ def verify(
     except FloatingPointError:
         raise _audit_overflow(u, F) from None
 
-    max_period = max(grid.periods)
-    lam1 = (2.0 * math.pi / max_period) ** 2
-    poincare_note = (
-        "unit box" if max_period == 1.0 else f"rescaled: (2 pi / {max_period:.12g})^2"
-    )
+    lam1 = (2.0 * math.pi / max(grid.periods)) ** 2
 
     checks = (
-        _upper("a_sup_ux_bound", float(np.max(np.abs(d.x))), grid.L_x,
-               note="bound is the first-axis period"),
-        _lower("b_uxx_above_minus_one", float(np.min(uxx)), -1.0,
-               note="strict in theory; raw minimum reported"),
-        _lower("c_p_factor_above_minus_one", float(np.min(p_factor)), -1.0,
-               note="strict in theory; raw minimum reported"),
+        _upper("a_sup_ux_bound", float(np.max(np.abs(d.x))), grid.L_x),
+        _lower("b_uxx_above_minus_one", float(np.min(uxx)), -1.0),
+        _lower("c_p_factor_above_minus_one", float(np.min(p_factor)), -1.0),
         _lower("d_trace_floor", ell.min_trace, ell.trace_floor),
         _upper("e_l2_bound", nrm["l2"], sup_one_plus_ef),
         _upper("f_gradient_energy", nrm["grad_l2"] ** 2,
                0.25 * nrm["l2"] ** 2 + 2.5 * sup_one_plus_ef * nrm["l2"]),
-        _upper("g_poincare", lam1 * nrm["l2"] ** 2, nrm["grad_l2"] ** 2,
-               note=poincare_note),
+        _upper("g_poincare", lam1 * nrm["l2"] ** 2, nrm["grad_l2"] ** 2),
         _identity("h_ut_moment", _integral(u.values * d.t, grid)),
         _lower("i_uniform_ellipticity", ell.min_lambda, 0.0),
         _identity("j_mean_residual", mean_residual),
@@ -196,49 +180,3 @@ def _audit_overflow(u: ScalarField, F: ScalarField) -> ValueError:
         f"overflows above F = {0.5 * (np.log(np.finfo(float).max) - np.log(n)):.6g}"
     )
 
-
-@dataclass(frozen=True)
-class UniquenessProbe:
-    max_pairwise_sup_diff: float
-    trials: int
-
-
-def uniqueness_probe(F: ScalarField, cfg, trials: int) -> UniquenessProbe:
-    """Empirical uniqueness test: solve from distinct warm starts.
-
-    Trial 1 is a full :func:`~ktcy.solver.solve`: grid-sequenced, with a
-    continuation that tries the full datum first and runs on the requested
-    grid from zero only as the fallback.  The remaining trials run plain
-    Newton from that solution plus a band-limited bump of sup 1e-3, drawn
-    from a generator of the fixed seed ``_PROBE_SEED``, and scaled
-    down where needed so that it moves P and Q by at most half the
-    solution's min P and min Q: the start stays in the elliptic cone, which
-    ``newton_solve`` requires.  Returns the worst pairwise sup-difference.
-    """
-    from .solver import newton_solve, solve
-
-    if trials < 2:
-        raise ValueError(f"uniqueness_probe needs trials >= 2, got {trials}")
-    rng = np.random.default_rng(_PROBE_SEED)
-    report = solve(F, cfg)
-    base, ell = report.u, report.estimates.ellipticity
-    solutions = [base]
-    for _ in range(trials - 1):
-        bump = random_band_limited(F.grid, rng, max_mode=2, amplitude=1e-3)
-        # P and Q are affine in u, so the bump moves them by P - 1 and Q - 1
-        # of its own linearization, linearly in its amplitude
-        c, scale = linearize(bump), 1.0
-        for minimum, coeff in ((ell.min_p, c.P), (ell.min_q, c.Q)):
-            move = float(np.max(np.abs(coeff - 1.0)))
-            if move > 0.5 * minimum:
-                scale = min(scale, 0.5 * minimum / move)
-        if scale < 1.0:
-            bump = bump * scale
-        start = project_mean_zero(base + bump)
-        solutions.append(newton_solve(start, F, cfg))
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            diff = float(np.max(np.abs(solutions[i].values - solutions[j].values)))
-            worst = max(worst, diff)
-    return UniquenessProbe(max_pairwise_sup_diff=worst, trials=trials)

@@ -44,12 +44,14 @@ import numpy as np
 from .field import (
     GridSpec,
     ScalarField,
+    _integral,
     evaluate,
     interpolant_modes,
     project_mean_zero,
     synthesize,
 )
 from .solver import (
+    NormalizationError,
     SolveReport,
     SolverConfig,
     _coarse_start,
@@ -185,7 +187,10 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     unnormalized F fails with NormalizationError, naming the integral of e^F
     itself (the cell integral of e^G is L^2 times larger).  The cell solve
     raises it too unless the cell integral of e^G is L^2 within 1e-10 L^2,
-    so every returned report implies that value.
+    so every returned report implies that value.  That error says that F is
+    normalized on its own grid and gives the cell integral and L^2: the cell
+    samples e^F at other points, and a cell too coarse for F aliases its
+    modes (see :func:`pullback_datum`), so a renormalized F can miss it.
     """
     _check_rotated_grid(angle, cfg.grid)
     check_normalization(F)
@@ -193,7 +198,16 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     starts = (_coarse_start,)
     if angle.length > 1.0 and math.prod(cfg.grid.shape) > math.prod(F.grid.shape):
         starts = (partial(_unit_grid_start, F, angle), _coarse_start)
-    report = _solve(G, cfg, starts)
+    try:
+        report = _solve(G, cfg, starts)
+    except NormalizationError:
+        # F passed its own check above: what failed is the check of G on the cell
+        raise NormalizationError(
+            f"F is normalized on its own grid, but the integral of e^G, its pullback, on the "
+            f"{cfg.grid.shape} cell is {_integral(np.exp(G.values), cfg.grid):.15g}, expected "
+            f"L^2 = {cfg.grid.volume():.15g} within 1e-10 L^2: the cell samples e^F at other "
+            "points, so renormalizing F cannot fix it; another cell grid may"
+        ) from None
     return RotatedSolveReport(
         angle=angle, report=report, sup_vp=report.estimates.check("a_sup_ux_bound").lhs
     )

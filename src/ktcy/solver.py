@@ -8,7 +8,8 @@ from u = 0 on the requested grid when none does, and audits the result once
 into the one :class:`SolveReport`.  ``solve`` has one start, the coarse
 continuation below; :func:`~ktcy.rotation.solve_rotated` tries the datum's
 unit grid in the rotated frame first; ``newton_solve`` is the finishing
-attempt alone, from the start it is given.  Every stage, the finishing
+attempt alone, from the start it is given, and ``uniqueness_probe`` runs it
+from perturbed copies of a solution.  Every stage, the finishing
 attempt included, signals failure by raising a ``SolverError``, and the
 driver then moves on to the next start.
 
@@ -53,9 +54,11 @@ or either stage fails, the march runs on the requested grid from u = 0, so
 the sequencing never loses a solve, and every solve meets newton_tol on the
 requested grid.  On a grid with an even axis, a failed
 attempt whose residual is all mean (sup |res - mean| <= newton_tol < mean)
-ends the march at once with ``NyquistFloor``: that mean is the solution's
-energy on the Nyquist planes, which the mean-zero Newton update cannot
-remove at any tau.
+ends the solve at once with ``NyquistFloor``, whether it is the finish of a
+start or an attempt of the march: that mean is the solution's energy on
+the Nyquist planes, which the mean-zero Newton update cannot remove at any
+tau.  On 60 random data on 10^3 and 16^3, 25 finishes ended so, and the
+march from u = 0 solved none of those 25.
 
 Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
@@ -99,11 +102,11 @@ does every other computation: the residual, ``linearize``, the line search
 and the audit.  The float64 residual fixes the Newton fixed point, so the
 answer does not change.  Below 1e-5 the operator and the recovery are
 float64.  GMRES stops on the least-squares residual of the operator it
-applies, and the float64 ||b - L w||_2 still met rtol ||b||_2 in every
-linear solve measured: at most 0.959 rtol ||b||_2 in the 81 solves above,
-and at most 0.987 rtol ||b||_2 in the 48 solves of two hard 25^3 data, the
-renormalized 8 sin 2 pi x sin 2 pi y sin 2 pi t and ``random_band_limited``
-of seed 7, max_mode 3 and amplitude 4.
+applies, and nothing checks the float64 ||b - L w||_2 after it.  That still
+met rtol ||b||_2 in every linear solve measured, but with little room: at
+most 0.959 rtol ||b||_2 in the 81 solves above, and 0.99724 rtol ||b||_2 at
+worst, in one linear solve of the renormalized 25^3 ``random_band_limited``
+datum of seed 9, max_mode 3 and amplitude 6.
 
 The Newton loop solves each system only as accurately as the step needs
 (inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
@@ -150,6 +153,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -158,9 +162,11 @@ from .field import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _integral,
     _is_fast_odd_length,
     _spectrum,
     project_mean_zero,
+    random_band_limited,
     resample,
 )
 from .pde import (
@@ -176,6 +182,7 @@ _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 10
 _ETA_MAX = 0.1  # cap and first value of the forcing terms
 _EW_GAMMA = 0.9
+_PROBE_SEED = 20570  # seed of the uniqueness probe's warm-start bumps
 
 
 class SolverError(Exception):
@@ -296,20 +303,21 @@ def solve_linearized(
     EllipticityLost when min(P + Q) <= 0, where D^{-1} is undefined.  Stops
     once GMRES's least-squares residual, equal to ||b - L w||_2 in exact
     arithmetic, is at most rtol ||b||_2, b the mean-zero part of rhs, with no
-    operator application to confirm it; raises KrylovStalled after 12 cycles
-    of 50 iterations, or when GMRES breaks down.  Each application takes one
-    forward and three inverse transforms.  rtol defaults to 1e-9, the floor
+    operator application to confirm it; raises KrylovStalled, saying which,
+    after 12 cycles of 50 iterations or when GMRES breaks down.  Each
+    application takes one forward and three inverse transforms.  rtol defaults to 1e-9, the floor
     of the Newton loop's forcing terms.  Returns the solution and the number
     of operator applications.
 
     Precision: for rtol >= 1e-5 the operator L K and the recovery of w run
     in float32, against the :class:`~ktcy.pde.MeanPreconditioner` built in
     float32 once per call, so the stop test runs on the float32 operator, not
-    on L, and the call takes no float64 transform.  The float64
-    ||b - L w||_2 still met rtol ||b||_2 in all 129 solves of the three
-    benchmark workloads' first three data and two hard 25^3 data, at most
-    0.987 rtol ||b||_2.  Below 1e-5 the operator and the recovery are
-    float64.  GMRES and the mean projections are float64 at every rtol.
+    on L, and the call takes no float64 transform.  Nothing checks the
+    float64 ||b - L w||_2; it met rtol ||b||_2 in every linear solve
+    measured, at worst 0.99724 rtol ||b||_2 (the renormalized 25^3
+    ``random_band_limited`` datum of seed 9, max_mode 3, amplitude 6).
+    Below 1e-5 the operator and the recovery are float64.  GMRES and the
+    mean projections are float64 at every rtol.
     """
     grid = rhs.grid
     if grid != coeffs.grid:
@@ -341,10 +349,12 @@ def solve_linearized(
     b = (rhs.values - np.mean(rhs.values)).ravel()
     y, ok = _gmres(matvec, b, rtol)
     if not ok:
-        raise KrylovStalled(
-            f"GMRES missed rtol {rtol:.1e} in {_GMRES_MAX_CYCLES} cycles of "
-            f"{_GMRES_RESTART}, after {applications[0]} operator applications"
-        )
+        # twelve full cycles spend exactly this many applications; a breakdown
+        # before the budget's last one spends fewer
+        cause = f"missed rtol {rtol:.1e} in {_GMRES_MAX_CYCLES} cycles of {_GMRES_RESTART}"
+        if applications[0] < _GMRES_MAX_CYCLES * (_GMRES_RESTART + 1) - 1:
+            cause = f"broke down short of rtol {rtol:.1e}"
+        raise KrylovStalled(f"GMRES {cause}, after {applications[0]} operator applications")
     w = preconditioner.solve(y.reshape(shape) / d)
     return project_mean_zero(ScalarField(grid, w)), applications[0]
 
@@ -541,29 +551,69 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     """Plain Newton iteration from a warm start at fixed datum (no path).
 
     Raises GridMismatchError unless u0 and F_target are both on cfg.grid,
-    before any work, and ValueError, naming the largest F, when e^F
-    overflows float64.  Otherwise raises the ``SolverError`` that ended the
-    attempt: ``EllipticityLost`` for a start outside the cone,
-    ``NewtonStalled`` when the step budget ran out, otherwise the error of
-    the failed step.
+    before any work, ValueError, naming the largest F, when e^F overflows
+    float64, and NormalizationError for a datum that violates the
+    normalization (:func:`check_normalization`), which no state solves.
+    Otherwise raises the ``SolverError`` that ended the attempt:
+    ``EllipticityLost`` for a start outside the cone, ``NewtonStalled`` when
+    the step budget ran out, otherwise the error of the failed step.
     """
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
     if F_target.grid != cfg.grid:
         raise GridMismatchError("newton_solve: datum grid differs from config grid")
-    u, _ = _polish(project_mean_zero(u0), _exp(F_target), cfg, [])
+    g = _exp(F_target)
+    check_normalization(F_target)
+    u, _ = _polish(project_mean_zero(u0), g, cfg, [])
     return u
+
+
+@dataclass(frozen=True)
+class UniquenessProbe:
+    max_pairwise_sup_diff: float
+    trials: int
+
+
+def uniqueness_probe(F: ScalarField, cfg, trials: int) -> UniquenessProbe:
+    """Empirical uniqueness test: solve from distinct warm starts.
+
+    Trial 1 is a full :func:`solve`: grid-sequenced, with a
+    continuation that tries the full datum first and runs on the requested
+    grid from zero only as the fallback.  The remaining trials run plain
+    Newton from that solution plus a band-limited bump of sup 1e-3, drawn
+    from a generator of the fixed seed ``_PROBE_SEED``, and scaled
+    down where needed so that it moves P and Q by at most half the
+    solution's min P and min Q: the start stays in the elliptic cone, which
+    ``newton_solve`` requires.  Returns the worst pairwise sup-difference.
+    """
+    if trials < 2:
+        raise ValueError(f"uniqueness_probe needs trials >= 2, got {trials}")
+    rng = np.random.default_rng(_PROBE_SEED)
+    report = solve(F, cfg)
+    base, ell = report.u, report.estimates.ellipticity
+    solutions = [base]
+    for _ in range(trials - 1):
+        bump = random_band_limited(F.grid, rng, max_mode=2, amplitude=1e-3)
+        # P and Q are affine in u, so the bump moves them by P - 1 and Q - 1
+        # of its own linearization, linearly in its amplitude
+        c, scale = linearize(bump), 1.0
+        for minimum, coeff in ((ell.min_p, c.P), (ell.min_q, c.Q)):
+            move = _sup(coeff - 1.0)
+            if move > 0.5 * minimum:
+                scale = min(scale, 0.5 * minimum / move)
+        start = project_mean_zero(base + bump * scale)  # times 1.0 is exact
+        solutions.append(newton_solve(start, F, cfg))
+    worst = max(_sup(a.values - b.values) for a, b in combinations(solutions, 2))
+    return UniquenessProbe(max_pairwise_sup_diff=worst, trials=trials)
 
 
 def check_normalization(F: ScalarField) -> None:
     """Raise NormalizationError unless the integral of e^F equals the box
     volume within 1e-10 relative."""
     volume = F.grid.volume()
-    # the quadrature of field.integrate on the array, where an overflow of
-    # e^F leaves an integral of inf to report
+    # an overflow of e^F leaves an integral of inf to report
     with np.errstate(over="ignore"):
-        ef = np.exp(F.values)
-        datum_integral = float(np.sum(ef)) * volume / ef.size
+        datum_integral = _integral(np.exp(F.values), F.grid)
     if abs(datum_integral - volume) > 1e-10 * volume:
         raise NormalizationError(
             f"integral of e^F is {datum_integral:.15g}, expected {volume:.15g}; "
@@ -596,10 +646,8 @@ def _continuation(
     :func:`_newton_attempt`), above newton_tol.  Returns u and
     ``linearize(u, angle)``.
     """
-    grid = cfg.grid
-    u = ScalarField.zeros(grid)
+    u = ScalarField.zeros(cfg.grid)
     coeffs = linearize(u, angle)
-    even = any(n % 2 == 0 for n in grid.shape)
     tau = 0.0
     step = 1.0
     while tau < 1.0:
@@ -615,27 +663,45 @@ def _continuation(
                 step = min(2.0 * step, 1.0)
             continue
         step *= 0.5
-        if even or step < cfg.tau_min_step:
-            res = coeffs_end.lhs() - g_tau
-            res_mean = float(np.mean(res))
-            spread = _sup(res - res_mean)
-            measured = (
-                f"the attempt at tau = {tau_try:.6f} ended with residual sup "
-                f"{record.final_residual_sup:.3e} (newton_tol {cfg.newton_tol:.1e}), "
-                f"mean {res_mean:.3e} and sup |residual - mean| {spread:.3e}"
-            )
-            if even and spread <= cfg.newton_tol < res_mean:
-                raise NyquistFloor(
-                    f"Nyquist floor at tau = {tau:.6f} on the "
-                    f"{'x'.join(map(str, grid.shape))} grid: the mean-zero part is "
-                    "solved, and the mean left is energy of u on the Nyquist planes, "
-                    "which no tau step removes (the odd grids "
-                    f"{_odd_neighbours(grid.shape)} have none); {measured}"
-                )
-            if step < cfg.tau_min_step:
-                raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
+        _raise_on_stall(record, coeffs_end, g_tau, cfg, tau, underflow=step < cfg.tau_min_step)
         del u_end, coeffs_end  # the march restarts from u: free the failed end state
     return u, coeffs
+
+
+def _raise_on_stall(record, coeffs, g, cfg, tau, underflow=False):
+    """Raise the error that ends the solve after a failed attempt, if any.
+
+    ``record`` and ``coeffs`` are the attempt's record and the linearization
+    of the state it ended on, ``g`` its target and ``tau`` the last tau
+    accepted before it (1 for the finish of a start).  On a grid with an
+    even axis, a residual that is all mean, sup |res - mean| <= newton_tol <
+    mean, raises NyquistFloor: the mean-zero Newton update cannot remove
+    that mean at any tau.  Otherwise ``underflow`` raises
+    ContinuationStalled.  Both messages end with the attempt's measured
+    residual sup, mean and sup |residual - mean|.
+    """
+    grid = cfg.grid
+    even = any(n % 2 == 0 for n in grid.shape)
+    if not (even or underflow):
+        return
+    res = coeffs.lhs() - g
+    res_mean = float(np.mean(res))
+    spread = _sup(res - res_mean)
+    measured = (
+        f"the attempt at tau = {record.tau:.6f} ended with residual sup "
+        f"{record.final_residual_sup:.3e} (newton_tol {cfg.newton_tol:.1e}), "
+        f"mean {res_mean:.3e} and sup |residual - mean| {spread:.3e}"
+    )
+    if even and spread <= cfg.newton_tol < res_mean:
+        raise NyquistFloor(
+            f"Nyquist floor at tau = {tau:.6f} on the "
+            f"{'x'.join(map(str, grid.shape))} grid: the mean-zero part is "
+            "solved, and the mean left is energy of u on the Nyquist planes, "
+            "which no tau step removes (the odd grids "
+            f"{_odd_neighbours(grid.shape)} have none); {measured}"
+        )
+    if underflow:
+        raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
 
 
 def _coarse_grid(grid: GridSpec) -> GridSpec | None:
@@ -713,10 +779,11 @@ def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
     truncation level, its solution is spectrally prolonged to cfg.grid, and
     one Newton attempt finishes there.
     If F is not resolved, the coarse continuation fails or the fine Newton
-    attempt fails, the continuation runs on cfg.grid from u = 0.  Either way
-    the result meets newton_tol on cfg.grid; the trace keeps every attempt,
-    each with its grid.  The returned report carries the full a-priori
-    estimate audit.
+    attempt fails, the continuation runs on cfg.grid from u = 0, unless the
+    fine attempt ends on the Nyquist floor of an even grid, which raises
+    ``NyquistFloor``.  Either way a returned result meets newton_tol on
+    cfg.grid; the trace keeps every attempt, each with its grid.  The
+    returned report carries the full a-priori estimate audit.
     """
     return _solve(F, cfg)
 
@@ -729,8 +796,10 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
     shape of the grid its continuation ran on.  The first start that one
     Newton attempt on cfg.grid finishes gives the solution; a start or
     finish that raises a ``SolverError`` passes to the next one, and when
-    none is left the continuation runs on cfg.grid from u = 0.  The starts
-    are skipped for a datum that u = 0 already solves.
+    none is left the continuation runs on cfg.grid from u = 0.  A finish
+    that ends on the Nyquist floor of an even grid raises ``NyquistFloor``
+    instead (:func:`_raise_on_stall`).  The starts are skipped for a datum
+    that u = 0 already solves.
     """
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
@@ -741,16 +810,20 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
     for start in starts:
         try:
             u0, coarse_grid = start(F, cfg, records)
-            u, coeffs = _polish(u0, g, cfg, records)
         except SolverError as failure:
             # the failed stage's arrays live on in the frames of the error's
-            # traceback (a cycle through _polish's ``failure``) and in u0:
-            # free them before the next start runs
+            # traceback: free them before the next start runs
             failure.with_traceback(None)
-            u0 = None
             continue
-        coarse_fine_sup = _sup(u.values - u0.values)
-        break
+        record, failure, u, coeffs = _newton_attempt(u0, linearize(u0), g, cfg)
+        records.append(record)
+        if failure is None:
+            coarse_fine_sup = _sup(u.values - u0.values)
+            break
+        # a finish on the Nyquist floor ends the solve: on the even-grid survey
+        # data the continuation from u = 0 never got past that floor
+        _raise_on_stall(record, coeffs, g, cfg, 1.0)
+        u0 = u = coeffs = None  # free the failed finish before the next start runs
     else:
         u, coeffs = _continuation(g, cfg, records)
         coarse_grid = coarse_fine_sup = None

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from ktcy.pde import NonPositiveLHS, manufacture, renormalize
-from ktcy.estimates import uniqueness_probe
+from ktcy.solver import uniqueness_probe
 from ktcy.field import (
     GridSpec,
     ScalarField,

@@ -119,6 +119,10 @@ class TestExpressionGrammar:
         u = evaluate_expression("log(exp(1.5))", grid8)
         assert np.allclose(u.values, 1.5, atol=1e-15)
 
+    def test_unary_signs(self, grid8):
+        X, Y, _ = grid8.meshgrid()
+        assert np.array_equal(evaluate_expression("-x + +y", grid8).values, -X + Y)
+
     @pytest.mark.parametrize(
         "expr",
         [
@@ -283,6 +287,34 @@ class TestMainCommands:
         code = main([command, "--grid", "8,8,8", "--expr", expr])
         assert code == EXIT_USAGE
         assert f"non-finite value at grid index {index}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["solve", "--grid", "5,5,5", "--expr", "sin(x"], None, "cannot parse expression"),
+        (["solve", "--grid", "8,8", "--builtin", "zero"], None, "grid needs 3 integers"),
+        (["solve", "--builtin", "zero"], None, "grid is required"),
+        (["rotate", "--grid", "8,8,8", "--builtin", "zero"], None, "rotate requires --angle"),
+        (["verify", "--solution", "{u}", "--field", "{F}"], None,
+         "the datum dump holds (5, 5, 5)"),
+        (["export"], None, "export requires --field"),
+        (["solve", "--builtin", "zero"], "grid 8,8,8\n", "expected 'key = value'"),
+        (["solve", "--grid", "8,8,8", "--builtin", "zero"], "renormalize = maybe\n",
+         "expected boolean, got 'maybe'"),
+        (["export", "--field", "{u}"], "format = pdf\n", "unknown export format 'pdf'"),
+        (["export", "--field", "{u}"], "format = csv-slice\nslice_axis = z\n",
+         "axis must be one of"),
+    ], ids=[
+        "syntax", "two_axis_grid", "no_grid", "rotate_no_angle", "verify_datum_grid",
+        "export_no_field", "config_line", "config_bool", "export_format", "slice_axis",
+    ])
+    def test_usage_errors_exit_2(self, tmp_path, zero_dump, capsys, argv, config, message):
+        F = tmp_path / "F.field"
+        write_field(ScalarField.zeros(GridSpec(5, 5, 5)), F)
+        argv = [a.format(u=zero_dump, F=F) for a in argv] + ["--out", str(tmp_path / "run")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_solve_unnormalized_exits_3(self, capsys):
         code = main(["solve", "--grid", "8,8,8", "--expr", "1"])

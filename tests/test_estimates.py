@@ -6,9 +6,9 @@ import pytest
 from ktcy.pde import (
     _solution_bound, ellipticity_report, linearize, manufacture, renormalize, residual,
 )
-from ktcy.estimates import uniqueness_probe, verify
-from ktcy.field import GridSpec, ScalarField, random_band_limited, sample
-from ktcy.solver import SolverConfig, solve
+from ktcy.estimates import verify
+from ktcy.field import GridSpec, ScalarField, norms, random_band_limited, sample
+from ktcy.solver import SolverConfig, solve, uniqueness_probe
 
 TAU = 2.0 * np.pi
 
@@ -212,10 +212,12 @@ class TestVerify:
         )
 
     def test_poincare_rescaled_label_off_unit_box(self, rng):
+        # off the unit box lambda_1 is rescaled to the largest period
         g = GridSpec(16, 16, 16, L_x=2.0, L_y=2.0)
         u = random_band_limited(g, rng, max_mode=3, amplitude=0.01)
         report = verify(u, ScalarField.zeros(g))
-        assert "rescaled" in report.check("g_poincare").note
+        l2 = norms(u)["l2"]
+        assert report.check("g_poincare").lhs == pytest.approx((TAU / 2.0) ** 2 * l2**2, rel=1e-12)
 
 
 class TestSolutionTest:

@@ -428,6 +428,7 @@ class TestResample:
             ((8, 10, 12), (13, 15, 17)), ((13, 15, 17), (8, 10, 12)),  # even up to odd, odd down to even
             ((8, 9, 10), (12, 14, 16)), ((12, 14, 16), (8, 9, 10)),  # even to even both ways
             ((10, 7, 6), (6, 11, 10)),  # down and up at once
+            ((16, 16, 16), (16, 16, 9)),  # even axes kept at their size
         ],
         ids=str,
     )

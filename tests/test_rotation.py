@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ktcy.pde import manufacture
+from ktcy.pde import manufacture, renormalize
 from ktcy.field import GridSpec, ScalarField, evaluate, integrate, random_band_limited, sample
 from ktcy.rotation import (
     RationalAngle,
@@ -183,6 +183,23 @@ class TestSolveRotated:
         angle = RationalAngle(1, 1)
         with pytest.raises(NormalizationError, match="normalized"):
             solve_rotated(F, angle, SolverConfig(grid=rotated_grid(angle, 16, 16, 16)))
+
+    def test_cell_check_of_a_normalized_datum(self):
+        # F is renormalized on 16^3, but the 16^2 x 16 cell of (1, 1) aliases
+        # its modes: the cell integral of e^G misses L^2 = 2 by 4e-10 L^2
+        # (exit 3 from ``ktcy rotate``), and the error must not ask for F to
+        # be renormalized
+        grid = GridSpec(16, 16, 16)
+        F = renormalize(sample(
+            lambda x, y, t: np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid
+        ))
+        angle = RationalAngle(1, 1)
+        with pytest.raises(NormalizationError) as info:
+            solve_rotated(F, angle, SolverConfig(grid=rotated_grid(angle, 16, 16, 16)))
+        message = str(info.value)
+        assert message.startswith("F is normalized on its own grid")
+        assert "is 2.00000000082703, expected L^2 = 2 " in message
+        assert "renormalize it" not in message
 
     def test_base_point_values_invert_pullback(self, rng):
         # push-forward of a pulled-back field recovers the original values

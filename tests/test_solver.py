@@ -296,7 +296,7 @@ class TestGmres:
             lambda c, w, **kwargs: w.with_values(np.zeros(grid.shape)),
         )
         rhs = random_band_limited(grid, np.random.default_rng(0), max_mode=2)
-        with pytest.raises(KrylovStalled, match="after 1 operator applications"):
+        with pytest.raises(KrylovStalled, match="broke down .* after 1 operator applications"):
             solve_linearized(linearize(ScalarField.zeros(grid)), rhs)
 
     def test_zero_rhs_takes_no_application(self):
@@ -458,18 +458,20 @@ class TestNewtonAttempt:
 
     def test_failing_solves_linearize_each_state_once(self, linearize_calls):
         # the first 10^3 draw of the even-grid survey ends on the Nyquist
-        # floor: a 5^3 march of 3 steps, stopped at its truncation level, a
-        # 10^3 finish of 11 steps whose next line search fails, and one
-        # failed 10^3 attempt of 10 steps from u = 0.  The 17^3 datum falls
-        # back to the continuation after its Newton finish from a 9^3 march
-        # of 4 steps is refused.  Linearizing the end state again after each
-        # failed attempt would raise these counts (to 56 and 17)
+        # floor at its finish: a 5^3 march of 3 steps, stopped at its
+        # truncation level (1 + 3 linearizations), then a 10^3 finish from
+        # the prolonged start whose 11 steps take 14 trials and whose 12th
+        # line search fails after 11 (1 + 14 + 11), with a residual that is
+        # all mean.  The 17^3 datum falls back to the continuation after its
+        # Newton finish from a 9^3 march of 4 steps is refused.  Linearizing
+        # the end state again after each failed attempt would raise these
+        # counts (to 31 and 17)
         rng = np.random.default_rng(1000)
         amplitude = 0.2 + 1.8 * rng.uniform()
         F = renormalize(random_band_limited(GridSpec(10, 10, 10), rng, 1, amplitude))
-        with pytest.raises(NyquistFloor):
+        with pytest.raises(NyquistFloor, match="at tau = 1.000000 on the 10x10x10 grid"):
             solve(F, SolverConfig(grid=F.grid))
-        assert len(linearize_calls) == 54
+        assert len(linearize_calls) == 30
         linearize_calls.clear()
         F = renormalize(random_band_limited(
             GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
@@ -491,6 +493,32 @@ class TestSolve:
         F = ScalarField.constant(grid16, math.log(2.0))
         with pytest.raises(NormalizationError, match="expected"):
             solve(F, cfg16)
+
+    @pytest.mark.parametrize("sine, shift", [(0.0, 0.1), (0.3, 0.05)], ids=["constant", "triple_sine"])
+    def test_newton_solve_rejects_unnormalized_datum(self, linearize_calls, sine, shift):
+        # no state solves an unnormalized datum, so newton_solve names that
+        # before any work instead of failing a futile attempt on it
+        grid = GridSpec(9, 9, 9)
+        F = sample(
+            lambda x, y, t: sine * np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t) + shift,
+            grid,
+        )
+        with pytest.raises(NormalizationError, match="expected 1;"):
+            newton_solve(ScalarField.zeros(grid), F, SolverConfig(grid=grid))
+        assert not linearize_calls
+
+    def test_no_coarse_grid_marches_on_the_grid(self):
+        # a 5-point axis has no odd size below it, so the march runs on the
+        # requested grid itself, and accepts the full datum at once
+        grid = GridSpec(5, 9, 9)
+        F = renormalize(sample(
+            lambda x, y, t: 0.3 * np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid
+        ))
+        report = solve(F, SolverConfig(grid=grid))
+        assert report.coarse_grid is None and report.coarse_fine_sup is None
+        records = [(r.tau, r.grid, r.accepted) for r in report.trace.records]
+        assert records == [(1.0, grid.shape, True)]
+        assert report.estimates.passed and not report.estimates.informative
 
     def test_grid_mismatch(self, grid8, cfg16):
         from ktcy.field import GridMismatchError
