@@ -38,14 +38,6 @@ from .pde import NonPositiveLHS, manufacture, renormalize
 from .rotation import RationalAngle, rotated_grid, solve_rotated
 from .solver import ContinuationStalled, NormalizationError, SolverConfig, solve
 
-__all__ = [
-    "ExpressionError",
-    "evaluate_expression",
-    "builtin_field",
-    "write_csv_slice",
-    "main",
-]
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NORMALIZATION = 3

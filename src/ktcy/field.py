@@ -6,9 +6,9 @@ modules build on the operations here.
 
 This is the one module that calls the FFT backends, lays out spectra and
 knows which transform lengths are fast.  The other modules transform through
-:func:`_spectrum` and :func:`_from_spectrum` against the symbols built here
-(:func:`operator_symbols` and the preconditioner's :func:`_inverse_symbol`),
-and the solver picks its coarse grid sizes with :func:`_is_fast_odd_length`.
+:func:`_spectrum` and :func:`_from_spectrum` against the symbols of the
+cached :func:`operator_symbols` table, the preconditioner's inverse symbol
+among them, and the solver picks its coarse grid sizes with :func:`_is_fast_odd_length`.
 :func:`resample` copies the kept modes of one ``rfftn`` into the target
 grid's half layout and takes one ``irfftn``.  :func:`interpolant_modes` and
 :func:`synthesize` hold the interpolant by signed mode, with the same
@@ -276,19 +276,24 @@ def _derivatives(u: ScalarField, gradient: bool = True, second: bool = True) -> 
 
 
 class OperatorSymbols(NamedTuple):
-    """Fourier symbols of the linearized operator's derivative groups.
+    """Fourier symbols of the linearized operator's derivative groups, and
+    the inverse symbol of its flat case.
 
     Broadcastable over the ``np.fft.rfftn`` layout and built from the
     factors of :func:`derivative`; the mixed symbols are products of the
     Nyquist-zeroed first-order factors, so they match composed transforms.
     In a rotated frame (see :func:`operator_symbols`) the fields hold the
     same groups for the directions d_p and d_q in place of d_x and d_y.
+    ``flat_inverse`` is 1 / (xx + yy_tt_t), the inverse of the linearization
+    L0 = d_xx + d_yy + d_tt + d_t at u = 0, with its zero mode pinned to 0:
+    L0 is nonsingular on mean-zero functions.
     """
 
     xx: np.ndarray       # d_xx, or d_pp
     yy_tt_t: np.ndarray  # d_yy + d_tt + d_t, or d_qq + d_tt + d_t
     xy: np.ndarray       # d_x d_y, or d_p d_q
     xt: np.ndarray       # d_x d_t, or d_p d_t
+    flat_inverse: np.ndarray  # L0^{-1}, in the full layout
 
 
 @functools.lru_cache(maxsize=8)
@@ -310,40 +315,30 @@ def operator_symbols(grid: GridSpec, angle: tuple | None = None) -> OperatorSymb
     t1, t2 = (_factor(grid.n_t, grid.L_t, o)[None, None, :] for o in (1, 2))
     xy, xt = (x1 * y1).real, (x1 * t1).real
     if angle is None:
-        table = OperatorSymbols(xx=x2, yy_tt_t=y2 + t2 + t1, xy=xy, xt=xt)
+        groups = (x2, y2 + t2 + t1, xy, xt)
     else:
         c, s = angle
-        table = OperatorSymbols(
-            xx=c * c * x2 + s * s * y2 - 2.0 * c * s * xy,
-            yy_tt_t=s * s * x2 + c * c * y2 + 2.0 * c * s * xy + t2 + t1,
-            xy=c * s * (x2 - y2) + (c * c - s * s) * xy,
-            xt=c * xt - s * (y1 * t1).real,
+        groups = (
+            c * c * x2 + s * s * y2 - 2.0 * c * s * xy,
+            s * s * x2 + c * c * y2 + 2.0 * c * s * xy + t2 + t1,
+            c * s * (x2 - y2) + (c * c - s * s) * xy,
+            c * xt - s * (y1 * t1).real,
         )
+    flat = groups[0] + groups[1]
+    flat[0, 0, 0] = 1.0
+    flat_inverse = 1.0 / flat
+    flat_inverse[0, 0, 0] = 0.0
+    table = OperatorSymbols(*groups, flat_inverse)
     for symbol in table:
         symbol.flags.writeable = False
     return table
-
-
-def _inverse_symbol(grid: GridSpec, pbar: float, qbar: float, angle: tuple | None) -> np.ndarray:
-    """Inverse symbol of M = pbar xx + qbar yy_tt_t on the rfftn layout.
-
-    Built from the :func:`operator_symbols` table in the frame of ``angle``.
-    M is nonsingular on mean-zero functions, and its zero mode is pinned:
-    the inverse symbol is 0 there.
-    """
-    symbols = operator_symbols(grid, angle)
-    symbol = pbar * symbols.xx + qbar * symbols.yy_tt_t
-    symbol[0, 0, 0] = 1.0
-    inverse = 1.0 / symbol
-    inverse[0, 0, 0] = 0.0
-    return inverse
 
 
 def _single(symbol: np.ndarray) -> np.ndarray:
     """A symbol or array in single precision: float32, or complex64 if complex.
 
     A complex symbol never goes to a real dtype, which would drop its
-    imaginary part: the d_t part of ``yy_tt_t`` and the M^{-1} symbol.
+    imaginary part: the d_t part of ``yy_tt_t`` and ``flat_inverse``.
     """
     return symbol.astype(np.complex64 if np.iscomplexobj(symbol) else np.float32)
 

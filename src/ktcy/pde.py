@@ -22,9 +22,10 @@ and q, and the coefficients carry that frame to everything that uses them.
 transform per derivative group against the cached
 :func:`~ktcy.field.operator_symbols` table.  Every transform goes through
 :mod:`ktcy.field`, which alone chooses the FFT backend and the layout of
-the spectra and symbols.  Given the :class:`MeanPreconditioner` of the
-coefficients, it applies L M^{-1} for the grid-mean operator M in one
-forward and three inverse transforms: M^{-1} is folded into the
+the spectra and symbols.  Given the :class:`MeanPreconditioner` K of the
+coefficients, it applies L K, with K = L0^{-1} D^{-1} for the flat
+linearization L0 (the one at u = 0) and the pointwise trace D = P + Q, in
+one forward and three inverse transforms: L0^{-1} is folded into the
 derivative groups, and the group of Q is rewritten through the xx group
 and the mean-zero projection.  This is how the solver's right
 preconditioning runs.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .field import (
     GridMismatchError, GridSpec, ScalarField, _Derivatives, _derivatives, _from_spectrum,
-    _inverse_symbol, _single, _spectrum, operator_symbols, project_mean_zero,
+    _single, _spectrum, operator_symbols, project_mean_zero,
 )
 
 _SOLUTION_TOL_FACTOR = 1e-10  # sup residual of a solution, relative to max(1, sup e^F)
@@ -128,7 +129,11 @@ def renormalize(F: ScalarField) -> ScalarField:
     """Shift F by a constant so the integral of e^F equals the box volume.
 
     Raises ValueError, naming the largest F, when e^F or its integral
-    overflows float64.
+    overflows float64.  The shift does not depend on a constant added to F,
+    so a datum whose mean of e^F is below the smallest normal float (F
+    below about -708 everywhere), where its log would lose digits or be
+    -inf, is renormalized as F - max F, whose mean of e^F is at least
+    1 / (number of grid points).
     """
     volume = F.grid.volume()
     ef = _exp(F)
@@ -137,6 +142,8 @@ def renormalize(F: ScalarField) -> ScalarField:
         mean_ef = float(np.sum(ef)) * volume / ef.size / volume
     if np.isinf(mean_ef):
         raise _exp_overflow(F)
+    if mean_ef < np.finfo(float).tiny:
+        return renormalize(F - float(np.max(F.values)))
     return F - float(np.log(mean_ef))
 
 
@@ -187,28 +194,36 @@ def manufacture(u_star: ScalarField) -> tuple[ScalarField, ScalarField]:
 
 
 class MeanPreconditioner:
-    """M^{-1} for the grid-mean operator of coefficients c, folded into L.
+    """The right preconditioner K = L0^{-1} D^{-1} of the linearized
+    operator L of coefficients c, folded into L.
 
-    M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t) in the frame of c, with Pbar
-    and Qbar the grid means of P and Q; its inverse symbol is 0 on the zero
-    mode (:func:`~ktcy.field._inverse_symbol`).  On every other mode the
-    symbol of the Q group times M^{-1} is (1 - Pbar xx M^{-1}) / Qbar, so
+    L0 w = w_xx + w_yy + w_tt + w_t in the frame of c is the grid-mean
+    operator of every state: P - 1 and Q - 1 are derivatives of the periodic
+    u, so the grid means of P and Q are 1 (to rounding).  Its inverse symbol
+    is the table's ``flat_inverse``, 0 on the zero mode.  D multiplies by the
+    trace P + Q, which L0 cannot see: where P and Q vary together, L is
+    close to (P + Q) L0 / 2, so L K is close to the identity up to a
+    constant factor, which GMRES does not see.  On every mode but the zero
+    mode the symbol of the Q group times L0^{-1} is 1 - xx L0^{-1}, so with
+    z = w / (P + Q)
 
-        L M^{-1} w = (P - (Pbar/Qbar) Q) d_xx M^{-1} w + (Q/Qbar) Pi w
-                     - 2 R d_xy M^{-1} w - 2 S d_xt M^{-1} w
+        L K w = (P - Q) d_xx L0^{-1} z + Q Pi z - 2 R d_xy L0^{-1} z
+                - 2 S d_xt L0^{-1} z
 
     with Pi the mean-zero projection: one forward and three inverse
-    transforms against the composite symbols xx M^{-1}, -2 xy M^{-1} and
-    -2 xt M^{-1}, which carry the factor -2 of the mixed groups.  The
-    identity holds mode by mode on odd and even grids (M and the composite
+    transforms against the composite symbols xx L0^{-1}, -2 xy L0^{-1} and
+    -2 xt L0^{-1}, which carry the factor -2 of the mixed groups.  The
+    identity holds mode by mode on odd and even grids (L0 and the composite
     symbols share the Nyquist-zeroed first-order factors) and in a rotated
     frame.
 
-    Everything is built once, in float64 from the float64 coefficients, and
-    held in ``dtype``: float32 arrays and complex64 symbols for float32.
-    The folded apply (:func:`apply_linearized`) and :meth:`solve` run in
-    that precision.  Nothing is stored on c: what is built here is freed
-    with the preconditioner, at the end of the linear solve that builds it.
+    K holds c and its float64 trace; the division by the trace runs in
+    float64.  Everything else is built once, in float64 from the float64
+    coefficients, and held in ``dtype``: float32 arrays and complex64
+    symbols for float32, while float64 shares c's Q, R and S.  The folded
+    apply (:func:`apply_linearized`) and :meth:`solve` run in that
+    precision.  Nothing is stored on c: what is built here is freed with the
+    preconditioner, at the end of the linear solve that builds it.
     """
 
     def __init__(self, c: LinearizedCoeffs, dtype=np.float64):
@@ -218,38 +233,38 @@ class MeanPreconditioner:
         # each product is cast as it is made, so at most one float64
         # temporary is alive at a time
         held = _single if dtype == np.float32 else (lambda a: a)
-        pbar, qbar = float(np.mean(c.P)), float(np.mean(c.Q))
-        inverse = _inverse_symbol(c.grid, pbar, qbar, c.angle)
         symbols = operator_symbols(c.grid, c.angle)
-        self.grid, self.angle, self.dtype = c.grid, c.angle, dtype
-        self.P_fold = held(c.P - (pbar / qbar) * c.Q)
-        self.Q_fold = held(c.Q / qbar)
+        self.coeffs, self.trace, self.dtype = c, c.P + c.Q, dtype
+        self.P_fold, self.Q_fold = held(c.P - c.Q), held(c.Q)
         self.R, self.S = held(c.R), held(c.S)
-        self.xx = held(symbols.xx * inverse)
-        self.xy = held(-2.0 * symbols.xy * inverse)
-        self.xt = held(-2.0 * symbols.xt * inverse)
-        self.inverse = held(inverse)
+        self.xx = held(symbols.xx * symbols.flat_inverse)
+        self.xy = held(-2.0 * symbols.xy * symbols.flat_inverse)
+        self.xt = held(-2.0 * symbols.xt * symbols.flat_inverse)
+        self.inverse = held(symbols.flat_inverse)
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        """M^{-1} of grid values, one forward and one inverse transform in
-        the preconditioner's precision; an array of that precision."""
-        spec = _spectrum(values.astype(self.dtype, copy=False))
-        return _from_spectrum(spec, self.inverse, self.grid)
+        """K of grid values, L0^{-1}(values / (P + Q)), one forward and one
+        inverse transform in the preconditioner's precision; an array of
+        that precision."""
+        spec = _spectrum((values / self.trace).astype(self.dtype, copy=False))
+        return _from_spectrum(spec, self.inverse, self.coeffs.grid)
 
 
 def apply_linearized(
     c: LinearizedCoeffs, w: ScalarField, preconditioner: MeanPreconditioner | None = None
 ) -> ScalarField:
-    """L w, or L M^{-1} w given the :class:`MeanPreconditioner` of ``c``.
+    """L w, or L K w given the :class:`MeanPreconditioner` K of ``c``.
 
     L w takes one forward and four inverse float64 transforms, one per
-    derivative group of the frame of ``c``.  L M^{-1} w takes one forward
-    and three inverse transforms, in the precision of the preconditioner:
-    float32 rounds w to float32 and runs the transforms and products in
-    single precision.  The result is a float64 field either way.  In single
-    precision it matched the float64 preconditioned apply to 1.6e-7 relative
-    (sup) on white-noise w, and to 6.1e-7 on the 270 float32 Krylov vectors
-    of the first three data of each benchmark workload.
+    derivative group of the frame of ``c``.  L K w = L L0^{-1}(w / (P + Q))
+    takes one forward and three inverse transforms, in the precision of the
+    preconditioner: float32 rounds w / (P + Q) to float32 and runs the
+    transforms and products in single precision.  The result is a float64
+    field either way.  In single precision it matched the float64
+    preconditioned apply to 1.6e-7 relative (sup) on white-noise w, and to
+    6.1e-7 on the 270 float32 Krylov vectors of the first three data of each
+    benchmark workload.  A preconditioner built from any other coefficient
+    object is refused with ValueError, even one of the same grid and frame.
     """
     if c.grid != w.grid:
         raise GridMismatchError("apply_linearized: coefficient/argument grid mismatch")
@@ -264,9 +279,9 @@ def apply_linearized(
             - 2.0 * (c.S * _from_spectrum(spec, symbols.xt, grid))
         )
     K = preconditioner
-    if (K.grid, K.angle) != (c.grid, c.angle):
+    if K.coeffs is not c:
         raise ValueError("apply_linearized: the preconditioner is not that of the coefficients")
-    values = w.values.astype(K.dtype, copy=False)
+    values = (w.values / K.trace).astype(K.dtype, copy=False)
     spec = _spectrum(values)
     mean_zero = values - spec[0, 0, 0].real / values.size
     return w.with_values(

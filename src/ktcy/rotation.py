@@ -219,7 +219,9 @@ def base_point_values(v: ScalarField, angle: RationalAngle, x, y, t) -> np.ndarr
 
     No resampled field is returned: the inverse rotation maps the unit grid
     off the (L, L, 1) grid, and silent interpolation would hide error.
+    Raises ValueError unless v is on an (L, L, 1) cell grid of the angle.
     """
+    _check_rotated_grid(angle, v.grid)
     c, s = angle.cos_theta, angle.sin_theta
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -13,10 +13,13 @@ from perturbed copies of a solution.  Every stage, the finishing
 attempt included, signals failure by raising a ``SolverError``, and the
 driver then moves on to the next start.
 
-The solver carries the target g = e^F, an array computed once per grid
-where F comes in (the driver, the coarse start, ``newton_solve`` and the
-rotated unit-grid start); the continuation, the polish and the Newton
-attempt take g and never exponentiate F again.  The path target is
+The solver carries the target g = e^F, an array computed where F comes in
+(the driver, the coarse start, ``newton_solve`` and the rotated unit-grid
+start); the continuation, the polish and the Newton attempt take g and
+never exponentiate F.  Where F comes in it is exponentiated more than
+once: the driver and ``newton_solve`` call :func:`check_normalization`,
+which integrates an e^F of its own, and the coarse start renormalizes its
+restriction of F before it takes g.  The path target is
 
     e^{F_tau} = 1 - tau + tau e^F,
 
@@ -63,26 +66,27 @@ march from u = 0 solved none of those 25.
 Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
 subspace by GMRES restarted every 50 iterations, at most 12 cycles,
-right-preconditioned by K = M^{-1} D^{-1}.
-M is the constant-coefficient operator
+right-preconditioned by K = L0^{-1} D^{-1}.  L0 is the flat linearization,
+the one at u = 0,
 
-    M w = Pbar w_xx + Qbar (w_yy + w_tt + w_t)
+    L0 w = w_xx + w_yy + w_tt + w_t,
 
-with Pbar, Qbar the grid means of the linearization coefficients.  It is
-diagonal in Fourier space, and nonsingular on mean-zero functions.
-:class:`~ktcy.pde.MeanPreconditioner` builds it, once per linear solve, in
-the frame of the coefficients and from the same ``operator_symbols`` table
-as the linearized apply, with the zero mode pinned to 0.  D multiplies by
-the trace ratio d = (P + Q) / (Pbar + Qbar), which M cannot see: where P
-and Q vary together, L is close to d M, so L K is close to the identity; on
-the flat state d = 1 and K = M^{-1}.  On large data this about halves the
+and the grid-mean operator of every state: P - 1 and Q - 1 are derivatives
+of the periodic u, so P and Q have grid mean 1.  It is diagonal in Fourier
+space and nonsingular on mean-zero functions, and its inverse symbol, with
+the zero mode pinned to 0, is an entry of the cached ``operator_symbols``
+table of each grid and frame.  D multiplies by the trace P + Q, which L0
+cannot see: where P and Q vary together, L is close to (P + Q) L0 / 2, so
+L K is close to half the identity.  On large data this about halves the
 Krylov work (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
-section 9.3, on right preconditioning).  The first-order term makes L
-non-symmetric, hence a residual-minimizing Krylov method.  GMRES runs on
-L K: each application divides its vector by d and passes the preconditioner
-to ``apply_linearized``, which folds M^{-1} into L and applies L M^{-1} in
-one forward and three inverse transforms, and w = M^{-1}(y / d) is
-recovered once at the end, so ||b - L K y||_2 is the residual ||b - L w||_2
+section 9.3, on right preconditioning).
+:class:`~ktcy.pde.MeanPreconditioner` is K, built once per linear solve in
+the frame of the coefficients: it holds them and their trace.  The
+first-order term makes L non-symmetric, hence a residual-minimizing Krylov
+method.  GMRES runs on L K: each application passes the preconditioner to
+``apply_linearized``, which divides by the trace and applies L L0^{-1} in
+one forward and three inverse transforms, and w = K y is recovered once at
+the end by ``K.solve``, so ||b - L K y||_2 is the residual ||b - L w||_2
 of the Newton system itself.  GMRES is the solver's own, ``_gmres``: it
 stops on its least-squares residual, which equals ||b - L K y||_2 in exact
 arithmetic (Saad, Prop. 6.9; Kelley's ``nsoli`` in *Solving Nonlinear
@@ -296,54 +300,51 @@ def solve_linearized(
 ) -> tuple[ScalarField, int]:
     """Solve L w = rhs for mean-zero w by right-preconditioned restarted GMRES.
 
-    GMRES runs on L K with K = M^{-1} D^{-1}: D multiplies by the trace ratio
-    d = (P + Q) / (Pbar + Qbar), and M is the grid-mean operator.  Where P and
-    Q vary together L is close to d M, and on the flat state d = 1.  Raises
-    GridMismatchError when rhs is not on the grid of ``coeffs``, and
-    EllipticityLost when min(P + Q) <= 0, where D^{-1} is undefined.  Stops
-    once GMRES's least-squares residual, equal to ||b - L w||_2 in exact
-    arithmetic, is at most rtol ||b||_2, b the mean-zero part of rhs, with no
-    operator application to confirm it; raises KrylovStalled, saying which,
-    after 12 cycles of 50 iterations or when GMRES breaks down.  Each
-    application takes one forward and three inverse transforms.  rtol defaults to 1e-9, the floor
-    of the Newton loop's forcing terms.  Returns the solution and the number
-    of operator applications.
+    GMRES runs on L K with K = L0^{-1} D^{-1}, the
+    :class:`~ktcy.pde.MeanPreconditioner` of ``coeffs``: L0 is the flat
+    linearization, the grid-mean operator of every state, and D multiplies
+    by the trace P + Q.  Raises GridMismatchError when rhs is not on the
+    grid of ``coeffs``, and EllipticityLost when min(P + Q) <= 0, where
+    D^{-1} is undefined.  Stops once GMRES's least-squares residual, equal
+    to ||b - L w||_2 in exact arithmetic, is at most rtol ||b||_2, b the
+    mean-zero part of rhs, with no operator application to confirm it;
+    raises KrylovStalled, saying which, after 12 cycles of 50 iterations or
+    when GMRES breaks down.  Each application takes one forward and three
+    inverse transforms.  rtol defaults to 1e-9, the floor of the Newton
+    loop's forcing terms.  Returns the solution and the number of operator
+    applications.
 
     Precision: for rtol >= 1e-5 the operator L K and the recovery of w run
-    in float32, against the :class:`~ktcy.pde.MeanPreconditioner` built in
-    float32 once per call, so the stop test runs on the float32 operator, not
-    on L, and the call takes no float64 transform.  Nothing checks the
-    float64 ||b - L w||_2; it met rtol ||b||_2 in every linear solve
-    measured, at worst 0.99724 rtol ||b||_2 (the renormalized 25^3
-    ``random_band_limited`` datum of seed 9, max_mode 3, amplitude 6).
-    Below 1e-5 the operator and the recovery are float64.  GMRES and the
-    mean projections are float64 at every rtol.
+    in float32, against K built in float32 once per call, so the stop test
+    runs on the float32 operator, not on L, and the call takes no float64
+    transform.  Nothing checks the float64 ||b - L w||_2; it met rtol
+    ||b||_2 in every linear solve measured, at worst 0.99724 rtol ||b||_2
+    (the renormalized 25^3 ``random_band_limited`` datum of seed 9,
+    max_mode 3, amplitude 6).  Below 1e-5 the operator and the recovery are
+    float64.  GMRES, the division by the trace and the mean projections are
+    float64 at every rtol.
     """
     grid = rhs.grid
     if grid != coeffs.grid:
         raise GridMismatchError("solve_linearized: rhs grid differs from coefficient grid")
     shape = grid.shape
-    trace = coeffs.P + coeffs.Q
-    min_trace = float(np.min(trace))
+    # in the frame of the linearized apply, so it inverts the flat-case
+    # linearization in a single Krylov iteration
+    K = MeanPreconditioner(coeffs, np.float32 if rtol >= _SINGLE_PRECISION_RTOL else np.float64)
+    min_trace = float(np.min(K.trace))
     if not min_trace > 0.0:
         raise EllipticityLost(f"min(P + Q) = {min_trace:.3e}: no trace-scaled preconditioner")
-    d = trace / float(np.mean(trace))
-    # M in the frame of the linearized apply, so it inverts the flat-case
-    # linearization in a single Krylov iteration
-    preconditioner = MeanPreconditioner(
-        coeffs, np.float32 if rtol >= _SINGLE_PRECISION_RTOL else np.float64
-    )
 
     applications = [0]
 
     def matvec(v):
         # restriction of L K to the mean-zero subspace: without the output
         # projection, Nyquist-mode aliasing leaks a tiny constant component
-        # that the mean-pinned M^{-1} can never remove, and GMRES stalls just
+        # that the mean-pinned L0^{-1} can never remove, and GMRES stalls just
         # above tolerance
         applications[0] += 1
-        y = ScalarField(grid, v.reshape(shape) / d)
-        out = apply_linearized(coeffs, y, preconditioner=preconditioner).values
+        y = ScalarField(grid, v.reshape(shape))
+        out = apply_linearized(coeffs, y, preconditioner=K).values
         return (out - np.mean(out)).ravel()
 
     b = (rhs.values - np.mean(rhs.values)).ravel()
@@ -355,8 +356,7 @@ def solve_linearized(
         if applications[0] < _GMRES_MAX_CYCLES * (_GMRES_RESTART + 1) - 1:
             cause = f"broke down short of rtol {rtol:.1e}"
         raise KrylovStalled(f"GMRES {cause}, after {applications[0]} operator applications")
-    w = preconditioner.solve(y.reshape(shape) / d)
-    return project_mean_zero(ScalarField(grid, w)), applications[0]
+    return project_mean_zero(ScalarField(grid, K.solve(y.reshape(shape)))), applications[0]
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
@@ -430,10 +430,10 @@ def _line_search(u, w, angle, g, res_sup, cfg):
     decreases the sup residual strictly below ``res_sup``, that of u (or
     meets ``newton_tol``), with min Q and min P positive.  One ``linearize``
     per trial, in the frame of ``angle``, gives both tests.  Returns the
-    accepted trial, its coefficients and its residual array against the
-    target ``g``.  Raises LineSearchFailed when no trial is accepted, with the
-    last trial's sup residual, min Q and min P: no trial state outside the
-    cone is ever returned.
+    accepted trial, its coefficients, its residual array against the target
+    ``g`` and the step factor it was taken at.  Raises LineSearchFailed when
+    no trial is accepted, with the last trial's sup residual, min Q and
+    min P: no trial state outside the cone is ever returned.
     """
     s = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
@@ -443,7 +443,7 @@ def _line_search(u, w, angle, g, res_sup, cfg):
         res = trial.lhs() - g
         res_try, min_q, min_p = _sup(res), float(np.min(trial.Q)), float(np.min(trial.P))
         if (res_try < res_sup or res_try <= cfg.newton_tol) and min_q > 0.0 and min_p > 0.0:
-            return u_try, trial, res
+            return u_try, trial, res, s
         s *= _BACKTRACK_FACTOR
     raise LineSearchFailed(
         f"no admissible decrease down to step factor {s / _BACKTRACK_FACTOR:.3e}: the last "
@@ -486,11 +486,11 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
     Refuses an inadmissible u0 (EllipticityLost).  Each step solves the
     Newton system to the Eisenstat-Walker forcing term and damps the update
     by :func:`_line_search`, whose accepted state, coefficients and residual
-    the next step reuses.  Returns (record, failure, u, coeffs).  u is the
-    state the attempt ended on: the last accepted one, or u0 when no step
-    was accepted.  coeffs is ``linearize(u)`` and record the attempt's
-    :class:`TraceRecord` at ``tau``, whose iterations, residual and
-    lambda_min all describe u.  failure is None on success, the
+    the next step reuses, and whose step factor the truncation stop reads.
+    Returns (record, failure, u, coeffs).  u is the state the attempt ended
+    on: the last accepted one, or u0 when no step was accepted.  coeffs is
+    ``linearize(u)`` and record the attempt's :class:`TraceRecord` at
+    ``tau``, whose iterations, residual and lambda_min all describe u.  failure is None on success, the
     ``SolverError`` a step raised, or a ``NewtonStalled`` when the step
     budget ran out.  A start that meets ``newton_tol`` is returned unchanged.
     A step's Krylov applications count in the record also when its line
@@ -524,15 +524,14 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
             rtol = max(eta, _KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
             w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
             krylov += applications
-            u_prev, w_sup = u, _sup(w.values)
-            u, coeffs, res = _line_search(u, w, coeffs.angle, g, res_sup, cfg)
+            w_sup = _sup(w.values)
+            u, coeffs, res, factor = _line_search(u, w, coeffs.angle, g, res_sup, cfg)
             res_prev, res_sup = res_sup, _sup(res)
             iters += 1
             eta = _forcing_term(res_sup, res_prev, rtol)
             if (
                 truncation_stop and w_prev is not None and res_sup > cfg.newton_tol
-                # the line search halves, so a full step moved u by all of w
-                and _sup(u.values - u_prev.values) > 0.75 * w_sup
+                and factor == 1.0
                 and w_sup * w_sup <= w_prev * _truncation_level(u)
             ):
                 break
@@ -585,9 +584,10 @@ def uniqueness_probe(F: ScalarField, cfg, trials: int) -> UniquenessProbe:
     down where needed so that it moves P and Q by at most half the
     solution's min P and min Q: the start stays in the elliptic cone, which
     ``newton_solve`` requires.  Returns the worst pairwise sup-difference.
+    Raises ValueError before any work unless ``trials`` is an integer >= 2.
     """
-    if trials < 2:
-        raise ValueError(f"uniqueness_probe needs trials >= 2, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 2:
+        raise ValueError(f"uniqueness_probe needs an integer trials >= 2, got {trials!r}")
     rng = np.random.default_rng(_PROBE_SEED)
     report = solve(F, cfg)
     base, ell = report.u, report.estimates.ellipticity

@@ -94,6 +94,26 @@ class TestRenormalize:
         F2 = renormalize(F)
         assert np.max(np.abs(F2.values - F.values)) <= 1e-14
 
+    @pytest.mark.parametrize("level", [-720.0, -740.0, -800.0])
+    def test_subnormal_or_zero_mean_of_e_f(self, level):
+        # the mean of e^F is subnormal at -720 and -740 and 0 at -800: its
+        # log lost digits or was -inf, while F - max F is renormalized exactly
+        F = renormalize(ScalarField.constant(GridSpec(5, 5, 5), level))
+        assert np.max(np.abs(F.values)) == 0.0
+        check_normalization(F)
+
+    def test_shift_invariant_below_the_smallest_normal_mean(self):
+        g = GridSpec(16, 8, 8)
+        F = sample(lambda x, y, t: 0.5 * np.sin(TAU * x) * np.cos(TAU * t), g)
+        want = renormalize(F)
+        got = renormalize(F - 760.0)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+    def test_cli_solves_a_datum_of_zero_mean_e_f(self, tmp_path):
+        code = main(["solve", "--grid", "5,5,5", "--expr", "0*x-800", "--renormalize",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_OK
+
     def test_sine_constant_is_bessel(self):
         # quadrature oracle: mean of e^{sin} over a period is I_0(1)
         g = GridSpec(32, 8, 8)

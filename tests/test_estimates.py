@@ -250,9 +250,16 @@ class TestSolutionTest:
 
 
 class TestUniquenessProbe:
-    def test_requires_two_trials(self, grid16):
-        with pytest.raises(ValueError, match="trials"):
-            uniqueness_probe(ScalarField.zeros(grid16), SolverConfig(grid=grid16), trials=1)
+    def test_requires_two_trials(self, grid16, monkeypatch):
+        # refused before any work: the probe never starts its first solve
+        import ktcy.solver as solver_module
+
+        solved = []
+        monkeypatch.setattr(solver_module, "solve", lambda *args: solved.append(args))
+        for trials in (1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="trials"):
+                uniqueness_probe(ScalarField.zeros(grid16), SolverConfig(grid=grid16), trials=trials)
+        assert solved == []
 
     def test_trivial_datum(self, grid16):
         probe = uniqueness_probe(ScalarField.zeros(grid16), SolverConfig(grid=grid16), trials=3)

@@ -13,7 +13,6 @@ from ktcy.field import (
     GridSpec,
     ScalarField,
     _from_spectrum,
-    _inverse_symbol,
     _single,
     _spectrum,
     derivative,
@@ -531,13 +530,12 @@ class TestSinglePrecision:
     ANGLE = (0.6, 0.8)
 
     def test_single_keeps_complex_symbols_complex(self):
-        # the d_t part of yy_tt_t and the M^{-1} symbol are complex: a real
+        # the d_t part of yy_tt_t and the L0^{-1} symbol are complex: a real
         # single-precision cast would drop d_t without an error
         grid = GridSpec(9, 8, 10)
-        inverse = _inverse_symbol(grid, 1.3, 0.8, self.ANGLE)
         table = operator_symbols(grid, self.ANGLE)
-        assert np.iscomplexobj(table.yy_tt_t) and np.iscomplexobj(inverse)
-        for symbol in (*table, inverse):
+        assert np.iscomplexobj(table.yy_tt_t) and np.iscomplexobj(table.flat_inverse)
+        for symbol in table:
             single = _single(symbol)
             assert single.dtype == (np.complex64 if np.iscomplexobj(symbol) else np.float32)
             assert np.allclose(single, symbol, rtol=1e-6, atol=0.0)

@@ -220,10 +220,10 @@ class TestLinearize:
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
-        # the grid-mean preconditioner, folded into the apply, equals
-        # applying L to M^{-1} w
+        # the preconditioner K, folded into the apply, equals applying L to
+        # M^{-1}(w / (P + Q)) for the grid-mean operator M
         c = linearize(u)
-        want = apply_linearized(c, _mean_inverse(c, w))
+        want = apply_linearized(c, _mean_inverse(c, w.with_values(w.values / (c.P + c.Q))))
         got = apply_linearized(c, w, preconditioner=MeanPreconditioner(c))
         scale = np.max(np.abs(want.values))
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
@@ -254,8 +254,9 @@ PRECONDITIONED_CASES = pytest.mark.parametrize(
 
 
 class TestPreconditionedApply:
-    """L M^{-1} w in one forward and three inverse transforms: the Q group of
-    L M^{-1} is rewritten through the xx group and the mean-zero projection."""
+    """L K w = L L0^{-1} (w / (P + Q)) in one forward and three inverse
+    transforms: the Q group of L L0^{-1} is rewritten through the xx group
+    and the mean-zero projection."""
 
     @staticmethod
     def _state(grid, angle, rng):
@@ -267,7 +268,7 @@ class TestPreconditionedApply:
     @PRECONDITIONED_CASES
     def test_equals_the_apply_of_the_explicit_inverse(self, grid, angle, rng):
         c, w = self._state(grid, angle, rng)
-        want = apply_linearized(c, _mean_inverse(c, w)).values
+        want = apply_linearized(c, _mean_inverse(c, w.with_values(w.values / (c.P + c.Q)))).values
         got = apply_linearized(c, w, preconditioner=MeanPreconditioner(c)).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -297,6 +298,44 @@ class TestPreconditionedApply:
         K = MeanPreconditioner(linearize(ScalarField.zeros(grid16), (0.6, 0.8)))
         with pytest.raises(ValueError, match="preconditioner"):
             apply_linearized(c, w, preconditioner=K)
+
+    def test_refuses_the_preconditioner_of_another_state(self, grid16, rng):
+        # same grid and frame, other coefficients: K would apply the operator
+        # of the other state
+        c, w = self._state(grid16, None, rng)
+        other, _ = self._state(grid16, None, rng)
+        with pytest.raises(ValueError, match="preconditioner"):
+            apply_linearized(c, w, preconditioner=MeanPreconditioner(other))
+
+
+SQRT5 = math.sqrt(5.0)
+
+
+class TestFlatMeanOperator:
+    """P - 1 and Q - 1 are derivatives of the periodic u, so P and Q have
+    grid mean 1 and the grid-mean operator of every state is L0, the flat
+    linearization, which the preconditioner inverts without taking a mean."""
+
+    @pytest.mark.parametrize(
+        "grid, angle",
+        [
+            (GridSpec(9, 11, 7), None),
+            (GridSpec(12, 8, 6, L_x=2.0, L_y=1.5, L_t=0.7), None),
+            (GridSpec(10, 9, 8), (0.6, 0.8)),
+            (GridSpec(15, 16, 9), (2.0 / SQRT5, 1.0 / SQRT5)),
+            (GridSpec(14, 15, 9, SQRT5, SQRT5, 1.0), None),
+        ],
+        ids=["odd", "even-box", "rotated", "unit-2-1-frame", "cell-2-1"],
+    )
+    @pytest.mark.parametrize("amplitude", [0.002, 0.1], ids=["admissible", "inadmissible"])
+    def test_coefficient_means_are_one(self, grid, angle, amplitude):
+        for seed in range(5):
+            u = random_band_limited(grid, np.random.default_rng(seed), max_mode=2, amplitude=amplitude)
+            c = linearize(u, angle)
+            admissible = float(np.min(c.P)) > 0.0 and float(np.min(c.Q)) > 0.0
+            assert admissible == (amplitude < 0.01)
+            assert abs(float(np.mean(c.P)) - 1.0) <= 1e-14
+            assert abs(float(np.mean(c.Q)) - 1.0) <= 1e-14
 
 
 class TestSinglePrecisionApply:

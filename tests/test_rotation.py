@@ -214,6 +214,15 @@ class TestSolveRotated:
         want = evaluate(h, x, y, t)
         assert np.max(np.abs(got - want)) <= 1e-11
 
+    @pytest.mark.parametrize(
+        "grid", [rotated_grid(RationalAngle(1, 1), 14, 14, 9), GridSpec(9, 9, 9)],
+        ids=["other-cell", "unit-box"],
+    )
+    def test_base_point_values_refuses_a_field_off_the_cell(self, grid, rng):
+        v = random_band_limited(grid, rng, max_mode=2)
+        with pytest.raises(ValueError, match="do not match the \\(2, 1\\) cell"):
+            base_point_values(v, RationalAngle(2, 1), 0.3, 0.4, 0.5)
+
     def test_transplanted_solution_lives_on_the_unit_torus(self):
         # the solution for the rotated structure differs from the base
         # solution, but its transplant must be 1-periodic in x and y

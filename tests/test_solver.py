@@ -163,7 +163,7 @@ class TestKrylov:
 
     @pytest.mark.parametrize("rtol, dtype", [(1e-5, np.float32), (5e-6, np.float64)])
     def test_operator_precision_follows_rtol(self, grid16, rng, monkeypatch, fft_calls, rtol, dtype):
-        # every application gets the grid-mean preconditioner of the float64
+        # every application gets the preconditioner K of the float64
         # coefficients in the operator's precision, and the recovery of w
         # runs in it too: a float32 solve takes no numpy.fft transform
         import ktcy.solver as solver_module
@@ -191,8 +191,8 @@ class TestKrylov:
         }
 
     def test_trace_scaling_cuts_krylov_work(self, large_state, rng):
-        # the grid-mean operator alone takes 45 applications here, the trace
-        # scaled one 21
+        # L0^{-1} alone, the inverse of the flat linearization, takes 45
+        # applications here, K = L0^{-1} (P + Q)^{-1} 21
         cfg, coeffs = large_state
         rhs = project_mean_zero(random_band_limited(cfg.grid, rng, max_mode=4))
         _, applications = solve_linearized(coeffs, rhs)
@@ -394,7 +394,7 @@ class TestNewtonStep:
         coeffs = linearize(u)
         res = coeffs.lhs() - ef
         w, _ = solve_linearized(coeffs, u.with_values(-res))
-        u_next, carried, res_next = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+        u_next, carried, res_next, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
         fresh = linearize(u_next)
         for name in "PQRS":
             assert np.array_equal(getattr(carried, name), getattr(fresh, name))
@@ -566,7 +566,7 @@ class TestSolve:
             res = coeffs.lhs() - ef
             while _sup(res) > cfg16.newton_tol:
                 w, applications = solve_linearized(coeffs, u.with_values(-res))
-                u, coeffs, res = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+                u, coeffs, res, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
                 fixed_applications += applications
         assert _sup(u.values - report.u.values) <= 1e-12
         forced = sum(r.krylov_applications for r in report.trace.records)
