@@ -106,10 +106,11 @@ def verify(
     call, 5 forward and 8 inverse transforms, and builds no field.  From
     them, and one e^F, come the residual, the ellipticity report and the
     solution test: u is a solution, and the report not ``informative``,
-    when sup |residual| <= 1e-10 max(1, sup e^F).  The report's checks are
-    the one record of each verdict.  A caller that already holds
-    ``linearize(u)`` passes it as ``coeffs``, and the audit then transforms
-    only for the gradient (3 + 3).
+    when sup |residual| <= 1e-10 max(1, sup e^F).  Checks b, c, d and i
+    read the one ellipticity report, b and c as min Q - 1 and min P - 1.
+    The report's checks are the one record of each verdict.  A caller that
+    already holds ``linearize(u)`` passes it as ``coeffs``, and the audit
+    then transforms only for the gradient (3 + 3).
 
     Raises :class:`~ktcy.field.GridMismatchError` for an F or ``coeffs`` on
     another grid, ValueError for ``coeffs`` in a rotated frame (the audit
@@ -132,15 +133,14 @@ def verify(
         # a finite e^F above the square root of the largest float overflows
         # in the squares of the residual: a typed error, under any warning filter
         with np.errstate(over="raise"):
-            uxx = c.Q - 1.0
-            p_factor = c.P - 1.0  # u_yy + u_tt + u_t
             nrm = _norms(u.values, grid, (d.x, d.y, d.t))
             ell = ellipticity_report(u, F, coeffs=c, ef=ef)
             res = c.lhs() - ef
             res_sup = float(np.max(np.abs(res)))
             residual_l2 = float(np.sqrt(np.sum(res**2) * (grid.volume() / res.size)))
             mean_residual = _integral(res, grid) / grid.volume()
-            sup_laplacian = float(np.max(np.abs(uxx + p_factor - d.t)))
+            # u_xx + (u_yy + u_tt + u_t) - u_t
+            sup_laplacian = float(np.max(np.abs((c.Q - 1.0) + (c.P - 1.0) - d.t)))
     except FloatingPointError:
         raise _audit_overflow(u, F) from None
 
@@ -148,8 +148,9 @@ def verify(
 
     checks = (
         _upper("a_sup_ux_bound", float(np.max(np.abs(d.x))), grid.L_x),
-        _lower("b_uxx_above_minus_one", float(np.min(uxx)), -1.0),
-        _lower("c_p_factor_above_minus_one", float(np.min(p_factor)), -1.0),
+        # min (Q - 1) is min Q - 1 bitwise: rounding q - 1 is monotone in q
+        _lower("b_uxx_above_minus_one", ell.min_q - 1.0, -1.0),
+        _lower("c_p_factor_above_minus_one", ell.min_p - 1.0, -1.0),
         _lower("d_trace_floor", ell.min_trace, ell.trace_floor),
         _upper("e_l2_bound", nrm["l2"], sup_one_plus_ef),
         _upper("f_gradient_energy", nrm["grad_l2"] ** 2,

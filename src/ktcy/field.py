@@ -557,6 +557,20 @@ def resample(u: ScalarField, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, np.fft.irfftn(out, s=grid.shape, axes=(0, 1, 2), norm="forward"))
 
 
+def _points(x, y, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates x, y, t as broadcast float arrays.
+
+    Raises ValueError, naming the first point (in C order) with a coordinate
+    that is not finite: such a point has no place on the torus.
+    """
+    x, y, t = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x, y, t)))
+    bad = np.argwhere(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)))
+    if len(bad):
+        i = tuple(int(k) for k in bad[0])
+        raise ValueError(f"non-finite point ({x[i]}, {y[i]}, {t[i]}) at index {i}")
+    return x, y, t
+
+
 def evaluate(u: ScalarField, x, y, t) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
@@ -564,10 +578,10 @@ def evaluate(u: ScalarField, x, y, t) -> np.ndarray:
     the broadcast shape.  Sums the coefficients of
     :func:`interpolant_modes`, so an even axis's Nyquist mode enters as
     its real cosine branch.  Reproduces grid samples at grid points.
+    Raises ValueError, before any work, for a point with a coordinate that
+    is not finite.
     """
-    x, y, t = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(t, dtype=float)
-    )
+    x, y, t = _points(x, y, t)
     out_shape = x.shape
     periods = u.grid.periods
     points = [np.mod(c.ravel(), L) for c, L in zip((x, y, t), periods)]

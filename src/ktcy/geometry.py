@@ -10,20 +10,23 @@ forced by J^2 = -1 from J e1 = e3 and J e4 = e2.  All forms here are
 S1-invariant: coefficients do not depend on the fiber coordinate z, so
 every coefficient is a :class:`ScalarField` on the base 3-torus.
 
-Two-forms are stored on the i<j basis with e42 normalized to -e24 at
-construction; one canonical storage order prevents sign drift.
+Each form is a frozen dataclass whose fields are its coefficients on the
+basis, in basis order.  One private base class owns what the three forms
+share: the tuple of coefficients, the rule that they all lie on one grid,
+checked at construction, and that grid.  Two-forms are stored on the i<j
+basis with e42 normalized to -e24 at construction; one canonical storage
+order prevents sign drift.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .field import GridSpec, ScalarField, derivative, mean
 from .pde import linearize
 
-_TWO_FORM_BASIS = ("c12", "c13", "c14", "c23", "c24", "c34")
 _J_INVARIANCE_TOL = 1e-12  # largest J-violation of an invariant two-form
 _MEAN_TOL = 1e-10  # relative mean that alpha_from_u warns about
 
@@ -48,7 +51,24 @@ def _check_same_grid(kind: str, fields) -> GridSpec:
 
 
 @dataclass(frozen=True)
-class OneForm:
+class _Form:
+    """Base of the invariant forms, whose dataclass fields are their
+    coefficients in basis order; refuses coefficients on different grids."""
+
+    def __post_init__(self):
+        _check_same_grid(type(self).__name__, self.coefficients)
+
+    @property
+    def coefficients(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.coefficients[0].grid
+
+
+@dataclass(frozen=True)
+class OneForm(_Form):
     """Invariant 1-form a1*e1 + a2*e2 + a3*e3 + a4*e4."""
 
     a1: ScalarField
@@ -56,16 +76,9 @@ class OneForm:
     a3: ScalarField
     a4: ScalarField
 
-    def __post_init__(self):
-        _check_same_grid("OneForm", (self.a1, self.a2, self.a3, self.a4))
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.a1.grid
-
 
 @dataclass(frozen=True)
-class TwoForm:
+class TwoForm(_Form):
     """Invariant 2-form on the i<j basis e12, e13, e14, e23, e24, e34."""
 
     c12: ScalarField
@@ -75,29 +88,18 @@ class TwoForm:
     c24: ScalarField
     c34: ScalarField
 
-    def __post_init__(self):
-        _check_same_grid("TwoForm", [getattr(self, n) for n in _TWO_FORM_BASIS])
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.c12.grid
-
     def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(*[
-            getattr(self, n) + getattr(other, n) for n in _TWO_FORM_BASIS
-        ])
+        return TwoForm(*(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(*[
-            getattr(self, n) - getattr(other, n) for n in _TWO_FORM_BASIS
-        ])
+        return TwoForm(*(a - b for a, b in zip(self.coefficients, other.coefficients)))
 
     def is_j_invariant(self) -> bool:
         return check_j_invariance(self)["max_violation"] <= _J_INVARIANCE_TOL
 
 
 @dataclass(frozen=True)
-class ThreeForm:
+class ThreeForm(_Form):
     """Invariant 3-form on the basis e123, e124, e134, e234."""
 
     c123: ScalarField
@@ -105,15 +107,8 @@ class ThreeForm:
     c134: ScalarField
     c234: ScalarField
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.c123.grid
-
     def sup(self) -> float:
-        return max(
-            float(np.max(np.abs(c.values)))
-            for c in (self.c123, self.c124, self.c134, self.c234)
-        )
+        return max(float(np.max(np.abs(c.values))) for c in self.coefficients)
 
 
 class MetricField:

@@ -45,6 +45,7 @@ from .field import (
     GridSpec,
     ScalarField,
     _integral,
+    _points,
     evaluate,
     interpolant_modes,
     project_mean_zero,
@@ -146,10 +147,13 @@ class RotatedSolveReport:
 
 
 def _unit_grid_start(
-    F: ScalarField, angle: RationalAngle, G: ScalarField, cfg: SolverConfig, records: list
+    F: ScalarField, ef: np.ndarray, angle: RationalAngle, G: ScalarField, cfg: SolverConfig,
+    records: list,
 ):
     """Start for the cell solve of G from F's unit grid, a start for
-    :func:`~ktcy.solver._solve`.
+    :func:`~ktcy.solver._solve`.  ``ef`` is e^F, the array that F's
+    :func:`~ktcy.solver.check_normalization` returned: the unit-grid
+    attempt's target.
 
     The coarse start and one Newton attempt run on F's unit grid in the
     rotated frame, where the rotated equation is the base equation with
@@ -163,7 +167,7 @@ def _unit_grid_start(
     frame = (angle.cos_theta, angle.sin_theta)
     unit = replace(cfg, grid=F.grid)
     u0, coarse_shape = _coarse_start(F, unit, records, frame)
-    u, _ = _polish(u0, np.exp(F.values), unit, records, frame)
+    u, _ = _polish(u0, ef, unit, records, frame)
     return project_mean_zero(pullback_datum(u, angle, cfg.grid)), coarse_shape
 
 
@@ -193,11 +197,11 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     modes (see :func:`pullback_datum`), so a renormalized F can miss it.
     """
     _check_rotated_grid(angle, cfg.grid)
-    check_normalization(F)
+    ef = check_normalization(F)
     G = pullback_datum(F, angle, cfg.grid)
     starts = (_coarse_start,)
     if angle.length > 1.0 and math.prod(cfg.grid.shape) > math.prod(F.grid.shape):
-        starts = (partial(_unit_grid_start, F, angle), _coarse_start)
+        starts = (partial(_unit_grid_start, F, ef, angle), _coarse_start)
     try:
         report = _solve(G, cfg, starts)
     except NormalizationError:
@@ -219,12 +223,13 @@ def base_point_values(v: ScalarField, angle: RationalAngle, x, y, t) -> np.ndarr
 
     No resampled field is returned: the inverse rotation maps the unit grid
     off the (L, L, 1) grid, and silent interpolation would hide error.
-    Raises ValueError unless v is on an (L, L, 1) cell grid of the angle.
+    Raises ValueError unless v is on an (L, L, 1) cell grid of the angle,
+    and, before the rotation, for a point with a coordinate that is not
+    finite.
     """
     _check_rotated_grid(angle, v.grid)
     c, s = angle.cos_theta, angle.sin_theta
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y, t = _points(x, y, t)
     p = c * x - s * y
     q = s * x + c * y
     return evaluate(v, p, q, t)

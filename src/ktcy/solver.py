@@ -16,10 +16,12 @@ driver then moves on to the next start.
 The solver carries the target g = e^F, an array computed where F comes in
 (the driver, the coarse start, ``newton_solve`` and the rotated unit-grid
 start); the continuation, the polish and the Newton attempt take g and
-never exponentiate F.  Where F comes in it is exponentiated more than
-once: the driver and ``newton_solve`` call :func:`check_normalization`,
-which integrates an e^F of its own, and the coarse start renormalizes its
-restriction of F before it takes g.  The path target is
+never exponentiate F.  The driver takes g from :func:`check_normalization`,
+which returns the e^F it integrated, and :func:`~ktcy.rotation.solve_rotated`
+hands the unit-grid start the e^F of its own check.  Two entries still
+exponentiate twice: ``newton_solve`` calls :func:`~ktcy.pde._exp` before the
+check, for the ValueError that names the largest F, and the coarse start
+renormalizes its restriction of F before it takes g.  The path target is
 
     e^{F_tau} = 1 - tau + tau e^F,
 
@@ -143,8 +145,8 @@ coefficients of its start state and its target, computes the start
 residual once, and refuses a start outside the elliptic cone.  Each step
 then checks the budget of ``newton_max_iters`` steps, runs one linear solve
 to its forcing term and one line search.  The line search returns the state it accepts
-with that state's coefficients and residual, and the next step starts from
-all three.  The attempt returns, with its trace record, the coefficients of
+with that state's coefficients, residual and sup residual, and the next
+step starts from them.  The attempt returns, with its trace record, the coefficients of
 the state it ended on, accepted or not.  They travel on into the next tau
 attempt (they do not depend on the datum), into the lambda_min of the
 attempt's record and into the audit.  After a failed attempt the march
@@ -308,11 +310,16 @@ def solve_linearized(
     D^{-1} is undefined.  Stops once GMRES's least-squares residual, equal
     to ||b - L w||_2 in exact arithmetic, is at most rtol ||b||_2, b the
     mean-zero part of rhs, with no operator application to confirm it;
-    raises KrylovStalled, saying which, after 12 cycles of 50 iterations or
-    when GMRES breaks down.  Each application takes one forward and three
-    inverse transforms.  rtol defaults to 1e-9, the floor of the Newton
-    loop's forcing terms.  Returns the solution and the number of operator
-    applications.
+    when GMRES stops short of that, after 12 cycles of 50 iterations or on
+    a breakdown, raises KrylovStalled with the stop :func:`_gmres` names and
+    the number of operator applications spent.  Raises ValueError, before
+    any work, unless 0 < rtol < inf: a zero, negative or nan rtol no
+    iterate meets, and an infinite one any iterate does.  Each application
+    takes one forward and three inverse transforms.  rtol defaults to 1e-9,
+    the floor of the Newton loop's forcing terms.  Returns the solution and
+    the number of operator applications.  The recovery w = K y is cast to
+    float64 once and projected to mean zero as an array, so the call builds
+    one field after GMRES, the solution.
 
     Precision: for rtol >= 1e-5 the operator L K and the recovery of w run
     in float32, against K built in float32 once per call, so the stop test
@@ -324,6 +331,8 @@ def solve_linearized(
     float64.  GMRES, the division by the trace and the mean projections are
     float64 at every rtol.
     """
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"solve_linearized: rtol must be positive and finite, got {rtol!r}")
     grid = rhs.grid
     if grid != coeffs.grid:
         raise GridMismatchError("solve_linearized: rhs grid differs from coefficient grid")
@@ -348,29 +357,27 @@ def solve_linearized(
         return (out - np.mean(out)).ravel()
 
     b = (rhs.values - np.mean(rhs.values)).ravel()
-    y, ok = _gmres(matvec, b, rtol)
-    if not ok:
-        # twelve full cycles spend exactly this many applications; a breakdown
-        # before the budget's last one spends fewer
-        cause = f"missed rtol {rtol:.1e} in {_GMRES_MAX_CYCLES} cycles of {_GMRES_RESTART}"
-        if applications[0] < _GMRES_MAX_CYCLES * (_GMRES_RESTART + 1) - 1:
-            cause = f"broke down short of rtol {rtol:.1e}"
-        raise KrylovStalled(f"GMRES {cause}, after {applications[0]} operator applications")
-    return project_mean_zero(ScalarField(grid, K.solve(y.reshape(shape)))), applications[0]
+    y, stalled = _gmres(matvec, b, rtol)
+    if stalled is not None:
+        raise KrylovStalled(f"GMRES {stalled}, after {applications[0]} operator applications")
+    w = np.asarray(K.solve(y.reshape(shape)), dtype=np.float64)
+    return ScalarField(grid, w - np.mean(w)), applications[0]
 
 
-def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
+def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, str | None]:
     """Restarted GMRES(50) for A y = b from y = 0, where ``apply`` gives A v.
 
     Modified Gram-Schmidt Arnoldi on a preallocated basis; Givens rotations
     on Python floats.  Stops once the least-squares residual |g_{k+1}| is at
     most rtol ||b||_2: in exact arithmetic it equals ||b - A y||_2 (Saad,
     2003, Prop. 6.9), so no application confirms it.  A restart starts from
-    the true residual b - A y.  Returns (y, ok); ok is False after
-    ``_GMRES_MAX_CYCLES`` cycles, and on a breakdown that leaves the
-    Hessenberg matrix singular (an Arnoldi step with h_kk = h_{k+1,k} = 0
-    after the rotations), with y that of the last restart.  b = 0 takes no
-    application.
+    the true residual b - A y.  Returns (y, stalled): stalled is None when
+    the stop test is met, and otherwise names why GMRES stopped short of
+    it, with y that of the last restart: "missed rtol ... in 12 cycles of
+    50" once ``_GMRES_MAX_CYCLES`` cycles are spent, and "broke down short
+    of rtol ..." on a breakdown that leaves the Hessenberg matrix singular
+    (an Arnoldi step with h_kk = h_{k+1,k} = 0 after the rotations).  b = 0
+    takes no application.
     """
     y = np.zeros_like(b)
     tol = rtol * float(np.linalg.norm(b))
@@ -381,7 +388,7 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
             r = b - apply(y)
         beta = float(np.linalg.norm(r))
         if beta <= tol:
-            return y, True
+            return y, None
         np.multiply(r, 1.0 / beta, out=basis[0])
         g, columns, rotations = [beta], [], []
         for k in range(_GMRES_RESTART):
@@ -400,7 +407,7 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
             if d == 0.0:
                 # breakdown: the rotated Hessenberg matrix is singular, so no
                 # iterate of this Krylov space improves on y
-                return y, False
+                return y, f"broke down short of rtol {rtol:.1e}"
             rho = math.copysign(d, h[k])
             c, s = abs(h[k]) / d, h_next / rho
             h[k] = rho
@@ -419,8 +426,8 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, bool]:
                 z[i] -= columns[j][i] * z[j]
         y += np.asarray(z) @ basis[: k + 1]
         if abs(g_next) <= tol:
-            return y, True
-    return y, False
+            return y, None
+    return y, f"missed rtol {rtol:.1e} in {_GMRES_MAX_CYCLES} cycles of {_GMRES_RESTART}"
 
 
 def _line_search(u, w, angle, g, res_sup, cfg):
@@ -431,7 +438,8 @@ def _line_search(u, w, angle, g, res_sup, cfg):
     meets ``newton_tol``), with min Q and min P positive.  One ``linearize``
     per trial, in the frame of ``angle``, gives both tests.  Returns the
     accepted trial, its coefficients, its residual array against the target
-    ``g`` and the step factor it was taken at.  Raises LineSearchFailed when
+    ``g``, that residual's sup, measured for the test, and the step factor
+    it was taken at.  Raises LineSearchFailed when
     no trial is accepted, with the last trial's sup residual, min Q and
     min P: no trial state outside the cone is ever returned.
     """
@@ -443,7 +451,7 @@ def _line_search(u, w, angle, g, res_sup, cfg):
         res = trial.lhs() - g
         res_try, min_q, min_p = _sup(res), float(np.min(trial.Q)), float(np.min(trial.P))
         if (res_try < res_sup or res_try <= cfg.newton_tol) and min_q > 0.0 and min_p > 0.0:
-            return u_try, trial, res, s
+            return u_try, trial, res, res_try, s
         s *= _BACKTRACK_FACTOR
     raise LineSearchFailed(
         f"no admissible decrease down to step factor {s / _BACKTRACK_FACTOR:.3e}: the last "
@@ -485,8 +493,9 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
 
     Refuses an inadmissible u0 (EllipticityLost).  Each step solves the
     Newton system to the Eisenstat-Walker forcing term and damps the update
-    by :func:`_line_search`, whose accepted state, coefficients and residual
-    the next step reuses, and whose step factor the truncation stop reads.
+    by :func:`_line_search`, whose accepted state, coefficients, residual
+    and sup residual the next step reuses, and whose step factor the
+    truncation stop reads.
     Returns (record, failure, u, coeffs).  u is the state the attempt ended
     on: the last accepted one, or u0 when no step was accepted.  coeffs is
     ``linearize(u)`` and record the attempt's :class:`TraceRecord` at
@@ -525,8 +534,8 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
             w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
             krylov += applications
             w_sup = _sup(w.values)
-            u, coeffs, res, factor = _line_search(u, w, coeffs.angle, g, res_sup, cfg)
-            res_prev, res_sup = res_sup, _sup(res)
+            res_prev = res_sup
+            u, coeffs, res, res_sup, factor = _line_search(u, w, coeffs.angle, g, res_prev, cfg)
             iters += 1
             eta = _forcing_term(res_sup, res_prev, rtol)
             if (
@@ -556,6 +565,10 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
     Otherwise raises the ``SolverError`` that ended the attempt:
     ``EllipticityLost`` for a start outside the cone, ``NewtonStalled`` when
     the step budget ran out, otherwise the error of the failed step.
+
+    e^F is taken twice: :func:`~ktcy.pde._exp` first, whose ValueError names
+    the largest F of an overflowing datum, then :func:`check_normalization`,
+    which would report that datum as unnormalized instead.
     """
     if u0.grid != cfg.grid:
         raise GridMismatchError("newton_solve: state grid differs from config grid")
@@ -607,18 +620,24 @@ def uniqueness_probe(F: ScalarField, cfg, trials: int) -> UniquenessProbe:
     return UniquenessProbe(max_pairwise_sup_diff=worst, trials=trials)
 
 
-def check_normalization(F: ScalarField) -> None:
+def check_normalization(F: ScalarField) -> np.ndarray:
     """Raise NormalizationError unless the integral of e^F equals the box
-    volume within 1e-10 relative."""
+    volume within 1e-10 relative; return the array e^F it integrated.
+
+    An e^F that overflows float64 has an integral of inf and is refused, so
+    the array returned is finite: callers take it as the target g = e^F.
+    """
     volume = F.grid.volume()
     # an overflow of e^F leaves an integral of inf to report
     with np.errstate(over="ignore"):
-        datum_integral = _integral(np.exp(F.values), F.grid)
+        ef = np.exp(F.values)
+        datum_integral = _integral(ef, F.grid)
     if abs(datum_integral - volume) > 1e-10 * volume:
         raise NormalizationError(
             f"integral of e^F is {datum_integral:.15g}, expected {volume:.15g}; "
             "the datum is not normalized, renormalize it first"
         )
+    return ef
 
 
 def _odd_neighbours(shape: tuple) -> str:
@@ -678,7 +697,10 @@ def _raise_on_stall(record, coeffs, g, cfg, tau, underflow=False):
     mean, raises NyquistFloor: the mean-zero Newton update cannot remove
     that mean at any tau.  Otherwise ``underflow`` raises
     ContinuationStalled.  Both messages end with the attempt's measured
-    residual sup, mean and sup |residual - mean|.
+    residual sup, mean and sup |residual - mean|.  The residual is computed
+    again here from ``coeffs`` and ``g``: :func:`_newton_attempt` returns
+    (record, failure, u, coeffs) and no residual, the shape that the tests'
+    stand-ins for it return too.
     """
     grid = cfg.grid
     even = any(n % 2 == 0 for n in grid.shape)
@@ -752,7 +774,9 @@ def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     grid's truncation level (see :func:`_newton_attempt`), so its record may
     end above newton_tol: the finish on cfg.grid meets it.  Returns the
     spectrally prolonged coarse solution, mean zero, and the coarse grid
-    shape.
+    shape.  The coarse target is exponentiated twice, once in
+    :func:`~ktcy.pde.renormalize` and once for g: exp of the renormalized
+    restriction is not bitwise the restriction's e^F divided by its mean.
     """
     coarse = _coarse_grid(F.grid)
     if coarse is None:
@@ -803,8 +827,7 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
     """
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
-    check_normalization(F)
-    records, g = [], np.exp(F.values)
+    records, g = [], check_normalization(F)
     if _sup(1.0 - g) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
         starts = ()
     for start in starts:

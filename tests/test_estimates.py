@@ -36,6 +36,8 @@ class TestVerify:
         assert report.check("e_l2_bound").margin == pytest.approx(2.0)
         assert report.sup_u == 0.0
         assert report.sup_laplacian == 0.0
+        with pytest.raises(KeyError, match="k_no_such_check"):
+            report.check("k_no_such_check")
 
     def test_manufactured_solution_passes(self, grid16):
         u_star = sample(

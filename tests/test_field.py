@@ -271,6 +271,18 @@ class TestArithmeticAndCompatibility:
         with pytest.raises(GridMismatchError):
             _ = a * b
 
+    def test_shape_mismatch_raises(self, grid8):
+        with pytest.raises(ValueError, match=r"values shape \(8, 8, 9\) does not match grid \(8, 8, 8\)"):
+            ScalarField(grid8, np.zeros((8, 8, 9)))
+
+    def test_reflected_subtraction(self, grid8, rng):
+        u = ScalarField(grid8, rng.standard_normal(grid8.shape))
+        assert np.array_equal((2.0 - u).values, 2.0 - u.values)
+
+    def test_repr_names_grid_periods_and_sup(self):
+        u = ScalarField.constant(GridSpec(8, 8, 6, L_t=2.0), -3.0)
+        assert repr(u) == "ScalarField(grid=(8, 8, 6), periods=(1.0, 1.0, 2.0), sup=3.000e+00)"
+
     def test_immutability(self, grid8):
         u = ScalarField.zeros(grid8)
         with pytest.raises(AttributeError):
@@ -467,6 +479,15 @@ class TestEvaluate:
         x = np.array([0.3, 0.3 + 1.0, 0.3 - 2.0])
         got = evaluate(u, x, np.full(3, 0.2), np.full(3, 0.9))
         assert np.allclose(got, got[0], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_point(self, grid8, rng, bad):
+        # an infinite coordinate has no remainder modulo the period, and a
+        # nan one would return nan
+        u = random_band_limited(grid8, rng, max_mode=3)
+        x = np.array([0.1, 0.2, bad, bad])
+        with pytest.raises(ValueError, match=rf"non-finite point \({bad}, 0.5, 0.25\) at index \(2,\)"):
+            evaluate(u, x, 0.5, 0.25)
 
 
 class TestGradientHelper:

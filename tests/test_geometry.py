@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from ktcy.field import ScalarField, derivative, random_band_limited, sample
+from ktcy.field import GridSpec, ScalarField, derivative, random_band_limited, sample
 from ktcy.geometry import (
     OneForm,
+    ThreeForm,
     TwoForm,
     alpha_from_u,
     check_j_invariance,
@@ -105,6 +106,28 @@ class TestExteriorD:
         coeffs = [random_band_limited(grid16, rng, max_mode=3) for _ in range(4)]
         dd = exterior_d_two(exterior_d(OneForm(*coeffs)))
         assert dd.sup() < 1e-10
+
+
+FORMS = pytest.mark.parametrize("form, count", [(OneForm, 4), (TwoForm, 6), (ThreeForm, 4)])
+
+
+class TestFormGrid:
+    @FORMS
+    def test_grid_is_that_of_the_coefficients(self, form, count):
+        grid = GridSpec(9, 9, 9)
+        assert form(*[ScalarField.zeros(grid)] * count).grid == grid
+
+    @FORMS
+    def test_refuses_coefficients_on_different_grids(self, form, count):
+        f9, f11 = ScalarField.zeros(GridSpec(9, 9, 9)), ScalarField.zeros(GridSpec(11, 11, 11))
+        with pytest.raises(ValueError, match=f"{form.__name__} coefficients must share one grid"):
+            form(f9, f11, *[f9] * (count - 2))
+
+    def test_two_form_difference_is_coefficientwise(self, grid8, rng):
+        a, b = (TwoForm(*[random_band_limited(grid8, rng, max_mode=3) for _ in range(6)]) for _ in range(2))
+        for name in ("c12", "c13", "c14", "c23", "c24", "c34"):
+            want = getattr(a, name).values - getattr(b, name).values
+            assert np.array_equal(getattr(a - b, name).values, want)
 
 
 class TestJInvariance:
@@ -216,5 +239,14 @@ class TestMetricField:
                 [zero, zero, one, zero],
                 [zero, zero, zero, one]]
         with pytest.raises(ValueError, match="symmetric"):
+            MetricField(rows)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)], ids=str)
+    def test_refuses_a_matrix_that_is_not_4x4(self, grid8, shape):
+        from ktcy.geometry import MetricField
+
+        zero = ScalarField.zeros(grid8)
+        rows = [[zero] * shape[1] for _ in range(shape[0])]
+        with pytest.raises(ValueError, match="4x4 matrix"):
             MetricField(rows)
 

@@ -307,6 +307,12 @@ class TestPreconditionedApply:
         with pytest.raises(ValueError, match="preconditioner"):
             apply_linearized(c, w, preconditioner=MeanPreconditioner(other))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.complex64, np.int32])
+    def test_refuses_a_dtype_other_than_float32_or_float64(self, grid16, dtype):
+        c = linearize(ScalarField.zeros(grid16))
+        with pytest.raises(ValueError, match="dtype must be float32 or float64"):
+            MeanPreconditioner(c, dtype)
+
 
 SQRT5 = math.sqrt(5.0)
 

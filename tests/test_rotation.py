@@ -223,6 +223,14 @@ class TestSolveRotated:
         with pytest.raises(ValueError, match="do not match the \\(2, 1\\) cell"):
             base_point_values(v, RationalAngle(2, 1), 0.3, 0.4, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_base_point_values_refuses_a_non_finite_point(self, rng, bad):
+        # named as given, before the rotation mixes x and y
+        angle = RationalAngle(1, 1)
+        v = random_band_limited(rotated_grid(angle, 14, 14, 9), rng, max_mode=2)
+        with pytest.raises(ValueError, match=rf"non-finite point \(0.3, {bad}, 0.5\) at index \(1,\)"):
+            base_point_values(v, angle, 0.3, [0.4, bad], 0.5)
+
     def test_transplanted_solution_lives_on_the_unit_torus(self):
         # the solution for the rotated structure differs from the base
         # solution, but its transplant must be 1-periodic in x and y

@@ -232,8 +232,8 @@ class TestGmres:
     def test_dense_nonsymmetric_system(self):
         A, b = self._dense()
         assert not np.allclose(A, A.T)
-        y, ok = _gmres(lambda v: A @ v, b, 1e-12)
-        assert ok
+        y, stalled = _gmres(lambda v: A @ v, b, 1e-12)
+        assert stalled is None
         assert np.allclose(y, np.linalg.solve(A, b), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("rtol", [1e-1, 1e-5, 1e-9])
@@ -242,8 +242,8 @@ class TestGmres:
         # the returned y meets it without an application to confirm it
         A, b = self._dense(1)
         apply, calls = _counted(lambda v: A @ v)
-        y, ok = _gmres(apply, b, rtol)
-        assert ok and len(calls) < len(b)
+        y, stalled = _gmres(apply, b, rtol)
+        assert stalled is None and len(calls) < len(b)
         assert np.linalg.norm(b - A @ y) <= rtol * np.linalg.norm(b)
 
     def test_restarts_from_the_true_residual(self):
@@ -251,8 +251,8 @@ class TestGmres:
         spectrum = np.linspace(1.0, 1000.0, 400)
         b = np.ones_like(spectrum)
         apply, calls = _counted(lambda v: spectrum * v)
-        y, ok = _gmres(apply, b, 1e-9)
-        assert ok and len(calls) > 51
+        y, stalled = _gmres(apply, b, 1e-9)
+        assert stalled is None and len(calls) > 51
         assert np.linalg.norm(b - spectrum * y) <= 1e-9 * np.linalg.norm(b)
 
     def test_stagnation_ends_after_twelve_cycles(self):
@@ -262,8 +262,8 @@ class TestGmres:
         b = np.zeros(700)
         b[0] = 1.0
         apply, calls = _counted(lambda v: np.roll(v, 1))
-        y, ok = _gmres(apply, b, 1e-9)
-        assert not ok and not y.any()
+        y, stalled = _gmres(apply, b, 1e-9)
+        assert stalled == "missed rtol 1.0e-09 in 12 cycles of 50" and not y.any()
         assert len(calls) == 12 * 50 + 11  # eleven restart residuals
 
     def test_stagnation_raises_krylov_stalled(self, monkeypatch):
@@ -284,8 +284,8 @@ class TestGmres:
         # the zero operator leaves h_kk = h_{k+1,k} = 0 at the first Arnoldi
         # step: the Givens rotation is undefined, and no iterate helps
         apply, calls = _counted(lambda v: np.zeros_like(v))
-        y, ok = _gmres(apply, np.ones(10), 1e-3)
-        assert not ok and not y.any() and len(calls) == 1
+        y, stalled = _gmres(apply, np.ones(10), 1e-3)
+        assert stalled == "broke down short of rtol 1.0e-03" and not y.any() and len(calls) == 1
 
     def test_breakdown_raises_krylov_stalled(self, monkeypatch):
         import ktcy.solver as solver_module
@@ -299,16 +299,25 @@ class TestGmres:
         with pytest.raises(KrylovStalled, match="broke down .* after 1 operator applications"):
             solve_linearized(linearize(ScalarField.zeros(grid)), rhs)
 
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+    def test_solve_linearized_refuses_an_rtol_outside_zero_to_inf(self, rtol):
+        # no iterate meets rtol <= 0 or nan, so GMRES would spend its whole
+        # budget; rtol = inf would return w = 0
+        grid = GridSpec(9, 9, 9)
+        rhs = random_band_limited(grid, np.random.default_rng(0), max_mode=2)
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            solve_linearized(linearize(ScalarField.zeros(grid)), rhs, rtol)
+
     def test_zero_rhs_takes_no_application(self):
         apply, calls = _counted(lambda v: 2.0 * v)
-        y, ok = _gmres(apply, np.zeros(30), 1e-9)
-        assert ok and calls == [] and not y.any()
+        y, stalled = _gmres(apply, np.zeros(30), 1e-9)
+        assert stalled is None and calls == [] and not y.any()
 
     def test_identity_takes_one_application(self):
         b = np.random.default_rng(2).standard_normal(30)
         apply, calls = _counted(lambda v: v)
-        y, ok = _gmres(apply, b, 1e-9)
-        assert ok and len(calls) == 1
+        y, stalled = _gmres(apply, b, 1e-9)
+        assert stalled is None and len(calls) == 1
         assert np.allclose(y, b, rtol=1e-15, atol=0.0)
 
 
@@ -384,8 +393,9 @@ class TestNewtonStep:
             newton_solve(ScalarField.zeros(grid16), ScalarField.zeros(other), cfg16)
 
     def test_carried_coefficients_are_those_of_the_next_state(self, grid16, cfg16, rng):
-        # the line search hands the next step the coefficients and residual
-        # of the state it accepts, bitwise those a fresh evaluation gives
+        # the line search hands the next step the coefficients, residual and
+        # sup residual of the state it accepts, bitwise those a fresh
+        # evaluation gives
         import ktcy.solver as solver_module
 
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
@@ -394,12 +404,12 @@ class TestNewtonStep:
         coeffs = linearize(u)
         res = coeffs.lhs() - ef
         w, _ = solve_linearized(coeffs, u.with_values(-res))
-        u_next, carried, res_next, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+        u_next, carried, res_next, sup_next, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
         fresh = linearize(u_next)
         for name in "PQRS":
             assert np.array_equal(getattr(carried, name), getattr(fresh, name))
         assert np.array_equal(res_next, residual(u_next, F).values)
-        assert _sup(res_next) < _sup(res)
+        assert sup_next == _sup(res_next) < _sup(res)
 
     def test_line_search_failure_reports_the_last_trial(self, grid16, cfg16, rng):
         # w_xx = -1e4 sin 2 pi x: even at step factor 2^-10 the trial has
@@ -566,7 +576,7 @@ class TestSolve:
             res = coeffs.lhs() - ef
             while _sup(res) > cfg16.newton_tol:
                 w, applications = solve_linearized(coeffs, u.with_values(-res))
-                u, coeffs, res, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+                u, coeffs, res, _, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
                 fixed_applications += applications
         assert _sup(u.values - report.u.values) <= 1e-12
         forced = sum(r.krylov_applications for r in report.trace.records)
