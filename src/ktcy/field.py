@@ -71,6 +71,23 @@ class GridSpec:
             if not (L > 0.0 and math.isfinite(L)):
                 raise ValueError(f"{name} must be a positive finite real, got {L!r}")
             object.__setattr__(self, name, L)
+        # the second-order derivative factors (2 pi m / L)^2, largest at
+        # m = n // 2; the symbols of operator_symbols sum the three axes'
+        # factors, and a rotated frame's groups stay below twice that sum
+        k = [2.0 * math.pi * (n // 2) / L for n, L in zip(self.shape, self.periods)]
+        factors = [k_ax * k_ax for k_ax in k]  # inf, not OverflowError, past the range
+        if not math.isfinite(2.0 * sum(factors)):
+            ax = max(range(3), key=factors.__getitem__)
+            raise ValueError(
+                f"L_{AXES[ax]} = {self.periods[ax]!r} is too small for n_{AXES[ax]} = "
+                f"{self.shape[ax]}: the derivative factor (2 pi (n // 2) / L)^2 = "
+                f"{factors[ax]:.3e}, summed over the axes, overflows float64"
+            )
+        if not 0.0 < self.volume() < math.inf:
+            raise ValueError(
+                f"the box volume L_x L_y L_t of periods {self.periods} is {self.volume()!r}: "
+                "it must be a positive finite float"
+            )
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -491,16 +508,26 @@ def interpolant_modes(u: ScalarField) -> tuple[np.ndarray, tuple[np.ndarray, ...
 
 
 def synthesize(grid: GridSpec, coeffs: np.ndarray, modes: tuple) -> ScalarField:
-    """Field on ``grid`` whose signed modes ``modes`` hold the coeffs.
+    """Real field on ``grid`` whose signed modes ``modes`` hold the coeffs.
 
     ``modes`` is one integer array per axis, broadcast against coeffs.  Each
     mode is taken modulo the grid size, and coefficients that land on the
     same mode add up.  The inverse of :func:`interpolant_modes` for the
     modes it returns.
+
+    The coefficients must be those of a real field: closed under k -> -k,
+    with conjugate values.  :func:`interpolant_modes` gives such a set, and
+    so does any integer-linear remap of its modes, which maps -k to the
+    negative of the image of k.  The wrapped spectrum is then Hermitian, so
+    only the modes whose wrapped t index is at most n_t // 2 are scattered,
+    into the ``rfftn`` half layout, and one ``irfftn`` gives the field.
     """
-    spec = np.zeros(grid.shape, dtype=complex)
-    np.add.at(spec, tuple(k % n for k, n in zip(modes, grid.shape)), coeffs)
-    return ScalarField(grid, np.fft.ifftn(spec).real * spec.size)
+    n_t = grid.n_t
+    *index, coeffs = np.broadcast_arrays(*(k % n for k, n in zip(modes, grid.shape)), coeffs)
+    half = index[2] <= n_t // 2
+    spec = np.zeros((grid.n_x, grid.n_y, n_t // 2 + 1), dtype=complex)
+    np.add.at(spec, tuple(i[half] for i in index), coeffs[half])
+    return ScalarField(grid, np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2), norm="forward"))
 
 
 def _mode_map(n: int, n_new: int, half: bool) -> list:

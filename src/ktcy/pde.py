@@ -39,6 +39,7 @@ state by the one formula that :func:`ellipticity_report` uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,8 @@ class LinearizedCoeffs:
 
     ``angle`` is the frame they were taken in (see :func:`linearize`); the
     linearized apply, the solver's preconditioner and its line search work
-    in the same frame.
+    in the same frame.  :attr:`cone_margins` is measured once, by whoever
+    first reads it, and read from there by every later user.
     """
 
     grid: GridSpec
@@ -73,6 +75,12 @@ class LinearizedCoeffs:
     def lhs(self) -> np.ndarray:
         """ma_lhs at the state the coefficients were taken from."""
         return self.Q * self.P - self.R * self.R - self.S * self.S
+
+    @cached_property
+    def cone_margins(self) -> tuple[float, float]:
+        """(min Q, min P): the state is in the elliptic cone when both are
+        positive."""
+        return float(np.min(self.Q)), float(np.min(self.P))
 
 
 def linearize(u: ScalarField, angle: tuple | None = None) -> LinearizedCoeffs:
@@ -182,15 +190,23 @@ def manufacture(u_star: ScalarField) -> tuple[ScalarField, ScalarField]:
 
     By the discrete mean identity, the integral of e^F equals the box volume
     exactly at quadrature level, so the result is solver-ready.  Returns
-    (F, projected u_star).
+    (F, projected u_star).  Raises ValueError, naming sup |u_star|, when
+    ma_lhs(u_star) or a derivative under it overflows float64.
     """
     u0 = project_mean_zero(u_star)
-    lhs = ma_lhs(u0)
-    min_value = float(np.min(lhs.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = linearize(u0).lhs()
+    if not np.all(np.isfinite(lhs)):
+        raise ValueError(
+            f"ma_lhs(u_star) overflows float64: sup |u_star| is "
+            f"{float(np.max(np.abs(u0.values))):.6g}, and its second derivatives or their "
+            "products exceed the largest float"
+        )
+    min_value = float(np.min(lhs))
     if min_value <= 0.0:
-        index = tuple(int(i) for i in np.unravel_index(np.argmin(lhs.values), lhs.values.shape))
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(lhs), lhs.shape))
         raise NonPositiveLHS(min_value, index)
-    return lhs.with_values(np.log(lhs.values)), u0
+    return u0.with_values(np.log(lhs)), u0
 
 
 class MeanPreconditioner:
@@ -339,9 +355,10 @@ def ellipticity_report(
     c = linearize(u) if coeffs is None else coeffs
     trace = c.P + c.Q
     min_lambda, clamped = _min_lambda(trace, _exp(F) if ef is None else ef)
+    min_q, min_p = c.cone_margins
     return EllipticityReport(
-        min_q=float(np.min(c.Q)),
-        min_p=float(np.min(c.P)),
+        min_q=min_q,
+        min_p=min_p,
         min_trace=float(np.min(trace)),
         min_lambda=min_lambda,
         trace_floor=2.0 * float(np.min(np.exp(0.5 * F.values))),

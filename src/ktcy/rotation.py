@@ -15,8 +15,8 @@ the normalization target for the transformed datum G is L^2, not 1.
 For the same reason the pullback of a Fourier mode is again a Fourier mode:
 e^{2 pi i (k_x x + k_y y)} becomes e^{2 pi i (a p + b q) / L} with integer
 cell wavenumbers a = m k_x - n k_y and b = n k_x + m k_y.  The datum is
-moved to the cell by this index remap, one FFT each way, instead of by
-point evaluation.
+moved to the cell by this index remap, one complex ``fftn`` in and one
+``irfftn`` out, instead of by point evaluation.
 
 The cell has L^2 times more unknowns than the base torus, yet the rotated
 equation is also the base equation on the unit torus with the derivative

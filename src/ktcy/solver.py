@@ -123,10 +123,26 @@ Eisenstat and Walker's choice 2 on the sup residuals r_k:
 raised to 0.9 eta_{k-1}^2 when that exceeds 0.1, capped at 0.1, and floored
 at max(1e-9, 0.5 newton_tol / r_k).  The constant 1e-9 is thus the tightest
 tolerance any linear solve is asked for, and the default of
-``solve_linearized``.  The step is damped by a backtracking line search that
-halves its length, at most 10 times, until the sup residual decreases and
-the state stays in the elliptic cone; when no length does,
-``LineSearchFailed`` names the last trial's residual, min Q and min P.
+``solve_linearized``.  A step in the quadratic region
+
+    r_k^2 <= 0.5 newton_tol m^2,   m = min(min Q, min P)
+
+of its own coefficients asks for the floor alone.  There the correction w
+is of size about r_k / m, so the linear part and the quadratic remainder
+w_xx (w_yy + w_tt + w_t) - w_xy^2 - w_xt^2 each stay below
+0.5 newton_tol, and one step meets the tolerance where eta_0 = 0.1 would
+spend two (Deuflhard's local quadratic convergence, *Newton Methods for
+Nonlinear Problems*, Springer 2004).  A remapped unit-grid solution reaches
+the cell of :func:`~ktcy.rotation.solve_rotated` there, at the aliasing
+level of the remap.  m is the cone margin that the attempt measures for its
+start and the line search for the state it accepts, and both read it from
+``LinearizedCoeffs.cone_margins``.  Outside the region the forcing terms,
+and with them the float32 or float64 operator, are as above.
+
+The step is damped by a backtracking line search that halves its length,
+at most 10 times, until the sup residual decreases and the state stays in
+the elliptic cone; when no length does, ``LineSearchFailed`` names the last
+trial's residual, min Q and min P.
 
 Everything a Newton step does runs in the frame of the coefficients it is
 given (see :func:`~ktcy.pde.linearize`).  ``solve`` works in the grid's own
@@ -439,7 +455,8 @@ def _line_search(u, w, angle, g, res_sup, cfg):
     per trial, in the frame of ``angle``, gives both tests.  Returns the
     accepted trial, its coefficients, its residual array against the target
     ``g``, that residual's sup, measured for the test, and the step factor
-    it was taken at.  Raises LineSearchFailed when
+    it was taken at; the coefficients hold the cone margins the test
+    measured, which the next step reads.  Raises LineSearchFailed when
     no trial is accepted, with the last trial's sup residual, min Q and
     min P: no trial state outside the cone is ever returned.
     """
@@ -449,7 +466,7 @@ def _line_search(u, w, angle, g, res_sup, cfg):
         u_try = u.with_values(v - np.mean(v))
         trial = linearize(u_try, angle)
         res = trial.lhs() - g
-        res_try, min_q, min_p = _sup(res), float(np.min(trial.Q)), float(np.min(trial.P))
+        res_try, (min_q, min_p) = _sup(res), trial.cone_margins
         if (res_try < res_sup or res_try <= cfg.newton_tol) and min_q > 0.0 and min_p > 0.0:
             return u_try, trial, res, res_try, s
         s *= _BACKTRACK_FACTOR
@@ -492,10 +509,11 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
     linearization of u0.
 
     Refuses an inadmissible u0 (EllipticityLost).  Each step solves the
-    Newton system to the Eisenstat-Walker forcing term and damps the update
-    by :func:`_line_search`, whose accepted state, coefficients, residual
-    and sup residual the next step reuses, and whose step factor the
-    truncation stop reads.
+    Newton system to the Eisenstat-Walker forcing term, or to its floor
+    alone in the quadratic region (see the module docstring), and damps the
+    update by :func:`_line_search`, whose accepted state, coefficients
+    (with their cone margins), residual and sup residual the next step
+    reuses, and whose step factor the truncation stop reads.
     Returns (record, failure, u, coeffs).  u is the state the attempt ended
     on: the last accepted one, or u0 when no step was accepted.  coeffs is
     ``linearize(u)`` and record the attempt's :class:`TraceRecord` at
@@ -520,7 +538,7 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
     res_sup, eta, krylov, iters, failure = _sup(res), _ETA_MAX, 0, 0, None
     w_prev = None
     try:
-        min_q, min_p = float(np.min(coeffs.Q)), float(np.min(coeffs.P))
+        min_q, min_p = coeffs.cone_margins
         if not (min_q > 0.0 and min_p > 0.0):
             raise EllipticityLost(
                 f"min(u_xx + 1) = {min_q:.3e}, min(u_yy + u_tt + u_t + 1) = {min_p:.3e}"
@@ -530,7 +548,9 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
                 raise NewtonStalled(
                     f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
                 )
-            rtol = max(eta, _KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
+            rtol = max(_KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
+            if res_sup * res_sup > 0.5 * cfg.newton_tol * min(coeffs.cone_margins) ** 2:
+                rtol = max(eta, rtol)  # outside the quadratic region
             w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
             krylov += applications
             w_sup = _sup(w.values)

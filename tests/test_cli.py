@@ -770,6 +770,33 @@ class TestExpOverflow:
             check_normalization(F)
 
 
+class TestFloatRange:
+    """Periods and data beyond float64's range are usage errors that say
+    so, with no warning on the way (this suite turns numpy's RuntimeWarning
+    into an error)."""
+
+    def test_a_tiny_period_names_its_axis(self, capsys):
+        argv = ["solve", "--grid", "5,5,5", "--expr", "0*x", "--periods", "1,1,1e-300"]
+        assert main(argv) == EXIT_USAGE
+        assert "L_t = 1e-300 is too small for n_t = 5" in capsys.readouterr().err
+
+    def test_a_huge_period_still_solves(self, tmp_path):
+        argv = ["solve", "--grid", "5,5,5", "--expr", "0*x", "--periods", "1e300,1,1"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    @pytest.mark.parametrize("amplitude", ["1e200", "1e307"])
+    def test_manufacture_names_the_overflow(self, capsys, amplitude):
+        argv = ["manufacture", "--grid", "5,5,5", "--expr", f"{amplitude}*sin(2*pi*x)"]
+        assert main(argv) == EXIT_USAGE
+        assert "ma_lhs(u_star) overflows float64: sup |u_star| is" in capsys.readouterr().err
+
+    def test_library_manufacture_raises_no_non_positive_lhs(self):
+        u_star = sample(lambda x, y, t: 1e200 * np.sin(TAU * x), GridSpec(5, 5, 5))
+        with pytest.raises(ValueError, match="overflows float64") as info:
+            manufacture(u_star)
+        assert not isinstance(info.value, NonPositiveLHS)
+
+
 class TestExpressionDepth:
     @pytest.mark.parametrize("expr", [
         "+".join(["x"] * 1200),  # deep in the evaluator

@@ -55,6 +55,27 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="positive finite"):
             GridSpec(8, 8, 8, 1.0, bad, 1.0)
 
+    @pytest.mark.parametrize("periods, axis", [
+        ((1.0, 1.0, 1e-300), "L_t"),
+        ((5e-324, 1.0, 1.0), "L_x"),
+        ((1e-153, 1e-153, 1e-153), "L_x"),  # each axis's factor is finite, their sum is not
+    ], ids=str)
+    def test_rejects_periods_whose_derivative_symbols_overflow(self, periods, axis):
+        with pytest.raises(ValueError, match=f"{axis} = .* is too small for n_{axis[-1]} = 5"):
+            GridSpec(5, 5, 5, *periods)
+
+    @pytest.mark.parametrize("periods", [(1e-152, 1e-152, 1e-152), (1e300, 1e300, 1.0)], ids=str)
+    def test_rejects_a_volume_outside_the_float_range(self, periods):
+        with pytest.raises(ValueError, match="box volume"):
+            GridSpec(5, 5, 5, *periods)
+
+    @pytest.mark.parametrize("angle", [None, (0.6, 0.8)], ids=["axes", "rotated"])
+    def test_symbols_of_the_smallest_accepted_periods_are_finite(self, angle):
+        # 2 pi 2 / 1e-152 squared is 1.6e306 on x and y: their symbols sum
+        # and the rotated groups mix them, all inside the float range
+        table = operator_symbols(GridSpec(5, 5, 5, 1e-152, 1e-152, 1.0), angle)
+        assert all(np.all(np.isfinite(symbol)) for symbol in table)
+
     def test_coordinates(self):
         g = GridSpec(4, 4, 4, L_x=2.0)
         assert np.allclose(g.coordinates("x"), [0.0, 0.5, 1.0, 1.5])
@@ -459,6 +480,21 @@ class TestResample:
         u = random_band_limited(grid8, rng)
         with pytest.raises(GridMismatchError):
             resample(u, GridSpec(16, 16, 16, L_x=2.0))
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("data, cell", [((9, 8, 9), (11, 10, 6)), ((8, 9, 8), (7, 12, 5))], ids=str)
+    def test_a_remapped_t_mode_wraps_into_the_half_layout(self, data, cell):
+        # the rotated pullback keeps k_t; k_t -> 2 k_t wraps t modes past
+        # n_t // 2 on either side, onto an even and an odd cell axis: the
+        # field at (x, y, t) is the interpolant at (x, y, 2 t mod 1)
+        u = ScalarField(GridSpec(*data), np.random.default_rng(11).standard_normal(data))
+        grid = GridSpec(*cell)
+        coeffs, (kx, ky, kt) = interpolant_modes(u)
+        got = synthesize(grid, coeffs, np.ix_(kx, ky, 2 * kt))
+        X, Y, T = grid.meshgrid()
+        want = evaluate(u, X, Y, np.mod(2.0 * T, 1.0))
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEvaluate:

@@ -19,6 +19,10 @@ from ktcy.solver import NormalizationError, SolverConfig, solve
 TAU = 2.0 * np.pi
 
 
+def _sup(values):
+    return float(np.max(np.abs(values)))
+
+
 def _admissible_datum(n=32, nt=16):
     grid = GridSpec(n, n, nt)
     u_star = sample(
@@ -160,6 +164,34 @@ class TestSolveRotated:
         rotated = solve_rotated(F, angle, SolverConfig(grid=grid))
         base = solve(F, SolverConfig(grid=F.grid))
         assert np.max(np.abs(rotated.v.values - base.u.values)) <= 1e-10
+
+    @pytest.mark.parametrize("m, n, cell", [(1, 1, (24, 24, 16)), (2, 1, (36, 36, 16))])
+    def test_the_cell_finishes_in_one_newton_step(self, monkeypatch, m, n, cell):
+        # the rotated-24 benchmark's datum rule: the unit-grid solution
+        # reaches the cell at its remap's aliasing level, inside the
+        # quadratic region, so the one cell step asks GMRES for the floor
+        # max(1e-9, 0.5 newton_tol / r) alone and meets newton_tol
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(16, 16, 16)
+        sss = sample(lambda x, y, t: 0.3 * np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid)
+        F = renormalize(sss + random_band_limited(grid, np.random.default_rng(1), max_mode=3, amplitude=0.03))
+        linear_solve, asked = solver_module.solve_linearized, []
+
+        def recording_solve(coeffs, rhs, rtol):
+            asked.append((coeffs.grid.shape, _sup(rhs.values), min(coeffs.cone_margins), rtol))
+            return linear_solve(coeffs, rhs, rtol)
+
+        monkeypatch.setattr(solver_module, "solve_linearized", recording_solve)
+        angle = RationalAngle(m, n)
+        cfg = SolverConfig(grid=rotated_grid(angle, *cell))
+        report = solve_rotated(F, angle, cfg).report
+        last = report.trace.records[-1]
+        assert (last.grid, last.newton_iters, last.failure) == (cell, 1, None)
+        assert report.final_residual_sup <= cfg.newton_tol and report.estimates.passed
+        (shape, r, margin, rtol), = [entry for entry in asked if entry[0] == cell]
+        assert r * r <= 0.5 * cfg.newton_tol * margin**2
+        assert rtol == max(1e-9, 0.5 * cfg.newton_tol / r) > 1e-5
 
     def test_quarter_turn_trivial_datum(self):
         F = ScalarField.zeros(GridSpec(16, 16, 16))

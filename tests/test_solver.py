@@ -932,6 +932,24 @@ class TestContinuation:
         assert not records[0].accepted and records[-1].accepted
         assert len(given) > 1 and all(given)
 
+    def test_a_start_outside_the_quadratic_region_keeps_eta_0(self, monkeypatch):
+        # u = 0 has cone margin 1 and a sup residual far above
+        # sqrt(newton_tol / 2): the first step asks for eta_0 = 0.1
+        import ktcy.solver as solver_module
+
+        grid = GridSpec(9, 9, 9)
+        F = renormalize(random_band_limited(grid, np.random.default_rng(2), max_mode=2, amplitude=0.8))
+        linear_solve, rtols = solver_module.solve_linearized, []
+
+        def recording_solve(coeffs, rhs, rtol):
+            rtols.append(rtol)
+            return linear_solve(coeffs, rhs, rtol)
+
+        monkeypatch.setattr(solver_module, "solve_linearized", recording_solve)
+        cfg = SolverConfig(grid=grid)
+        assert solve(F, cfg).final_residual_sup <= cfg.newton_tol
+        assert rtols[0] == 0.1
+
     def test_exhausted_budget_reads_newton_stalled(self, grid16, rng):
         import ktcy.solver as solver_module
 
