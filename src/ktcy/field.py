@@ -41,6 +41,7 @@ import numpy as np
 
 AXES = ("x", "y", "t")
 _AXIS_INDEX = {"x": 0, "y": 1, "t": 2}
+_SINGLE_TINY = float(np.finfo(np.float32).tiny)  # smallest normal float32
 
 
 class GridMismatchError(ValueError):
@@ -303,7 +304,10 @@ class OperatorSymbols(NamedTuple):
     same groups for the directions d_p and d_q in place of d_x and d_y.
     ``flat_inverse`` is 1 / (xx + yy_tt_t), the inverse of the linearization
     L0 = d_xx + d_yy + d_tt + d_t at u = 0, with its zero mode pinned to 0:
-    L0 is nonsingular on mean-zero functions.
+    L0 is nonsingular on mean-zero functions.  A mode whose flat symbol is
+    below the smallest normal float32 is pinned to 0 too, so that the
+    inverse holds in float32.  Only the zero mode is, unless a period
+    exceeds about 5.8e19 (:func:`_underflowing_axes`).
     """
 
     xx: np.ndarray       # d_xx, or d_pp
@@ -342,13 +346,27 @@ def operator_symbols(grid: GridSpec, angle: tuple | None = None) -> OperatorSymb
             c * xt - s * (y1 * t1).real,
         )
     flat = groups[0] + groups[1]
-    flat[0, 0, 0] = 1.0
-    flat_inverse = 1.0 / flat
-    flat_inverse[0, 0, 0] = 0.0
+    pinned = np.abs(flat) < _SINGLE_TINY  # the zero mode among them
+    flat_inverse = 1.0 / np.where(pinned, 1.0, flat)
+    flat_inverse[pinned] = 0.0
     table = OperatorSymbols(*groups, flat_inverse)
     for symbol in table:
         symbol.flags.writeable = False
     return table
+
+
+def _underflowing_axes(grid: GridSpec) -> list[int]:
+    """The axes whose smallest second-derivative factor (2 pi / L)^2 is
+    below the smallest normal float32, the precision of the solver's Krylov
+    operator: those of a period above about 5.8e19.
+
+    The solver refuses a datum that varies along such an axis.  The modes
+    along it alone are those whose flat symbol :func:`operator_symbols` pins
+    to 0 when it falls below that bound.
+    """
+    return [
+        ax for ax, L in enumerate(grid.periods) if (2.0 * math.pi / L) ** 2 < _SINGLE_TINY
+    ]
 
 
 def _single(symbol: np.ndarray) -> np.ndarray:

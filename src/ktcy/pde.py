@@ -238,7 +238,9 @@ class MeanPreconditioner:
     coefficients, and held in ``dtype``: float32 arrays and complex64
     symbols for float32, while float64 shares c's Q, R and S.  The folded
     apply (:func:`apply_linearized`) and :meth:`solve` run in that
-    precision.  Nothing is stored on c: what is built here is freed with the
+    precision.  The solver builds K in float32 for every linear solve; the
+    float64 K is the reference that float32 apply is measured against.
+    Nothing is stored on c: what is built here is freed with the
     preconditioner, at the end of the linear solve that builds it.
     """
 

@@ -96,23 +96,36 @@ Equations with Newton's Method*, SIAM 2003, stops on it too), and spends no
 operator application to confirm it.  A restart starts from the true
 residual.
 
-The preconditioned operator runs in float32 when a solve asks for
-rtol >= 1e-5 (mixed-precision inexact Newton: Kelley, *Newton's method in
-mixed precision*, SIAM Review 64, 2022).  On the first three data of each
-benchmark workload, 80 of the 81 linear solves did; the smallest forcing
-term there was 9.1e-6.  The preconditioner is then built in float32, and
-both the applications and the recovery of w transform in single precision
-through :mod:`ktcy.field`: such a linear solve takes no float64 transform.
-GMRES itself and the mean projection of each application stay float64, as
-does every other computation: the residual, ``linearize``, the line search
-and the audit.  The float64 residual fixes the Newton fixed point, so the
-answer does not change.  Below 1e-5 the operator and the recovery are
-float64.  GMRES stops on the least-squares residual of the operator it
-applies, and nothing checks the float64 ||b - L w||_2 after it.  That still
-met rtol ||b||_2 in every linear solve measured, but with little room: at
-most 0.959 rtol ||b||_2 in the 81 solves above, and 0.99724 rtol ||b||_2 at
-worst, in one linear solve of the renormalized 25^3 ``random_band_limited``
-datum of seed 9, max_mode 3 and amplitude 6.
+The preconditioned operator and the recovery of w always run in float32
+(mixed-precision inexact Newton: Kelley, *Newton's method in mixed
+precision*, SIAM Review 64, 2022): the preconditioner is built in float32,
+and the applications and the recovery transform in single precision through
+:mod:`ktcy.field`.  GMRES itself and the mean projection of each
+application stay float64, as does every other computation: the residual,
+``linearize``, the line search and the audit.  The float64 residual fixes
+the Newton fixed point, so the answer does not change.  A solve that asks
+for rtol >= 1e-5 stops on the least-squares residual of the float32
+operator and takes no float64 transform; nothing checks its float64
+||b - L w||_2.  That still met rtol ||b||_2 in every such solve measured,
+but with little room: at most 0.959 rtol ||b||_2 in the 80 such solves of
+the first three data of each benchmark workload, and 0.99724 rtol ||b||_2
+at worst, in one linear solve of the renormalized 25^3
+``random_band_limited`` datum of seed 9, max_mode 3 and amplitude 6.
+
+A solve that asks for rtol < 1e-5 ends on a measured float64 residual
+instead: GMRES-based iterative refinement (GMRES-IR: Carson and Higham,
+*SIAM J. Sci. Comput.* 40, 2018).  Its first float32 solve stops on rtol,
+where a float64 GMRES would stop, so its correction is that GMRES's to
+float32 accuracy; one plain float64 ``apply_linearized`` then measures
+r = b - L w.  While ||r||_2 > rtol ||b||_2, a float32 solve for the
+correction of r, asked for half the reduction still missing (at most 0.1),
+is added to w and r measured again, all against the one float32 K.  A step
+that does not halve ||r||_2, or a tenth step that misses, raises
+``KrylovStalled``.  On the first eight 32^3 data of the large-amplitude
+benchmark stream of seeds 2, 4, 7 and 11, 20 linear solves asked for
+rtol < 1e-5.  Each first step took the 14 to 16 applications of the
+float64 GMRES it replaces, in float32, plus one float64 residual; 7 of the
+20 needed a second step of 4 or 5 more.  Newton counts did not change.
 
 The Newton loop solves each system only as accurately as the step needs
 (inexact Newton).  Step k asks GMRES for the relative tolerance eta_k of
@@ -137,7 +150,7 @@ the cell of :func:`~ktcy.rotation.solve_rotated` there, at the aliasing
 level of the remap.  m is the cone margin that the attempt measures for its
 start and the line search for the state it accepts, and both read it from
 ``LinearizedCoeffs.cone_margins``.  Outside the region the forcing terms,
-and with them the float32 or float64 operator, are as above.
+and with them whether the solve refines, are as above.
 
 The step is damped by a backtracking line search that halves its length,
 at most 10 times, until the sup residual decreases and the state stays in
@@ -181,12 +194,14 @@ import numpy as np
 
 from .estimates import EstimateReport, verify
 from .field import (
+    AXES,
     GridMismatchError,
     GridSpec,
     ScalarField,
     _integral,
     _is_fast_odd_length,
     _spectrum,
+    _underflowing_axes,
     project_mean_zero,
     random_band_limited,
     resample,
@@ -197,7 +212,10 @@ from .pde import (
 )
 
 _KRYLOV_TOL = 1e-9  # floor of the forcing terms: the tightest linear solve asked for
-_SINGLE_PRECISION_RTOL = 1e-5  # from this rtol up, the Krylov operator runs in float32
+_SINGLE_PRECISION_RTOL = 1e-5  # below this rtol, a linear solve refines on a float64 residual
+_REFINE_MAX_STEPS = 10  # float32 solves per refined linear solve
+_REFINE_CONTRACTION = 0.5  # each refinement step must at least halve the float64 residual
+_REFINE_INNER_RTOL = 0.1  # loosest tolerance a correction step asks of GMRES
 _GMRES_RESTART = 50
 _GMRES_MAX_CYCLES = 12  # at most 600 iterations plus 11 restart residuals per linear solve
 _BACKTRACK_FACTOR = 0.5
@@ -325,27 +343,35 @@ def solve_linearized(
     grid of ``coeffs``, and EllipticityLost when min(P + Q) <= 0, where
     D^{-1} is undefined.  Stops once GMRES's least-squares residual, equal
     to ||b - L w||_2 in exact arithmetic, is at most rtol ||b||_2, b the
-    mean-zero part of rhs, with no operator application to confirm it;
-    when GMRES stops short of that, after 12 cycles of 50 iterations or on
-    a breakdown, raises KrylovStalled with the stop :func:`_gmres` names and
-    the number of operator applications spent.  Raises ValueError, before
+    mean-zero part of rhs, and for rtol < 1e-5 once the float64
+    ||b - L w||_2 is too (see Precision); when GMRES stops short of its
+    tolerance, after 12 cycles of 50 iterations or on a breakdown, raises
+    KrylovStalled with the stop :func:`_gmres` names and the number of
+    operator applications spent.  Raises ValueError, before
     any work, unless 0 < rtol < inf: a zero, negative or nan rtol no
-    iterate meets, and an infinite one any iterate does.  Each application
-    takes one forward and three inverse transforms.  rtol defaults to 1e-9,
+    iterate meets, and an infinite one any iterate does.  Each Krylov
+    application takes one forward and three inverse transforms, and each
+    float64 residual one forward and four inverse.  rtol defaults to 1e-9,
     the floor of the Newton loop's forcing terms.  Returns the solution and
-    the number of operator applications.  The recovery w = K y is cast to
-    float64 once and projected to mean zero as an array, so the call builds
-    one field after GMRES, the solution.
+    the number of operator applications.  Each recovery d = K y is cast to
+    float64 once and projected to mean zero as an array, so a call builds
+    one field after GMRES, the solution, and two more per float64 residual.
 
-    Precision: for rtol >= 1e-5 the operator L K and the recovery of w run
-    in float32, against K built in float32 once per call, so the stop test
-    runs on the float32 operator, not on L, and the call takes no float64
-    transform.  Nothing checks the float64 ||b - L w||_2; it met rtol
-    ||b||_2 in every linear solve measured, at worst 0.99724 rtol ||b||_2
-    (the renormalized 25^3 ``random_band_limited`` datum of seed 9,
-    max_mode 3, amplitude 6).  Below 1e-5 the operator and the recovery are
-    float64.  GMRES, the division by the trace and the mean projections are
-    float64 at every rtol.
+    Precision: the operator L K and the recovery of w run in float32,
+    against K built in float32 once per call; GMRES, the division by the
+    trace and the mean projections are float64.  For rtol >= 1e-5 the stop
+    test runs on the float32 operator, not on L, and the call takes no
+    float64 transform: nothing checks the float64 ||b - L w||_2, which met
+    rtol ||b||_2 in every linear solve measured, at worst 0.99724
+    rtol ||b||_2 (the renormalized 25^3 ``random_band_limited`` datum of
+    seed 9, max_mode 3, amplitude 6).  Below 1e-5 the call refines: after
+    each float32 solve one plain float64 application measures
+    r = b - L w, counted among the applications, and the call returns once
+    ||r||_2 <= rtol ||b||_2; otherwise it adds the float32 solution of
+    L d = r, asked for half the reduction still missing, at most 0.1.  A
+    step whose ||r||_2 is above half the last one, or ten steps spent,
+    raises KrylovStalled, whose message names that stop and the
+    applications spent.  b = 0 takes no application.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"solve_linearized: rtol must be positive and finite, got {rtol!r}")
@@ -355,7 +381,7 @@ def solve_linearized(
     shape = grid.shape
     # in the frame of the linearized apply, so it inverts the flat-case
     # linearization in a single Krylov iteration
-    K = MeanPreconditioner(coeffs, np.float32 if rtol >= _SINGLE_PRECISION_RTOL else np.float64)
+    K = MeanPreconditioner(coeffs, np.float32)
     min_trace = float(np.min(K.trace))
     if not min_trace > 0.0:
         raise EllipticityLost(f"min(P + Q) = {min_trace:.3e}: no trace-scaled preconditioner")
@@ -372,12 +398,41 @@ def solve_linearized(
         out = apply_linearized(coeffs, y, preconditioner=K).values
         return (out - np.mean(out)).ravel()
 
+    def correction(r, inner_rtol):
+        """Mean-zero float64 d = K y for the GMRES solution y of L K y = r on the
+        float32 operator, to ``inner_rtol``."""
+        y, stalled = _gmres(matvec, r, inner_rtol)
+        if stalled is not None:
+            raise KrylovStalled(f"GMRES {stalled}, after {applications[0]} operator applications")
+        d = np.asarray(K.solve(y.reshape(shape)), dtype=np.float64)
+        return d - np.mean(d)
+
     b = (rhs.values - np.mean(rhs.values)).ravel()
-    y, stalled = _gmres(matvec, b, rtol)
-    if stalled is not None:
-        raise KrylovStalled(f"GMRES {stalled}, after {applications[0]} operator applications")
-    w = np.asarray(K.solve(y.reshape(shape)), dtype=np.float64)
-    return ScalarField(grid, w - np.mean(w)), applications[0]
+    w = correction(b, rtol)
+    if rtol >= _SINGLE_PRECISION_RTOL:
+        return ScalarField(grid, w), applications[0]
+    # iterative refinement: measure the float64 residual of w, and correct w
+    # by a float32 solve for it that asks for half the reduction still missing
+    b_norm = float(np.linalg.norm(b))
+    target, r_norm, steps = rtol * b_norm, b_norm, 1
+    while r_norm > target:  # b = 0 takes no application
+        applications[0] += 1
+        out = apply_linearized(coeffs, ScalarField(grid, w)).values
+        r = b - (out - np.mean(out)).ravel()
+        r_prev, r_norm = r_norm, float(np.linalg.norm(r))
+        if r_norm <= target:
+            break
+        spent = f"after {applications[0]} operator applications"
+        if r_norm > _REFINE_CONTRACTION * r_prev:
+            raise KrylovStalled(
+                f"refinement stopped contracting at step {steps}: the float64 residual went "
+                f"from {r_prev:.3e} to {r_norm:.3e} (target {target:.3e}), {spent}"
+            )
+        if steps == _REFINE_MAX_STEPS:
+            raise KrylovStalled(f"refinement missed rtol {rtol:.1e} in {steps} steps, {spent}")
+        w += correction(r, min(_REFINE_INNER_RTOL, 0.5 * target / r_norm))
+        steps += 1
+    return ScalarField(grid, w), applications[0]
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, str | None]:
@@ -594,6 +649,7 @@ def newton_solve(u0: ScalarField, F_target: ScalarField, cfg: SolverConfig) -> S
         raise GridMismatchError("newton_solve: state grid differs from config grid")
     if F_target.grid != cfg.grid:
         raise GridMismatchError("newton_solve: datum grid differs from config grid")
+    _refuse_underflowing_axes(F_target)
     g = _exp(F_target)
     check_normalization(F_target)
     u, _ = _polish(project_mean_zero(u0), g, cfg, [])
@@ -638,6 +694,20 @@ def uniqueness_probe(F: ScalarField, cfg, trials: int) -> UniquenessProbe:
         solutions.append(newton_solve(start, F, cfg))
     worst = max(_sup(a.values - b.values) for a, b in combinations(solutions, 2))
     return UniquenessProbe(max_pairwise_sup_diff=worst, trials=trials)
+
+
+def _refuse_underflowing_axes(F: ScalarField) -> None:
+    """Raise ValueError, naming the axis and its period, when F varies along
+    an axis of :func:`~ktcy.field._underflowing_axes`: the linear solves
+    cannot see the derivatives along it."""
+    for ax in _underflowing_axes(F.grid):
+        if np.any(np.diff(F.values, axis=ax)):
+            name, L = AXES[ax], F.grid.periods[ax]
+            raise ValueError(
+                f"F varies along {name}, but L_{name} = {L!r} makes the derivative factor "
+                f"(2 pi / L)^2 = {(2.0 * math.pi / L) ** 2:.3e} underflow float32, the "
+                f"precision of the Krylov operator: the solver cannot see the {name}-derivatives"
+            )
 
 
 def check_normalization(F: ScalarField) -> np.ndarray:
@@ -847,6 +917,7 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
     """
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
+    _refuse_underflowing_axes(F)
     records, g = [], check_normalization(F)
     if _sup(1.0 - g) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
         starts = ()

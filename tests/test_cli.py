@@ -784,6 +784,32 @@ class TestFloatRange:
         argv = ["solve", "--grid", "5,5,5", "--expr", "0*x", "--periods", "1e300,1,1"]
         assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_OK
 
+    @pytest.mark.parametrize("period", ["1e300", "1e25"])
+    def test_a_datum_along_a_huge_period_names_its_axis(self, capsys, period):
+        # along x the derivative factor (2 pi / L)^2 is 0 or below the
+        # smallest normal float32: the linear solves cannot see u_xx
+        argv = [
+            "solve", "--grid", "5,5,5", "--expr", "0.1*sin(2*pi*x/Lx)",
+            "--periods", f"{period},1,1", "--renormalize",
+        ]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"F varies along x, but L_x = {float(period)!r} makes the derivative factor" in err
+
+    def test_newton_solve_refuses_a_datum_along_a_huge_period(self):
+        grid = GridSpec(5, 5, 5, 1.0, 1.0, 1e300)
+        F = renormalize(sample(lambda x, y, t: 0.1 * np.sin(TAU * t / 1e300), grid))
+        with pytest.raises(ValueError, match="F varies along t, but L_t = 1e[+]300"):
+            newton_solve(ScalarField.zeros(grid), F, SolverConfig(grid=grid))
+
+    @pytest.mark.parametrize("period", ["1e300", "1e25"])
+    def test_a_datum_across_a_huge_period_solves(self, tmp_path, period):
+        argv = [
+            "solve", "--grid", "5,5,5", "--expr", "0.1*sin(2*pi*y)",
+            "--periods", f"{period},1,1", "--renormalize", "--out", str(tmp_path / "run"),
+        ]
+        assert main(argv) == EXIT_OK
+
     @pytest.mark.parametrize("amplitude", ["1e200", "1e307"])
     def test_manufacture_names_the_overflow(self, capsys, amplitude):
         argv = ["manufacture", "--grid", "5,5,5", "--expr", f"{amplitude}*sin(2*pi*x)"]

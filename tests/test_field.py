@@ -76,6 +76,25 @@ class TestGridSpec:
         table = operator_symbols(GridSpec(5, 5, 5, 1e-152, 1e-152, 1.0), angle)
         assert all(np.all(np.isfinite(symbol)) for symbol in table)
 
+    @pytest.mark.parametrize("periods", [(1e300, 1.0, 1.0), (1.0, 1.0, 1e300), (1e25, 1.0, 1.0)], ids=str)
+    def test_a_huge_period_pins_the_modes_along_it_alone(self, periods):
+        # (2 pi / 1e300)^2 is 0 and (2 pi / 1e25)^2 below the smallest
+        # normal float32: the flat symbol of the modes along that axis alone
+        # is pinned like the zero mode, with no warning, and its inverse
+        # stays in float32 range; every other mode keeps 1 / flat
+        grid = GridSpec(5, 5, 5, *periods)
+        table = operator_symbols(grid)
+        flat = table.xx + table.yy_tt_t
+        pinned = table.flat_inverse == 0
+        alone = np.zeros(flat.shape, dtype=bool)
+        index = [0, 0, 0]
+        ax = periods.index(max(periods))
+        index[ax] = slice(None)
+        alone[tuple(index)] = True
+        assert np.array_equal(pinned, alone)
+        assert np.array_equal(table.flat_inverse[~pinned], 1.0 / flat[~pinned])
+        assert np.all(np.isfinite(_single(table.flat_inverse)))
+
     def test_coordinates(self):
         g = GridSpec(4, 4, 4, L_x=2.0)
         assert np.allclose(g.coordinates("x"), [0.0, 0.5, 1.0, 1.5])

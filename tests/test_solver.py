@@ -111,15 +111,23 @@ class TestSolverConfig:
 
 class TestKrylov:
     def test_flat_case_single_iteration(self, grid16, rng):
-        # at u = 0 the preconditioner equals the operator, so GMRES needs one
-        # iteration, one operator application: it stops on its least-squares
-        # residual, with no application to confirm it
+        # at u = 0 the preconditioner equals the operator, so at a loose rtol
+        # GMRES needs one iteration, one operator application: it stops on
+        # its least-squares residual, with no application to confirm it.  In
+        # float32 the operator is the identity only to rounding, so a tight
+        # rtol refines: two float32 applications reach 1e-9 on it, one
+        # float64 residual measures about 7e-7 of ||b||_2 (the float32
+        # rounding of the recovered w), one float32 application corrects
+        # that, and a second float64 residual confirms it
         rhs = random_band_limited(grid16, rng, max_mode=4)
         coeffs = linearize(ScalarField.zeros(grid16))
-        w, applications = solve_linearized(coeffs, rhs)
-        assert applications == 1
-        out = apply_linearized(coeffs, w)
-        assert np.allclose(out.values, project_mean_zero(rhs).values, atol=1e-12)
+        b = project_mean_zero(rhs).values
+        for rtol, spent in ((1e-5, 1), (1e-9, 5)):
+            w, applications = solve_linearized(coeffs, rhs, rtol)
+            assert applications == spent
+            r = apply_linearized(coeffs, w).values - b
+            assert np.linalg.norm(r) <= rtol * np.linalg.norm(b)
+        assert np.allclose(apply_linearized(coeffs, w).values, b, atol=1e-12)
 
     def test_solution_is_mean_zero(self, grid16, rng):
         u = random_band_limited(grid16, rng, max_mode=3, amplitude=0.001)
@@ -161,34 +169,52 @@ class TestKrylov:
         assert np.linalg.norm(r) <= rtol * np.linalg.norm(rhs.values)
         assert abs(mean(w)) < 1e-15
 
-    @pytest.mark.parametrize("rtol, dtype", [(1e-5, np.float32), (5e-6, np.float64)])
-    def test_operator_precision_follows_rtol(self, grid16, rng, monkeypatch, fft_calls, rtol, dtype):
-        # every application gets the preconditioner K of the float64
-        # coefficients in the operator's precision, and the recovery of w
-        # runs in it too: a float32 solve takes no numpy.fft transform
+    @pytest.mark.parametrize("rtol, stop_dtype", [(1e-5, np.float32), (5e-6, np.float64)])
+    def test_operator_precision_follows_rtol(
+        self, grid16, rng, monkeypatch, fft_calls, rtol, stop_dtype
+    ):
+        # every Krylov application gets the float32 preconditioner K of the
+        # float64 coefficients, and the recovery of w runs in float32 too.
+        # A loose solve stops on the float32 operator and takes no numpy.fft
+        # transform; a tight one stops on a float64 residual b - L w, one
+        # plain float64 apply per refinement step, each counted
         import ktcy.solver as solver_module
 
-        seen = []
+        seen, plain = [], []
 
         def recording_apply(c, w, preconditioner=None):
-            seen.append((c.P.dtype, preconditioner.dtype, preconditioner.xx.dtype))
+            if preconditioner is None:
+                plain.append(c.P.dtype)
+            else:
+                seen.append((c.P.dtype, preconditioner.dtype, preconditioner.xx.dtype))
             return apply_linearized(c, w, preconditioner=preconditioner)
 
         monkeypatch.setattr(solver_module, "apply_linearized", recording_apply)
         coeffs = linearize(random_band_limited(grid16, rng, max_mode=3, amplitude=0.001))
         rhs = random_band_limited(grid16, rng, max_mode=4)
         fft_calls.clear()
-        _, applications = solve_linearized(coeffs, rhs, rtol=rtol)
-        symbol, backend = (
-            (np.complex64, "scipy.fft") if dtype == np.float32 else (np.complex128, "numpy.fft")
-        )
-        assert seen and set(seen) == {(np.dtype(np.float64), np.dtype(dtype), np.dtype(symbol))}
-        # one forward and three inverse transforms per application, and one
-        # of each for the recovery
-        assert applications == len(seen)
-        assert fft_calls == {
-            f"{backend}.rfftn": applications + 1, f"{backend}.irfftn": 3 * applications + 1,
+        w, applications = solve_linearized(coeffs, rhs, rtol=rtol)
+        assert seen and set(seen) == {
+            (np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.complex64))
         }
+        steps = len(plain)
+        assert plain == [np.dtype(np.float64)] * steps
+        assert steps == (1 if stop_dtype == np.float64 else 0)
+        assert applications == len(seen) + steps
+        # one forward and three inverse float32 transforms per Krylov
+        # application and one of each per recovery; one forward and four
+        # inverse float64 transforms per float64 residual
+        recoveries = max(steps, 1)
+        expected = {
+            "scipy.fft.rfftn": len(seen) + recoveries,
+            "scipy.fft.irfftn": 3 * len(seen) + recoveries,
+        }
+        if steps:
+            expected |= {"numpy.fft.rfftn": steps, "numpy.fft.irfftn": 4 * steps}
+        assert fft_calls == expected
+        b = project_mean_zero(rhs).values
+        r = apply_linearized(coeffs, w).values - b
+        assert np.linalg.norm(r) <= rtol * np.linalg.norm(b)
 
     def test_trace_scaling_cuts_krylov_work(self, large_state, rng):
         # L0^{-1} alone, the inverse of the flat linearization, takes 45
@@ -319,6 +345,87 @@ class TestGmres:
         y, stalled = _gmres(apply, b, 1e-9)
         assert stalled is None and len(calls) == 1
         assert np.allclose(y, b, rtol=1e-15, atol=0.0)
+
+
+def _large_amp_32_seed_3():
+    """The first datum of the seed-3 32^3 amplitude-3 benchmark stream: 3 sin
+    2 pi x sin 2 pi y sin 2 pi t plus a max_mode 3 draw of amplitude 0.3,
+    renormalized.  Its last fine Newton step asks for rtol 8.6e-6."""
+    grid = GridSpec(32, 32, 32)
+    base = sample(lambda x, y, t: 3.0 * np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid)
+    noise = random_band_limited(grid, np.random.default_rng(3), max_mode=3, amplitude=0.3)
+    return renormalize(base + noise)
+
+
+class TestRefinement:
+    """Linear solves asked for rtol < 1e-5 run on the float32 operator and
+    end on a measured float64 residual."""
+
+    @pytest.mark.parametrize("name", ["seed=9 a=6", "large-amp-32 seed 3"])
+    def test_tight_solves_meet_rtol_in_float64(self, name, monkeypatch):
+        import ktcy.solver as solver_module
+
+        tight, linear_solve = [], solver_module.solve_linearized
+
+        def checking_solve(coeffs, rhs, rtol):
+            w, applications = linear_solve(coeffs, rhs, rtol)
+            if rtol < 1e-5:
+                b = project_mean_zero(rhs).values
+                r = b - apply_linearized(coeffs, w).values
+                tight.append((rtol, float(np.linalg.norm(r) / (rtol * np.linalg.norm(b)))))
+            return w, applications
+
+        monkeypatch.setattr(solver_module, "solve_linearized", checking_solve)
+        F = _hard_datum(name) if name.startswith("seed") else _large_amp_32_seed_3()
+        cfg = SolverConfig(grid=F.grid)
+        report = solve(F, cfg)
+        assert report.final_residual_sup <= cfg.newton_tol and report.estimates.passed
+        assert tight and all(ratio <= 1.0 for _, ratio in tight)
+        if name.startswith("large"):
+            assert [round(rtol, 7) for rtol, _ in tight] == [8.6e-6]
+
+    @staticmethod
+    def _scripted(monkeypatch, plain_factor):
+        """Patch the solver's apply so that the float64 residual sees
+        ``plain_factor`` L w; return the list of float32 applications."""
+        import ktcy.solver as solver_module
+
+        krylov = []
+
+        def scripted_apply(c, w, preconditioner=None):
+            if preconditioner is not None:
+                krylov.append(1)
+                return apply_linearized(c, w, preconditioner=preconditioner)
+            return apply_linearized(c, w) * plain_factor
+
+        monkeypatch.setattr(solver_module, "apply_linearized", scripted_apply)
+        return krylov
+
+    def test_a_refinement_that_cannot_contract_stalls(self, grid16, rng, monkeypatch):
+        # L w reads 0 in float64: the residual stays b after the first step
+        krylov = self._scripted(monkeypatch, 0.0)
+        coeffs = linearize(random_band_limited(grid16, rng, max_mode=3, amplitude=0.001))
+        rhs = random_band_limited(grid16, rng, max_mode=4)
+        with pytest.raises(KrylovStalled, match="refinement stopped contracting at step 1") as info:
+            solve_linearized(coeffs, rhs, 5e-6)
+        assert str(info.value).endswith(f"after {len(krylov) + 1} operator applications")
+
+    def test_a_refinement_out_of_steps_stalls(self, grid16, rng, monkeypatch):
+        # L w reads 0.7 L w in float64: each step cuts the residual to about
+        # 0.3 of the last, which contracts, but ten steps reach only 6e-6
+        krylov = self._scripted(monkeypatch, 0.7)
+        coeffs = linearize(random_band_limited(grid16, rng, max_mode=3, amplitude=0.001))
+        rhs = random_band_limited(grid16, rng, max_mode=4)
+        with pytest.raises(KrylovStalled, match="refinement missed rtol 1.0e-09 in 10 steps") as info:
+            solve_linearized(coeffs, rhs, 1e-9)
+        assert str(info.value).endswith(f"after {len(krylov) + 10} operator applications")
+
+    def test_a_zero_rhs_takes_no_application(self, grid16, fft_calls):
+        coeffs = linearize(ScalarField.zeros(grid16))
+        fft_calls.clear()
+        w, applications = solve_linearized(coeffs, ScalarField.zeros(grid16), 1e-9)
+        assert applications == 0 and not w.values.any()
+        assert not any(key.startswith("numpy.fft") for key in fft_calls)
 
 
 @pytest.fixture(scope="module")
