@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .estimates import EstimateReport, verify
-from .field import GridSpec, ScalarField, integrate, read_field, write_field
+from .field import GridSpec, ScalarField, _write_rows, integrate, read_field, write_field
 from .pde import NonPositiveLHS, manufacture, renormalize
 from .rotation import RationalAngle, rotated_grid, solve_rotated
 from .solver import ContinuationStalled, NormalizationError, SolverConfig, solve
@@ -219,7 +220,9 @@ class RunReport:
 
 
 def write_csv_slice(u: ScalarField, path, axis: str, index: int) -> None:
-    """2-D slice at a fixed third coordinate as ``coord1,coord2,value`` rows."""
+    """2-D slice at a fixed third coordinate as ``coord1,coord2,value`` rows,
+    after a header row, each number written as C's ``%.17g`` by the kernel
+    of the field dumps."""
     order = ["x", "y", "t"]
     if axis not in order:
         raise ValueError(f"axis must be one of {order}")
@@ -232,7 +235,9 @@ def write_csv_slice(u: ScalarField, path, axis: str, index: int) -> None:
     plane = np.take(u.values, index, axis=fixed_ax)
     c1, c2 = np.meshgrid(u.grid.coordinates(a1), u.grid.coordinates(a2), indexing="ij")
     rows = np.column_stack([c1.ravel(), c2.ravel(), plane.ravel()])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=f"{a1},{a2},value", comments="")
+    with open(path, "wb") as fh:
+        fh.write(f"{a1},{a2},value\n".encode())
+        _write_rows(fh, rows)
 
 
 # -- configuration -----------------------------------------------------------
@@ -473,7 +478,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    does not change it."""
     parser = argparse.ArgumentParser(
         prog="ktcy",
         description="Calabi-Yau equation solver and estimate auditor on the torus",

@@ -219,6 +219,23 @@ class TestCsvSlice:
         with pytest.raises(ValueError, match="index"):
             write_csv_slice(ScalarField.zeros(grid8), tmp_path / "x.csv", "t", 99)
 
+    def test_bytes_match_savetxt_on_edge_values(self, tmp_path):
+        # the rows np.savetxt(fmt="%.17g") wrote before the dump kernel did
+        g = GridSpec(6, 8, 5, L_x=math.sqrt(2.0), L_y=1e-3, L_t=3e20)
+        values = np.random.default_rng(5).standard_normal(g.shape) * 1e3
+        tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        edge = [0.0, -0.0, 5e-324, -tiny, big, -big, 1e-5, 9.9999999999999991e-5, 1e16,
+                1e17, 1000000000000000.25, 1000000000000000.75, 9.99999999999999999e22]
+        values[:, :, 2].flat[:len(edge)] = edge
+        u = ScalarField(g, values)
+        path = tmp_path / "slice.csv"
+        write_csv_slice(u, path, "t", 2)
+        c1, c2 = np.meshgrid(g.coordinates("x"), g.coordinates("y"), indexing="ij")
+        rows = np.column_stack([c1.ravel(), c2.ravel(), values[:, :, 2].ravel()])
+        want = tmp_path / "savetxt.csv"
+        np.savetxt(want, rows, fmt="%.17g", delimiter=",", header="x,y,value", comments="")
+        assert path.read_bytes() == want.read_bytes()
+
 
 class TestConfigFile:
     def test_parse_and_comments(self, tmp_path):
@@ -409,6 +426,15 @@ class TestMainCommands:
         assert code == EXIT_OK
         text = (rdir / "report.txt").read_text()
         assert "rotation.period = 1" in text
+
+    def test_the_parser_is_built_once(self, capsys):
+        from ktcy.cli import _build_parser
+
+        parser = _build_parser()
+        with pytest.raises(SystemExit):
+            main(["solve", "--wibble"])
+        assert main(["solve", "--grid", "8,8,8", "--builtin", "zero"]) == EXIT_OK
+        assert _build_parser() is parser
 
     def test_rotate_rejects_angle_elsewhere(self, capsys):
         code = main(["solve", "--grid", "8,8,8", "--builtin", "zero", "--angle", "1,1"])

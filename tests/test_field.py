@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ktcy import field
 from ktcy.field import (
     AXES,
     GridMismatchError,
@@ -33,6 +36,66 @@ from ktcy.field import (
 )
 
 TAU = 2.0 * np.pi
+
+
+def _around(x: float) -> list:
+    """x and its two float neighbours."""
+    return [x, float(np.nextafter(x, -math.inf)), float(np.nextafter(x, math.inf))]
+
+
+def _finite_bit_patterns(n: int) -> list:
+    bits = np.random.default_rng(31).integers(0, 2**64, size=2 * n, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)][:n].tolist()
+
+
+def _near_ties() -> list:
+    """Doubles about 1.27e30 and 2.54e30 whose 18th digit and beyond lie
+    within 1 / (2 5^14) of a 5: too near a tie for the kernel's scaling."""
+    q, values = 14, []
+    for e, sign in ((48, 1), (48, -1), (49, 1)):
+        # x = m 2^e and x / 10^q = m 2^(e - q) / 5^q, whose fraction is
+        # 1/2 - sign / (2 5^q) where m 2^(e - q) = (5^q - sign) / 2 mod 5^q
+        m = (5**q - sign) // 2 * pow(2 ** (e - q), -1, 5**q) % 5**q
+        m += 5**q * ((2**52 - m) // 5**q + 1)  # 53 bits, so m 2^e is a double
+        values.append(float(m * 2**e))
+    return values
+
+
+_TINY, _MAX = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
+# name -> (values that lead a dump, the dump's size minus the chunk length
+# or None to keep the chunk); Python's per-value %.17g is the oracle
+_FORMAT_CASES = {
+    "normals": ([-0.0, 5e-324, 1e-300, 1e300], None),
+    "zeros-and-subnormals": (
+        [0.0, -0.0, 5e-324, -5e-324, _TINY - 5e-324, -(_TINY - 5e-324), 1.5e-320, 2.5e-310], None
+    ),
+    "tiny-and-max": ([_TINY, -_TINY, _MAX, -_MAX, *_around(_TINY), _MAX * (1 - 2.0**-53)], None),
+    "powers-of-ten": ([v for k in range(-323, 309) for v in _around(float(f"1e{k}"))], None),
+    "g-switch-points": ([s * v for s in (1, -1) for x in (1e-5, 1e-4, 1e16, 1e17)
+                         for v in _around(x)], None),
+    # 17 nines round up to the next power, across the %g switch points too
+    "decade-round-up": (
+        [float(f"9.99999999999999999e{k}") for k in range(-307, 308)]
+        + [-9.99999999999999999e-6, 9.999999999999999999e-5, 99999999999999999.0], None
+    ),
+    # the 18th digit an exact 5: rounded to even
+    "17th-digit-ties": (
+        [1000000000000000.25, 1000000000000000.75, -1000000000000000.25, 2000000000000001.25,
+         123456789012345.625, 123456789012345.875]
+        + [10.0**15 + k + 0.25 for k in range(40)] + [10.0**14 + k + 0.125 for k in range(40)],
+        None,
+    ),
+    # near ties in exponent notation, which the fallback formats
+    "near-ties": (_near_ties() + [-x for x in _near_ties()], None),
+    # finite bit patterns over three chunks, some of them fallbacks
+    "bit-patterns": (_finite_bit_patterns(9000), None),
+    # a dump of 192 values, the first and the last a subnormal, which the
+    # fallback formats, and the chunk length one above, on or one below it
+    "chunk-minus-one": ([5e-324] + [1.5] * 190 + [-5e-324], -1),
+    "chunk": ([5e-324] + [1.5] * 190 + [-5e-324], 0),
+    "chunk-plus-one": ([5e-324] + [1.5] * 190 + [-5e-324], 1),
+}
 
 
 class TestGridSpec:
@@ -368,16 +431,56 @@ class TestDumpFormat:
         )
         assert float(lines[5]) == 0.0  # then y increments, x resets
 
-    def test_text_matches_per_value_formatting(self, tmp_path):
-        g = GridSpec(6, 4, 4, L_x=math.sqrt(5.0), L_t=0.3)
-        values = np.random.default_rng(17).standard_normal(g.shape)
-        values[0, 0, 0], values[1, 0, 0] = -0.0, 5e-324
-        values[2, 0, 0], values[3, 0, 0] = 1e-300, 1e300
+    @pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+    def test_text_matches_per_value_formatting(self, tmp_path, monkeypatch, case):
+        # the case's values lead the dump in x-fastest order, and normals follow
+        special, chunk_offset = _FORMAT_CASES[case]
+        n_t = max(4, math.ceil(len(special) / 48))
+        g = GridSpec(6, 8, n_t, L_x=math.sqrt(5.0), L_t=0.3)
+        if chunk_offset is not None:
+            monkeypatch.setattr(field, "_CHUNK", 6 * 8 * n_t - chunk_offset)
+        values = np.random.default_rng(17).standard_normal(g.n_x * g.n_y * g.n_t)
+        values[:len(special)] = special
+        values = values.reshape(g.shape, order="F")
         path = tmp_path / "u.field"
         write_field(ScalarField(g, values), path)
-        lines = [f"6 4 4 {math.sqrt(5.0):.17g} 1 0.29999999999999999"]
+        lines = [f"6 8 {n_t} {math.sqrt(5.0):.17g} 1 0.29999999999999999"]
         lines.extend(f"{v:.17g}" for v in values.ravel(order="F"))
-        assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(
+        n_t=st.integers(4, 9),
+        data=st.data(),
+    )
+    def test_any_finite_values_match_per_value_formatting(self, tmp_path_factory, n_t, data):
+        g = GridSpec(4, 4, n_t)
+        values = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=g.n_x * g.n_y * n_t,
+            max_size=g.n_x * g.n_y * n_t)))
+        path = tmp_path_factory.mktemp("dump") / "u.field"
+        write_field(ScalarField(g, values.reshape(g.shape, order="F")), path)
+        lines = [f"4 4 {n_t} 1 1 1"]
+        lines.extend(f"{v:.17g}" for v in values)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = read_field(path).values.ravel(order="F")
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    def test_a_48_cubed_dump_peaks_below_the_per_value_formatting(self, tmp_path):
+        # ("%.17g\n" * n) % tuple(values), which this writer replaced,
+        # peaked at 7.88 MiB of traced allocations on this dump
+        import tracemalloc
+
+        g = GridSpec(48, 48, 48)
+        u = random_band_limited(g, np.random.default_rng(3), amplitude=0.3)
+        write_field(ScalarField.zeros(GridSpec(4, 4, 4)), tmp_path / "warm.field")  # the tables
+        tracemalloc.start()
+        try:
+            write_field(u, tmp_path / "u.field")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.9 * 2**20
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.field"
@@ -628,10 +731,11 @@ class TestSinglePrecision:
         assert np.max(np.abs(out - want)) <= 1e-5 * np.max(np.abs(want))
 
 
-def test_import_leaves_scipy_fft_unloaded():
+def test_import_leaves_scipy_fft_unloaded(tmp_path):
     # scipy.fft, which pulls in scipy.special, is imported by the first
     # single-precision transform and GMRES by the first linear solve, so
-    # importing the package loads neither
+    # importing the package loads neither; the dump writer builds its tables
+    # with integer arithmetic, so a dump loads neither fractions nor decimal
     import os
     import subprocess
     import sys
@@ -640,8 +744,11 @@ def test_import_leaves_scipy_fft_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ktcy; print([m for m in ('scipy.fft', 'scipy.sparse') if m in sys.modules])"],
+         "import sys, ktcy; print([m for m in ('scipy.fft', 'scipy.sparse') if m in sys.modules]); "
+         "ktcy.write_field(ktcy.ScalarField.constant(ktcy.GridSpec(8, 8, 8), 0.1), sys.argv[1]); "
+         "print([m for m in ('fractions', 'decimal', 'scipy.fft') if m in sys.modules])",
+         str(tmp_path / "u.field")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
