@@ -1,5 +1,5 @@
-"""Continuity-method solve with a manufactured oracle and the full audit.
-=========================================================================
+"""Newton solve with a manufactured oracle and the full audit.
+============================================================
 
 Pick a potential u*, manufacture the datum F = log(ma_lhs(u*)) so u* is the
 exact discrete solution, then recover it from scratch and audit every
@@ -25,10 +25,10 @@ print("recovery error:", np.max(np.abs(report.u.values - u_exact.values)))
 
 # the manufactured datum is the log of a trigonometric polynomial, whose
 # spectral tail is not resolved on the coarse grid, so no sequencing here
-print(f"\ncontinuation trace, coarse grid {report.coarse_grid}:")
+print(f"\nNewton attempts, coarse grid {report.coarse_grid}:")
 for r in report.trace.records:
     print(
-        f"  grid = {r.grid}  tau = {r.tau:5.3f}  newton iters = {r.newton_iters}  "
+        f"  grid = {r.grid}  newton iters = {r.newton_iters}  "
         f"residual = {r.final_residual_sup:.2e}  lambda_min = {r.lambda_min:.3f}  "
         f"{'accepted' if r.accepted else 'rejected'}"
     )

@@ -6,9 +6,9 @@ The reduced problem is the fully nonlinear elliptic PDE
     (u_xx + 1)(u_yy + u_tt + u_t + 1) - u_xy^2 - u_xt^2 = e^F
 
 on a periodic 3-torus, solved by damped inexact Newton on the full datum,
-falling back to a continuity method in tau when that fails, with a
-preconditioned Krylov linear solver, then cross-checked against the
-4-dimensional wedge-form geometry and the a-priori estimates.
+started from a coarse-grid solution or from u = 0, with a preconditioned
+Krylov linear solver, then cross-checked against the 4-dimensional
+wedge-form geometry and the a-priori estimates.
 """
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ from .pde import (
     residual,
 )
 from .solver import (
-    ContinuationStalled,
     ContinuityTrace,
     EllipticityLost,
     KrylovStalled,

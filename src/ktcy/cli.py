@@ -15,8 +15,8 @@ prints the report or writes it and the dumps to ``--out``.  ``export``
 writes no report.
 
 Exit codes: 0 success, 2 usage/config error, 3 normalization error,
-4 continuation stalled, 5 non-positive manufactured left-hand side,
-6 I/O failure.
+4 solve failed (any other ``SolverError``, named in the message),
+5 non-positive manufactured left-hand side, 6 I/O failure.
 """
 from __future__ import annotations
 
@@ -37,12 +37,12 @@ from .estimates import EstimateReport, verify
 from .field import GridSpec, ScalarField, _write_rows, integrate, read_field, write_field
 from .pde import NonPositiveLHS, manufacture, renormalize
 from .rotation import RationalAngle, rotated_grid, solve_rotated
-from .solver import ContinuationStalled, NormalizationError, SolverConfig, solve
+from .solver import NormalizationError, SolverConfig, SolverError, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NORMALIZATION = 3
-EXIT_STALLED = 4
+EXIT_SOLVE_FAILED = 4
 EXIT_NONPOSITIVE = 5
 EXIT_IO = 6
 
@@ -193,16 +193,15 @@ class RunReport:
     def add_solve(self, solve_report):
         """Trace, resolution and audit of a solve.
 
-        Every tau attempt gives one row group; ``resolution.*`` names the
-        continuation grid of a sequenced solve and the sup change its last
-        Newton attempt made (for ``rotate`` started on the unit grid: the
-        unit grid's coarse grid and the change of the cell polish), ``none``
-        when the continuation ran on the requested grid.
+        Every Newton attempt gives one row group; ``resolution.*`` names the
+        coarse grid of a sequenced solve and the sup change its last Newton
+        attempt made (for ``rotate`` started on the unit grid: the unit
+        grid's coarse grid and the change of the cell polish), ``none`` when
+        the solve ran from u = 0 on the requested grid.
         """
         records = solve_report.trace.records
         self.add("trace.records", len(records))
         for i, r in enumerate(records, start=1):
-            self.add(f"trace.{i}.tau", r.tau)
             self.add(f"trace.{i}.newton_iters", r.newton_iters)
             self.add(f"trace.{i}.residual_sup", r.final_residual_sup)
             self.add(f"trace.{i}.lambda_min", r.lambda_min)
@@ -543,9 +542,9 @@ def main(argv=None) -> int:
     except NormalizationError as exc:
         sys.stderr.write(f"normalization error: {exc}\n")
         return EXIT_NORMALIZATION
-    except ContinuationStalled as exc:
-        sys.stderr.write(f"continuation stalled: {exc}\n")
-        return EXIT_STALLED
+    except SolverError as exc:
+        sys.stderr.write(f"solve failed: {type(exc).__name__}: {exc}\n")
+        return EXIT_SOLVE_FAILED
     except NonPositiveLHS as exc:
         sys.stderr.write(f"manufacture failed: {exc}\n")
         return EXIT_NONPOSITIVE

@@ -32,8 +32,7 @@ preconditioning runs.
 
 :func:`renormalize` and :func:`manufacture` make solver-ready data: the
 integral of e^F equals the box volume, so e^F has mean 1.  The solver works
-on that target e^F itself (its continuity path is 1 - tau + tau e^F, of
-mean 1 at every tau), and takes the smallest symbol eigenvalue of each
+on that target e^F itself, and takes the smallest symbol eigenvalue of each
 state by the one formula that :func:`ellipticity_report` uses.
 """
 from __future__ import annotations

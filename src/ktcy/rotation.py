@@ -28,7 +28,7 @@ cell one Newton attempt: nested iteration, as the grid sequencing of
 :func:`~ktcy.solver.solve` does across grid sizes.  The unit-grid solve is
 one more start of the solver's one driver, tried before the cell's own
 coarse start; a stage that fails raises its ``SolverError`` and the driver
-moves on, so the cell solve from scratch stays the fallback.
+moves on, so the cell solve from u = 0 stays the fallback.
 
 Irrational angles admit no such periodic cell and are rejected by
 construction of :class:`RationalAngle`.
@@ -177,8 +177,8 @@ def solve_rotated(F: ScalarField, angle: RationalAngle, cfg: SolverConfig) -> Ro
     cfg.grid must be an (L, L, 1) cell grid for the given angle, and the
     solution is returned on it.  When L > 1 and the cell has more unknowns
     than F's grid, the solve starts on F's unit grid: grid sequencing runs
-    there in the rotated frame (continuation on the odd coarse grid, one
-    Newton attempt on F's grid), the solution is remapped onto the cell and
+    there in the rotated frame (a Newton attempt from u = 0 on the odd
+    coarse grid, one on F's grid), the solution is remapped onto the cell and
     one Newton attempt against the transformed datum G finishes it.  If F is
     not resolved on the coarse grid or any stage fails, and for L = 1 or a
     cell no larger than F's grid, the core solver runs on G on the cell (the

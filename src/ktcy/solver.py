@@ -1,69 +1,60 @@
 """Grid-sequenced damped inexact Newton solver with preconditioned Krylov
-steps and a continuity-method fallback.
+steps.
 
 Every solve is one move: a start from a cheaper problem, finished by one
 Newton attempt on the requested grid.  ``_solve`` is the one driver.  It
-finishes the first start that one attempt completes, runs the continuation
-from u = 0 on the requested grid when none does, and audits the result once
-into the one :class:`SolveReport`.  ``solve`` has one start, the coarse
-continuation below; :func:`~ktcy.rotation.solve_rotated` tries the datum's
-unit grid in the rotated frame first; ``newton_solve`` is the finishing
-attempt alone, from the start it is given, and ``uniqueness_probe`` runs it
-from perturbed copies of a solution.  Every stage, the finishing
-attempt included, signals failure by raising a ``SolverError``, and the
-driver then moves on to the next start.
+tries its starts in turn, finishes the first start that one attempt
+completes, and audits the result once into the one :class:`SolveReport`.
+Its last start is u = 0 on the requested grid, so the fallback is a finish
+like any other.  ``solve`` has one start before it, the coarse start below;
+:func:`~ktcy.rotation.solve_rotated` tries the datum's unit grid in the
+rotated frame first; ``newton_solve`` is the finishing attempt alone, from
+the start it is given, and ``uniqueness_probe`` runs it from perturbed
+copies of a solution.  Every stage, the finishing attempt included, signals
+failure by raising a ``SolverError``, and the driver then moves on to the
+next start; when the finish from u = 0 fails too, its error ends the solve.
 
 The solver carries the target g = e^F, an array computed where F comes in
 (the driver, the coarse start, ``newton_solve`` and the rotated unit-grid
-start); the continuation, the polish and the Newton attempt take g and
-never exponentiate F.  The driver takes g from :func:`check_normalization`,
-which returns the e^F it integrated, and :func:`~ktcy.rotation.solve_rotated`
-hands the unit-grid start the e^F of its own check.  Two entries still
-exponentiate twice: ``newton_solve`` calls :func:`~ktcy.pde._exp` before the
-check, for the ValueError that names the largest F, and the coarse start
-renormalizes its restriction of F before it takes g.  The path target is
+start); the Newton attempt takes g and never exponentiates F.  The driver
+takes g from :func:`check_normalization`, which returns the e^F it
+integrated, and :func:`~ktcy.rotation.solve_rotated` hands the unit-grid
+start the e^F of its own check.  Two entries still exponentiate twice:
+``newton_solve`` calls :func:`~ktcy.pde._exp` before the check, for the
+ValueError that names the largest F, and the coarse start renormalizes its
+restriction of F before it takes g.  Every attempt aims at the full target
+g from its start.  The paper's continuity path is a device of its existence
+proof: the solution is unique, so any start that converges gives it
+(Deuflhard's globalized Newton, *Newton Methods for Nonlinear Problems*,
+Springer 2004), and the cone cap below leaves no datum measured that a
+march in a path parameter would still solve.
 
-    e^{F_tau} = 1 - tau + tau e^F,
-
-the convex homotopy of Allgower and Georg (*Introduction to Numerical
-Continuation Methods*, SIAM 2003) written on the target itself: its mean is
-1 at every tau, as e^F's is by the normalization, and its solution at
-tau = 0 is u = 0.  The march tries the whole path first: its first attempt
-is a damped Newton solve of the full datum (tau = 1) from u = 0, which
-converges on most data.  Only a failed attempt halves the tau step, and an
-attempt of at most three Newton iterations doubles it again.  The path is
-the proof's device, not a requirement: the solution is unique, so any start
-that converges gives it (Deuflhard's globalized Newton, with continuation
-kept as the fallback).
-
-The march need not run on the requested grid.  Each datum has exactly one
-solution, so any good start will do (nested iteration, as in Kelley's and
-Deuflhard's Newton texts).  When F is resolved on an odd grid of about half
-the size per axis (restriction then prolongation gives F back to
-newton_tol), the start marches there and spectrally prolongs the solution,
-and one Newton attempt finishes it on the requested grid.  The coarse
-march solves only as far as its grid can tell: its attempt at tau = 1 ends
+The start need not be computed on the requested grid.  Each datum has
+exactly one solution, so any good start will do (nested iteration, as in
+Kelley's and Deuflhard's Newton texts).  When F is resolved on an odd grid
+of about half the size per axis (restriction then prolongation gives F back
+to newton_tol), the coarse start solves there from u = 0 and spectrally
+prolongs the solution, and one Newton attempt finishes it on the requested
+grid.  The coarse attempt solves only as far as its grid can tell: it ends
 once the next Newton correction it predicts, sup |w_k|^2 / sup |w_{k-1}|
 after a full step k >= 2, is at most the largest coefficient on the coarse
 grid's outermost Fourier shell, that grid's own truncation error
-(Deuflhard, *Newton Methods for Nonlinear Problems*, Springer 2004, on
-nested iteration).  Prolongation leaves a fine residual of the truncation
-error's size whatever the coarse residual, so the steps this saves would
-not shorten the finish: on the benchmark's large-amplitude 32^3 data the
-15^3 march takes 5 Newton steps instead of 7, and the 32^3 finish the same
-3.  A datum resolved on the coarse grid has its outermost shell at
-rounding level, and its march runs to newton_tol as before.  Odd grids have
-no Nyquist mode, so discrete integration by parts holds exactly there and
-the coarse march has no mean-residual floor.  If the datum is not resolved,
-or either stage fails, the march runs on the requested grid from u = 0, so
-the sequencing never loses a solve, and every solve meets newton_tol on the
-requested grid.  On a grid with an even axis, a failed
-attempt whose residual is all mean (sup |res - mean| <= newton_tol < mean)
-ends the solve at once with ``NyquistFloor``, whether it is the finish of a
-start or an attempt of the march: that mean is the solution's energy on
-the Nyquist planes, which the mean-zero Newton update cannot remove at any
-tau.  On 60 random data on 10^3 and 16^3, 25 finishes ended so, and the
-march from u = 0 solved none of those 25.
+(Deuflhard, on nested iteration).  Prolongation leaves a fine residual of
+the truncation error's size whatever the coarse residual, so the steps this
+saves would not shorten the finish: on the benchmark's large-amplitude
+32^3 data the 15^3 attempt takes 5 Newton steps instead of 7, and the 32^3
+finish the same 3.  A datum resolved on the coarse grid has its outermost
+shell at rounding level, and its coarse attempt runs to newton_tol.  Odd
+grids have no Nyquist mode, so discrete integration by parts holds exactly
+there and the coarse attempt has no mean-residual floor.  If the datum is
+not resolved, or either stage fails, the finish from u = 0 on the requested
+grid runs, so the sequencing never loses a solve, and every solve meets
+newton_tol on the requested grid.  On a grid with an even axis, a failed
+finish whose residual is all mean (sup |res - mean| <= newton_tol < mean)
+ends the solve at once with ``NyquistFloor``: that mean is the solution's
+energy on the Nyquist planes, which the mean-zero Newton update cannot
+remove from any start.  On 60 random data on 10^3 and 16^3, 25 finishes of
+the coarse start ended so, and no solve from u = 0 got past that floor.
 
 Each Newton
 step solves the linearized equation L w = -residual in the mean-zero
@@ -144,13 +135,26 @@ of its own coefficients asks for the floor alone.  There the correction w
 is of size about r_k / m, so the linear part and the quadratic remainder
 w_xx (w_yy + w_tt + w_t) - w_xy^2 - w_xt^2 each stay below
 0.5 newton_tol, and one step meets the tolerance where eta_0 = 0.1 would
-spend two (Deuflhard's local quadratic convergence, *Newton Methods for
-Nonlinear Problems*, Springer 2004).  A remapped unit-grid solution reaches
-the cell of :func:`~ktcy.rotation.solve_rotated` there, at the aliasing
-level of the remap.  m is the cone margin that the attempt measures for its
-start and the line search for the state it accepts, and both read it from
-``LinearizedCoeffs.cone_margins``.  Outside the region the forcing terms,
-and with them whether the solve refines, are as above.
+spend two (Deuflhard's local quadratic convergence).  A remapped unit-grid
+solution reaches the cell of :func:`~ktcy.rotation.solve_rotated` there,
+at the aliasing level of the remap.  m is the cone margin that the attempt
+measures for its start and the line search for the state it accepts, and
+both read it from ``LinearizedCoeffs.cone_margins``.
+
+A step on a thin cone, m < 1e-2, then has its rtol capped at
+max(1e-7, 0.1 m): the cone cap.  A correction solved to relative residual
+eta moves u_xx and u_yy + u_tt + u_t by about eta times their size, and
+where that exceeds m the full step leaves the cone and the line search cuts
+it short (Deuflhard's error-oriented inexact Newton bounds the correction's
+error, as the pointwise cone test needs).  With the cap, one attempt at the
+full datum solves the 25^3 datum 16 sin 2 pi x (renormalized), whose
+solution no earlier rule reached.  The floor 1e-7 keeps the cap within
+reach of GMRES: at 1e-9, 25^3 12 sin 2 pi x ended in ``KrylovStalled``.  A
+solve with m < 1e-4 is thus asked for rtol < 1e-5 and ends on a measured
+float64 residual.  The benchmark's data keep m above 1e-2, so the cap
+leaves their solves as they were.
+Outside the quadratic region and the cap the forcing terms, and with them
+whether the solve refines, are as above.
 
 The step is damped by a backtracking line search that halves its length,
 at most 10 times, until the sup residual decreases and the state stays in
@@ -162,10 +166,9 @@ given (see :func:`~ktcy.pde.linearize`).  ``solve`` works in the grid's own
 frame; :func:`~ktcy.rotation.solve_rotated` starts in a rotated frame on
 the unit grid of its datum, and the sequencing below runs there too.
 
-The solver has three settings, in :class:`SolverConfig`: the accuracy
-``newton_tol`` and the budgets ``newton_max_iters`` (Newton steps per
-attempt) and ``tau_min_step`` (the smallest tau step before the march
-stalls).  The paper's solution is unique, so the rest of the policy is
+The solver has two settings, in :class:`SolverConfig`: the accuracy
+``newton_tol`` and the budget ``newton_max_iters`` (Newton steps per
+attempt).  The paper's solution is unique, so the rest of the policy is
 fixed: the constants below.
 
 There is one Newton loop, ``_newton_attempt`` (Deuflhard's damped inexact
@@ -175,14 +178,12 @@ residual once, and refuses a start outside the elliptic cone.  Each step
 then checks the budget of ``newton_max_iters`` steps, runs one linear solve
 to its forcing term and one line search.  The line search returns the state it accepts
 with that state's coefficients, residual and sup residual, and the next
-step starts from them.  The attempt returns, with its trace record, the coefficients of
-the state it ended on, accepted or not.  They travel on into the next tau
-attempt (they do not depend on the datum), into the lambda_min of the
-attempt's record and into the audit.  After a failed attempt the march
-restarts from the state it kept, with the coefficients it kept.  The loop
-works on the coefficient arrays and builds fields only for new states and
-the linear solve's right-hand side.  ``newton_solve`` is that loop alone,
-from a given start.
+step starts from them.  The attempt returns, with its trace record, the
+coefficients of the state it ended on, accepted or not.  They travel on
+into the lambda_min of the attempt's record, into the Nyquist-floor check
+of a failed finish and into the audit.  The loop works on the coefficient
+arrays and builds fields only for new states and the linear solve's
+right-hand side.  ``newton_solve`` is that loop alone, from a given start.
 """
 from __future__ import annotations
 
@@ -221,6 +222,9 @@ _GMRES_MAX_CYCLES = 12  # at most 600 iterations plus 11 restart residuals per l
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 10
 _ETA_MAX = 0.1  # cap and first value of the forcing terms
+_CONE_THIN = 1e-2  # below this cone margin m, a step's rtol is capped at _CONE_CAP m
+_CONE_CAP = 0.1
+_CONE_CAP_FLOOR = 1e-7  # the cone cap asks for no rtol below this
 _EW_GAMMA = 0.9
 _PROBE_SEED = 20570  # seed of the uniqueness probe's warm-start bumps
 
@@ -249,18 +253,13 @@ class NormalizationError(SolverError):
     """Datum violates the volume normalization of e^F."""
 
 
-class ContinuationStalled(SolverError):
-    """tau step underflow: the step fell below ``tau_min_step``.
-
-    The message gives what was measured: the tau reached and the failed
-    attempt's residual sup, mean and sup |residual - mean|.  It says nothing
-    about the datum: a datum whose discrete solution is known can stall too.
-    """
-
-
-class NyquistFloor(ContinuationStalled):
+class NyquistFloor(SolverError):
     """Even grid: the mean-zero part is solved, but a positive mean residual
-    stays that no tau step removes (the solution's Nyquist-plane energy)."""
+    stays that no Newton step removes (the solution's Nyquist-plane energy).
+
+    The message gives the failed finish's residual sup, mean and
+    sup |residual - mean|.
+    """
 
 
 @dataclass(frozen=True)
@@ -268,13 +267,10 @@ class SolverConfig:
     grid: GridSpec
     newton_tol: float = 1e-11
     newton_max_iters: int = 30
-    tau_min_step: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
-        if not 0.0 < self.tau_min_step <= 1.0:
-            raise ValueError("tau_min_step must lie in (0, 1]")
         iters = self.newton_max_iters
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError(f"newton_max_iters must be an integer >= 1, got {iters!r}")
@@ -282,10 +278,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    tau: float
+    """One Newton attempt of a solve, on the grid it ran on."""
+
     newton_iters: int
-    # an accepted record meets newton_tol, except the coarse march's attempt
-    # at tau = 1, which may stop above it at the coarse grid's truncation level
+    # an accepted record meets newton_tol, except the coarse start's attempt,
+    # which may stop above it at the coarse grid's truncation level
     final_residual_sup: float
     lambda_min: float
     failure: str | None  # SolverError class that ended the attempt, None if accepted
@@ -310,13 +307,17 @@ class ContinuityTrace:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """The solution, the record of every Newton attempt the solve made, in
+    order, and the audit of the solution."""
+
     u: ScalarField
     trace: ContinuityTrace
     estimates: EstimateReport
-    # when sequenced: the shape of the continuation grid, and the sup change
-    # the last Newton attempt made to its start, sup |u - u0|; u0 is the
+    # when sequenced: the shape of the coarse grid, and the sup change the
+    # last Newton attempt made to its start, sup |u - u0|; u0 is the
     # prolonged coarse solution (solve) or the remapped unit-grid solution
-    # (solve_rotated, whose continuation grid is then on the unit box)
+    # (solve_rotated, whose coarse grid is then on the unit box); both None
+    # for a solve from u = 0
     coarse_grid: tuple | None = None
     coarse_fine_sup: float | None = None
 
@@ -545,7 +546,7 @@ def _truncation_level(u: ScalarField) -> float:
     """Largest Fourier coefficient magnitude of u on its grid's outermost
     shell, |m| = (n - 1)/2 on some axis of an odd grid (no Nyquist mode).
 
-    The coarse march's estimate of its discretization error: the modes the
+    The coarse attempt's estimate of its discretization error: the modes the
     grid drops are of about this size.  One forward transform.
     """
     spec = np.abs(_spectrum(u.values))
@@ -558,21 +559,22 @@ def _truncation_level(u: ScalarField) -> float:
     return shell / u.values.size
 
 
-def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
+def _newton_attempt(u0, coeffs0, g, cfg, truncation_stop=False):
     """Inexact Newton loop for ma_lhs(u) = g from u0 to tolerance, at most
     ``cfg.newton_max_iters`` steps, in the frame of ``coeffs0``, the
     linearization of u0.
 
     Refuses an inadmissible u0 (EllipticityLost).  Each step solves the
     Newton system to the Eisenstat-Walker forcing term, or to its floor
-    alone in the quadratic region (see the module docstring), and damps the
+    alone in the quadratic region, capped on a thin cone (see the module
+    docstring), and damps the
     update by :func:`_line_search`, whose accepted state, coefficients
     (with their cone margins), residual and sup residual the next step
     reuses, and whose step factor the truncation stop reads.
     Returns (record, failure, u, coeffs).  u is the state the attempt ended
     on: the last accepted one, or u0 when no step was accepted.  coeffs is
-    ``linearize(u)`` and record the attempt's :class:`TraceRecord` at
-    ``tau``, whose iterations, residual and lambda_min all describe u.  failure is None on success, the
+    ``linearize(u)`` and record the attempt's :class:`TraceRecord`, whose
+    iterations, residual and lambda_min all describe u.  failure is None on success, the
     ``SolverError`` a step raised, or a ``NewtonStalled`` when the step
     budget ran out.  A start that meets ``newton_tol`` is returned unchanged.
     A step's Krylov applications count in the record also when its line
@@ -603,9 +605,11 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
                 raise NewtonStalled(
                     f"sup-residual {res_sup:.3e} after {iters} iterations (tol {cfg.newton_tol:.1e})"
                 )
-            rtol = max(_KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup)
-            if res_sup * res_sup > 0.5 * cfg.newton_tol * min(coeffs.cone_margins) ** 2:
+            rtol, margin = max(_KRYLOV_TOL, 0.5 * cfg.newton_tol / res_sup), min(coeffs.cone_margins)
+            if res_sup * res_sup > 0.5 * cfg.newton_tol * margin**2:
                 rtol = max(eta, rtol)  # outside the quadratic region
+            if margin < _CONE_THIN:  # the cone cap
+                rtol = min(rtol, max(_CONE_CAP_FLOOR, _CONE_CAP * margin))
             w, applications = solve_linearized(coeffs, u.with_values(-res), rtol=rtol)
             krylov += applications
             w_sup = _sup(w.values)
@@ -626,7 +630,7 @@ def _newton_attempt(u0, coeffs0, g, cfg, tau=1.0, truncation_stop=False):
         failure = exc.with_traceback(None)
     lam, _ = _min_lambda(coeffs.P + coeffs.Q, g)
     name = None if failure is None else type(failure).__name__
-    record = TraceRecord(tau, iters, res_sup, lam, name, krylov, u.grid.shape)
+    record = TraceRecord(iters, res_sup, lam, name, krylov, u.grid.shape)
     return record, failure, u, coeffs
 
 
@@ -665,9 +669,8 @@ class UniquenessProbe:
 def uniqueness_probe(F: ScalarField, cfg, trials: int) -> UniquenessProbe:
     """Empirical uniqueness test: solve from distinct warm starts.
 
-    Trial 1 is a full :func:`solve`: grid-sequenced, with a
-    continuation that tries the full datum first and runs on the requested
-    grid from zero only as the fallback.  The remaining trials run plain
+    Trial 1 is a full :func:`solve`: grid-sequenced, with a finish from
+    u = 0 on the requested grid as the fallback.  The remaining trials run plain
     Newton from that solution plus a band-limited bump of sup 1e-3, drawn
     from a generator of the fixed seed ``_PROBE_SEED``, and scaled
     down where needed so that it moves P and Q by at most half the
@@ -736,84 +739,33 @@ def _odd_neighbours(shape: tuple) -> str:
     return " or ".join("x".join(map(str, g)) for g in grids if min(g) >= 5)
 
 
-def _continuation(
-    g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None,
-    truncation_stop: bool = False,
-):
-    """Tau continuation from u = 0 to tau = 1 on ``cfg.grid``, in the frame
-    of ``angle``, along the targets 1 - tau + tau g for g = e^F.
+def _raise_on_nyquist_floor(record, coeffs, g, cfg):
+    """Raise NyquistFloor after a failed finish on a grid with an even axis
+    whose residual is all mean, sup |res - mean| <= newton_tol < mean: the
+    mean-zero Newton update cannot remove that mean from any start.
 
-    The first attempt is at tau = 1, the full target g.  Appends one record per
-    tau attempt to ``records``, with the failure that ended it, also when it
-    raises.  Doubles the step after any tau accepted with <= 3 Newton
-    iterations, halves on failure, and raises ContinuationStalled below
-    tau_min_step with the failed attempt's residual.  On a grid with an even
-    axis, a failed attempt whose residual is all mean, sup |res - mean| <=
-    newton_tol < mean, raises NyquistFloor at once: the mean-zero Newton
-    update cannot remove that mean at any tau.  ``truncation_stop`` lets the
-    attempt at tau = 1 stop at the grid's truncation level (see
-    :func:`_newton_attempt`), above newton_tol.  Returns u and
-    ``linearize(u, angle)``.
-    """
-    u = ScalarField.zeros(cfg.grid)
-    coeffs = linearize(u, angle)
-    tau = 0.0
-    step = 1.0
-    while tau < 1.0:
-        tau_try = min(1.0, tau + step)
-        g_tau = g if tau_try == 1.0 else 1.0 - tau_try + tau_try * g
-        record, failure, u_end, coeffs_end = _newton_attempt(
-            u, coeffs, g_tau, cfg, tau_try, truncation_stop=truncation_stop and tau_try == 1.0
-        )
-        records.append(record)
-        if failure is None:
-            u, coeffs, tau = u_end, coeffs_end, tau_try
-            if record.newton_iters <= 3:
-                step = min(2.0 * step, 1.0)
-            continue
-        step *= 0.5
-        _raise_on_stall(record, coeffs_end, g_tau, cfg, tau, underflow=step < cfg.tau_min_step)
-        del u_end, coeffs_end  # the march restarts from u: free the failed end state
-    return u, coeffs
-
-
-def _raise_on_stall(record, coeffs, g, cfg, tau, underflow=False):
-    """Raise the error that ends the solve after a failed attempt, if any.
-
-    ``record`` and ``coeffs`` are the attempt's record and the linearization
-    of the state it ended on, ``g`` its target and ``tau`` the last tau
-    accepted before it (1 for the finish of a start).  On a grid with an
-    even axis, a residual that is all mean, sup |res - mean| <= newton_tol <
-    mean, raises NyquistFloor: the mean-zero Newton update cannot remove
-    that mean at any tau.  Otherwise ``underflow`` raises
-    ContinuationStalled.  Both messages end with the attempt's measured
-    residual sup, mean and sup |residual - mean|.  The residual is computed
-    again here from ``coeffs`` and ``g``: :func:`_newton_attempt` returns
-    (record, failure, u, coeffs) and no residual, the shape that the tests'
-    stand-ins for it return too.
+    ``record`` and ``coeffs`` are the finish's record and the linearization
+    of the state it ended on, and ``g`` its target.  The message ends with
+    the finish's measured residual sup, mean and sup |residual - mean|.  The
+    residual is computed again here from ``coeffs`` and ``g``:
+    :func:`_newton_attempt` returns (record, failure, u, coeffs) and no
+    residual, the shape that the tests' stand-ins for it return too.
     """
     grid = cfg.grid
-    even = any(n % 2 == 0 for n in grid.shape)
-    if not (even or underflow):
+    if all(n % 2 for n in grid.shape):
         return
     res = coeffs.lhs() - g
     res_mean = float(np.mean(res))
     spread = _sup(res - res_mean)
-    measured = (
-        f"the attempt at tau = {record.tau:.6f} ended with residual sup "
-        f"{record.final_residual_sup:.3e} (newton_tol {cfg.newton_tol:.1e}), "
-        f"mean {res_mean:.3e} and sup |residual - mean| {spread:.3e}"
-    )
-    if even and spread <= cfg.newton_tol < res_mean:
+    if spread <= cfg.newton_tol < res_mean:
         raise NyquistFloor(
-            f"Nyquist floor at tau = {tau:.6f} on the "
-            f"{'x'.join(map(str, grid.shape))} grid: the mean-zero part is "
-            "solved, and the mean left is energy of u on the Nyquist planes, "
-            "which no tau step removes (the odd grids "
-            f"{_odd_neighbours(grid.shape)} have none); {measured}"
+            f"Nyquist floor on the {'x'.join(map(str, grid.shape))} grid: the mean-zero part "
+            "is solved, and the mean left is energy of u on the Nyquist planes, which no "
+            f"Newton step removes (the odd grids {_odd_neighbours(grid.shape)} have none); "
+            f"the finish ended with residual sup {record.final_residual_sup:.3e} "
+            f"(newton_tol {cfg.newton_tol:.1e}), mean {res_mean:.3e} and "
+            f"sup |residual - mean| {spread:.3e}"
         )
-    if underflow:
-        raise ContinuationStalled(f"tau step underflow at tau = {tau:.6f}: {measured}")
 
 
 def _coarse_grid(grid: GridSpec) -> GridSpec | None:
@@ -834,15 +786,19 @@ def _coarse_grid(grid: GridSpec) -> GridSpec | None:
 
 
 def _polish(
-    u0: ScalarField, g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None
+    u0: ScalarField, g: np.ndarray, cfg: SolverConfig, records: list, angle: tuple | None = None,
+    truncation_stop: bool = False,
 ):
     """One Newton attempt on cfg.grid from u0 against the target g = e^F, in
-    the frame of ``angle``, recorded at tau = 1.
+    the frame of ``angle``, appended to ``records``; ``truncation_stop`` as
+    in :func:`_newton_attempt`.
 
     Returns (u, linearize(u, angle)); raises the ``SolverError`` that ended
     the attempt.
     """
-    record, failure, u, coeffs = _newton_attempt(u0, linearize(u0, angle), g, cfg)
+    record, failure, u, coeffs = _newton_attempt(
+        u0, linearize(u0, angle), g, cfg, truncation_stop=truncation_stop
+    )
     records.append(record)
     if failure is not None:
         raise failure
@@ -854,15 +810,15 @@ class _Unresolved(SolverError):
 
 
 def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple | None = None):
-    """Start for cfg.grid from the continuation on the coarse grid, in the
-    frame of ``angle``.
+    """Start for cfg.grid from one Newton attempt from u = 0 on the coarse
+    grid, in the frame of ``angle``.
 
     Raises _Unresolved when F has no coarse grid or is not resolved there
     (restriction then prolongation misses F by more than newton_tol), and
-    the continuation's error when it fails; appends its records to
-    ``records``.  The continuation's attempt at tau = 1 stops at the coarse
-    grid's truncation level (see :func:`_newton_attempt`), so its record may
-    end above newton_tol: the finish on cfg.grid meets it.  Returns the
+    the attempt's error when it fails; appends its record to ``records``.
+    The attempt stops at the coarse grid's truncation level (see
+    :func:`_newton_attempt`), so its record may end above newton_tol: the
+    finish on cfg.grid meets it.  Returns the
     spectrally prolonged coarse solution, mean zero, and the coarse grid
     shape.  The coarse target is exponentiated twice, once in
     :func:`~ktcy.pde.renormalize` and once for g: exp of the renormalized
@@ -875,29 +831,35 @@ def _coarse_start(F: ScalarField, cfg: SolverConfig, records: list, angle: tuple
     if _sup(resample(F_coarse, F.grid).values - F.values) > cfg.newton_tol:
         raise _Unresolved(f"F is not resolved on the coarse grid {coarse.shape}")
     g_coarse = np.exp(renormalize(F_coarse).values)
-    u_coarse, _ = _continuation(
-        g_coarse, replace(cfg, grid=coarse), records, angle, truncation_stop=True
+    u_coarse, _ = _polish(
+        ScalarField.zeros(coarse), g_coarse, replace(cfg, grid=coarse), records, angle,
+        truncation_stop=True,
     )
     return project_mean_zero(resample(u_coarse, F.grid)), coarse.shape
 
 
+def _zero_start(F: ScalarField, cfg: SolverConfig, records: list):
+    """The last start of every solve: u = 0 on cfg.grid, with no coarse grid."""
+    return ScalarField.zeros(cfg.grid), None
+
+
 def solve(F: ScalarField, cfg: SolverConfig) -> SolveReport:
-    """Solve ma_lhs(u) = e^F for mean-zero u by grid sequencing, or by
-    continuation alone.
+    """Solve ma_lhs(u) = e^F for mean-zero u by grid sequencing, or by one
+    Newton attempt from u = 0.
 
     Requires the datum normalization (:func:`check_normalization`).  A datum
     that u = 0 already solves gets one Newton attempt from u = 0, which
     takes no step.  When F is resolved on the coarse grid (restriction then
-    prolongation reproduces it to newton_tol), the tau continuation runs on
-    that grid for the renormalized restriction of F, down to that grid's
-    truncation level, its solution is spectrally prolonged to cfg.grid, and
-    one Newton attempt finishes there.
-    If F is not resolved, the coarse continuation fails or the fine Newton
-    attempt fails, the continuation runs on cfg.grid from u = 0, unless the
-    fine attempt ends on the Nyquist floor of an even grid, which raises
-    ``NyquistFloor``.  Either way a returned result meets newton_tol on
-    cfg.grid; the trace keeps every attempt, each with its grid.  The
-    returned report carries the full a-priori estimate audit.
+    prolongation reproduces it to newton_tol), one Newton attempt from u = 0
+    solves the renormalized restriction of F on that grid, down to that
+    grid's truncation level, its solution is spectrally prolonged to
+    cfg.grid, and one Newton attempt finishes there.  If F is not resolved,
+    the coarse attempt fails or the finish fails, one Newton attempt from
+    u = 0 on cfg.grid follows, unless the finish ends on the Nyquist floor
+    of an even grid, which raises ``NyquistFloor``; when that last attempt
+    fails too, its ``SolverError`` ends the solve.  A returned result meets
+    newton_tol on cfg.grid; the trace keeps every attempt, each with its
+    grid.  The returned report carries the full a-priori estimate audit.
     """
     return _solve(F, cfg)
 
@@ -907,13 +869,13 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
 
     Each start is called as ``start(F, cfg, records)``, appends its records
     to the trace list ``records`` and returns a state on cfg.grid and the
-    shape of the grid its continuation ran on.  The first start that one
-    Newton attempt on cfg.grid finishes gives the solution; a start or
-    finish that raises a ``SolverError`` passes to the next one, and when
-    none is left the continuation runs on cfg.grid from u = 0.  A finish
-    that ends on the Nyquist floor of an even grid raises ``NyquistFloor``
-    instead (:func:`_raise_on_stall`).  The starts are skipped for a datum
-    that u = 0 already solves.
+    shape of its coarse grid.  The first start that one Newton attempt on
+    cfg.grid finishes gives the solution; a start or finish that raises a
+    ``SolverError`` passes to the next one.  The last start is always u = 0
+    on cfg.grid (:func:`_zero_start`), and the error of its finish ends the
+    solve.  A finish that ends on the Nyquist floor of an even grid raises
+    ``NyquistFloor`` at once (:func:`_raise_on_nyquist_floor`).  The given
+    starts are skipped for a datum that u = 0 already solves.
     """
     if F.grid != cfg.grid:
         raise GridMismatchError("solve: datum grid differs from config grid")
@@ -921,25 +883,23 @@ def _solve(F: ScalarField, cfg: SolverConfig, starts=(_coarse_start,)) -> SolveR
     records, g = [], check_normalization(F)
     if _sup(1.0 - g) <= cfg.newton_tol:  # ma_lhs(0) = 1, so u = 0 solves F
         starts = ()
-    for start in starts:
+    for start in (*starts, _zero_start):
         try:
             u0, coarse_grid = start(F, cfg, records)
-        except SolverError as failure:
+        except SolverError as exc:
             # the failed stage's arrays live on in the frames of the error's
             # traceback: free them before the next start runs
-            failure.with_traceback(None)
+            exc.with_traceback(None)
             continue
         record, failure, u, coeffs = _newton_attempt(u0, linearize(u0), g, cfg)
         records.append(record)
         if failure is None:
-            coarse_fine_sup = _sup(u.values - u0.values)
             break
-        # a finish on the Nyquist floor ends the solve: on the even-grid survey
-        # data the continuation from u = 0 never got past that floor
-        _raise_on_stall(record, coeffs, g, cfg, 1.0)
+        # on the even-grid survey data no start got past the Nyquist floor
+        _raise_on_nyquist_floor(record, coeffs, g, cfg)
         u0 = u = coeffs = None  # free the failed finish before the next start runs
     else:
-        u, coeffs = _continuation(g, cfg, records)
-        coarse_grid = coarse_fine_sup = None
+        raise failure
+    coarse_fine_sup = None if coarse_grid is None else _sup(u.values - u0.values)
     estimates = verify(u, F, coeffs=coeffs)
     return SolveReport(u, ContinuityTrace(tuple(records)), estimates, coarse_grid, coarse_fine_sup)

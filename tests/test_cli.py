@@ -253,7 +253,7 @@ class TestConfigFile:
     # constants, and a file that still names one is a usage error
     @pytest.mark.parametrize("key", [
         "wibble", "tau_initial_step", "krylov_tol", "krylov_max_iters",
-        "damping_enabled", "damping_factor", "damping_max_backtracks",
+        "damping_enabled", "damping_factor", "damping_max_backtracks", "tau_min_step",
     ])
     def test_rejects_unknown_key(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
@@ -266,7 +266,7 @@ class TestConfigFile:
 
     def test_non_finite_newton_tol_is_a_usage_error(self, tmp_path, capsys):
         # NaN fails every comparison, so an unguarded tolerance would run
-        # each tau attempt to its budget and end in a stall instead
+        # each Newton attempt to its budget and end in a stall instead
         cfg = tmp_path / "run.cfg"
         cfg.write_text("newton_tol = nan\n")
         code = main(["solve", "--config", str(cfg), "--grid", "9,9,9",
@@ -281,15 +281,15 @@ class TestSolverSettings:
         assert config.solver_config(grid8) == SolverConfig(grid=grid8)
 
     def test_one_key_changes_one_setting(self, grid8):
-        config = RunConfig("solve", {"datum_builtin": "zero", "tau_min_step": "0.25"})
-        want = dataclasses.replace(SolverConfig(grid=grid8), tau_min_step=0.25)
+        config = RunConfig("solve", {"datum_builtin": "zero", "newton_max_iters": "7"})
+        want = dataclasses.replace(SolverConfig(grid=grid8), newton_max_iters=7)
         assert config.solver_config(grid8) == want
 
     def test_keys_are_the_solver_config_fields(self, tmp_path, grid8):
         # every SolverConfig field but the grid is a config-file key, parsed
-        # to the type of its default; there are exactly three
+        # to the type of its default; there are exactly two
         fields = [f for f in dataclasses.fields(SolverConfig) if f.name != "grid"]
-        assert {f.name for f in fields} == {"newton_tol", "newton_max_iters", "tau_min_step"}
+        assert {f.name for f in fields} == {"newton_tol", "newton_max_iters"}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{f.name} = {f.default}\n" for f in fields))
         config = RunConfig("solve", {"datum_builtin": "zero", **parse_config_file(cfg)})
@@ -408,7 +408,7 @@ class TestMainCommands:
             if ".margin = " in line
         }
         assert solve_lines == verify_lines
-        # every tau attempt records its Krylov work
+        # every Newton attempt records its Krylov work
         report = (sdir / "report.txt").read_text()
         attempts = int(re.search(r"^trace\.records = (\d+)$", report, re.M).group(1))
         krylov = re.findall(r"^trace\.(\d+)\.krylov_applications = (\d+)$", report, re.M)
@@ -485,11 +485,10 @@ class TestMainCommands:
             "datum_builtin = triple_sine\n"
             "renormalize = true\n"
             "newton_max_iters = 1\n"   # cannot converge in one iteration
-            "tau_min_step = 0.1\n"
         )
         code = main(["solve", "--config", str(cfg)])
         assert code == 4
-        assert "stalled" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("solve failed: NewtonStalled: ")
 
     def test_rotate_unnormalized_exits_3(self, capsys):
         code = main(["rotate", "--grid", "16,16,16", "--angle", "1,1",
@@ -528,7 +527,8 @@ class TestMainCommands:
         )
         records = int(report["trace.records"])
         grids = [report[f"trace.{i}.grid"] for i in range(1, records + 1)]
-        assert grids[-1] == "16 16 16" and report[f"trace.{records}.tau"] == "1"
+        assert grids[-1] == "16 16 16" and report[f"trace.{records}.accepted"] == "true"
+        assert not any(key.endswith(".tau") for key in report)
         assert report["resolution.coarse_grid"] == coarse
         if coarse == "none":
             assert set(grids) == {"16 16 16"}

@@ -33,4 +33,4 @@ def test_solves_with_a_passing_audit_or_raises_a_typed_error(n, seed, max_mode, 
     assert report.estimates.passed and not report.estimates.informative
     assert abs(mean(report.u)) < 1e-15
     last = report.trace.records[-1]
-    assert (last.grid, last.tau, last.failure) == (grid.shape, 1.0, None)
+    assert (last.grid, last.failure) == (grid.shape, None)

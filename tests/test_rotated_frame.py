@@ -16,7 +16,7 @@ from ktcy.field import (
 )
 from ktcy.pde import apply_linearized, linearize, manufacture, renormalize
 from ktcy.rotation import RationalAngle, pullback_datum, rotated_grid, solve_rotated
-from ktcy.solver import ContinuationStalled, NewtonStalled, SolverConfig, TraceRecord, solve
+from ktcy.solver import NewtonStalled, SolverConfig, TraceRecord, solve
 
 TAU = 2.0 * np.pi
 ANGLE = RationalAngle(2, 1)
@@ -112,7 +112,7 @@ class TestUnitGridStart:
         rotated = solve_rotated(F, ANGLE, cfg)
         records = rotated.report.trace.records
         assert [r.grid for r in records] == [(15, 15, 15), F.grid.shape, cfg.grid.shape]
-        assert records[-1].accepted and records[-1].tau == 1.0
+        assert records[-1].accepted
         assert rotated.report.coarse_grid == (15, 15, 15)
         # the polish changes the remapped unit solution at the level of the
         # unit grid's discretization error, not of the solution
@@ -153,26 +153,23 @@ class TestUnitGridStart:
         import ktcy.solver as solver_module
 
         F, cfg, _ = rotated_24
-        continuation, attempt, failed = solver_module._continuation, solver_module._newton_attempt, []
+        attempt, failed = solver_module._newton_attempt, []
 
-        def failing_continuation(g, cfg_, records, angle=None, truncation_stop=False):
-            if angle is not None:
-                raise ContinuationStalled("forced")
-            return continuation(g, cfg_, records, angle, truncation_stop)
+        def forced(coeffs0, cfg_, truncation_stop):
+            if stage == "coarse":  # the unit grid's coarse attempt, in the rotated frame
+                return coeffs0.angle is not None and truncation_stop
+            return cfg_.grid == (F.grid if stage == "unit" else cfg.grid)
 
-        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0, truncation_stop=False):
-            target = F.grid if stage == "unit" else cfg.grid
-            if cfg_.grid == target and not failed:
+        def failing_attempt(u0, coeffs0, g, cfg_, truncation_stop=False):
+            if forced(coeffs0, cfg_, truncation_stop) and not failed:
                 failed.append(1)
-                record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
+                record = TraceRecord(1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
                 return record, NewtonStalled("forced"), u0, coeffs0
-            return attempt(u0, coeffs0, g, cfg_, tau, truncation_stop)
+            return attempt(u0, coeffs0, g, cfg_, truncation_stop)
 
-        if stage == "coarse":
-            monkeypatch.setattr(solver_module, "_continuation", failing_continuation)
-        else:
-            monkeypatch.setattr(solver_module, "_newton_attempt", failing_attempt)
+        monkeypatch.setattr(solver_module, "_newton_attempt", failing_attempt)
         report = solve_rotated(F, ANGLE, cfg).report
+        assert failed
         assert np.array_equal(report.u.values, cell_only.u.values)
         assert _margins(report) == _margins(cell_only)
         assert (report.coarse_grid, report.coarse_fine_sup) == (
@@ -180,7 +177,7 @@ class TestUnitGridStart:
         )
         n_full = len(cell_only.trace.records)
         assert report.trace.records[-n_full:] == cell_only.trace.records
-        # a failed unit stage costs its coarse continuation and at most one
+        # a failed unit stage costs its coarse attempt and at most one
         # attempt on F's grid (and the polish, when that is what failed)
         wasted = report.trace.records[:-n_full]
         want = {
@@ -196,8 +193,8 @@ class TestUnitGridStart:
         cfg = SolverConfig(grid=rotated_grid(ANGLE, 54, 54, 24))
         rotated = solve_rotated(F, ANGLE, cfg)
         records = rotated.report.trace.records
-        assert [(r.grid, r.tau, r.newton_iters, r.accepted) for r in records] == [
-            (cfg.grid.shape, 1.0, 0, True)
+        assert [(r.grid, r.newton_iters, r.accepted) for r in records] == [
+            (cfg.grid.shape, 0, True)
         ]
         assert rotated.report.coarse_grid is None and rotated.report.coarse_fine_sup is None
         assert _sup(rotated.v.values) == 0.0

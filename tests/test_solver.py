@@ -1,4 +1,4 @@
-"""Tests for the continuity-method solver and its Newton/Krylov machinery."""
+"""Tests for the grid-sequenced Newton solver and its Newton/Krylov machinery."""
 
 import math
 
@@ -19,7 +19,6 @@ from ktcy.field import (
 from ktcy.estimates import verify
 from ktcy.pde import apply_linearized, ellipticity_report, linearize, residual
 from ktcy.solver import (
-    ContinuationStalled,
     EllipticityLost,
     KrylovStalled,
     LineSearchFailed,
@@ -27,6 +26,7 @@ from ktcy.solver import (
     NormalizationError,
     NyquistFloor,
     SolverConfig,
+    SolverError,
     TraceRecord,
     _gmres,
     newton_solve,
@@ -75,11 +75,6 @@ def _attempt(u, g, cfg):
     return solver_module._newton_attempt(u, linearize(u), g, cfg)
 
 
-def _path_target(F, tau):
-    """The continuation's target at tau, 1 - tau + tau e^F."""
-    return 1.0 - tau + tau * np.exp(F.values)
-
-
 @pytest.fixture
 def linearize_calls(pde_calls):
     """List that grows by one per ``linearize`` call, in every module that imports it."""
@@ -89,14 +84,14 @@ def linearize_calls(pde_calls):
 class TestSolverConfig:
     def test_defaults_valid(self, grid16):
         cfg = SolverConfig(grid=grid16)
-        assert cfg.newton_tol > 0 and 0 < cfg.tau_min_step <= 1
+        assert cfg.newton_tol > 0 and cfg.newton_max_iters >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"newton_tol": 0.0},
-            {"tau_min_step": 0.0},
-            {"tau_min_step": 1.5},
+            {"newton_tol": -1e-11},
+            {"newton_max_iters": -1},
             {"newton_max_iters": 0},
             {"newton_tol": float("nan")},
             {"newton_tol": float("inf")},
@@ -361,8 +356,10 @@ class TestRefinement:
     """Linear solves asked for rtol < 1e-5 run on the float32 operator and
     end on a measured float64 residual."""
 
-    @pytest.mark.parametrize("name", ["seed=9 a=6", "large-amp-32 seed 3"])
+    @pytest.mark.parametrize("name", ["8.sss", "large-amp-32 seed 3"])
     def test_tight_solves_meet_rtol_in_float64(self, name, monkeypatch):
+        # 8.sss is cone-thin: its solves of cone margin below 1e-4 are asked,
+        # by the cone cap, for rtol < 1e-5, and so refine
         import ktcy.solver as solver_module
 
         tight, linear_solve = [], solver_module.solve_linearized
@@ -376,7 +373,7 @@ class TestRefinement:
             return w, applications
 
         monkeypatch.setattr(solver_module, "solve_linearized", checking_solve)
-        F = _hard_datum(name) if name.startswith("seed") else _large_amp_32_seed_3()
+        F = _hard_datum(name) if name.endswith("sss") else _large_amp_32_seed_3()
         cfg = SolverConfig(grid=F.grid)
         report = solve(F, cfg)
         assert report.final_residual_sup <= cfg.newton_tol and report.estimates.passed
@@ -455,20 +452,20 @@ class TestNewtonStep:
         assert not step_calls
 
     def test_first_step_contracts_residual(self, grid16, rng):
-        # near tau = 0 the start u = 0 is close to the path solution and one
+        # for a weak datum the start u = 0 is close to the solution and one
         # step must reduce the sup-residual by a wide factor
-        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
-        g_tau = _path_target(F, 0.1)
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.05))
+        ef = np.exp(F.values)
         u = ScalarField.zeros(grid16)
-        before = _sup(linearize(u).lhs() - g_tau)
-        record, _, u_next, _ = _attempt(u, g_tau, SolverConfig(grid=grid16, newton_max_iters=1))
+        before = _sup(linearize(u).lhs() - ef)
+        record, _, u_next, _ = _attempt(u, ef, SolverConfig(grid=grid16, newton_max_iters=1))
         assert record.newton_iters == 1
-        assert _sup(linearize(u_next).lhs() - g_tau) <= before / 10.0
+        assert _sup(linearize(u_next).lhs() - ef) <= before / 10.0
 
     def test_accepted_step_is_mean_zero(self, grid16, rng):
-        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.5))
+        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.1))
         cfg = SolverConfig(grid=grid16, newton_max_iters=1)
-        record, _, u_next, _ = _attempt(ScalarField.zeros(grid16), _path_target(F, 0.2), cfg)
+        record, _, u_next, _ = _attempt(ScalarField.zeros(grid16), np.exp(F.values), cfg)
         assert record.newton_iters == 1
         assert abs(mean(u_next)) < 1e-15
 
@@ -553,40 +550,37 @@ class TestNewtonAttempt:
         import ktcy.solver as solver_module
 
         grid = GridSpec(9, 9, 9)
-        F = renormalize(random_band_limited(grid, np.random.default_rng(3), max_mode=2, amplitude=1.5))
-        g_tau = _path_target(F, 0.5)
+        F = renormalize(random_band_limited(grid, np.random.default_rng(3), max_mode=2, amplitude=0.8))
+        ef = np.exp(F.values)
         cfg = SolverConfig(grid=grid, newton_max_iters=2)
         u0 = ScalarField.zeros(grid)
-        record, failure, u, coeffs = solver_module._newton_attempt(
-            u0, linearize(u0, angle), g_tau, cfg, 0.5
-        )
+        record, failure, u, coeffs = solver_module._newton_attempt(u0, linearize(u0, angle), ef, cfg)
         assert isinstance(failure, NewtonStalled) and record.failure == "NewtonStalled"
-        assert (record.tau, record.newton_iters, record.grid) == (0.5, 2, grid.shape)
+        assert (record.newton_iters, record.grid) == (2, grid.shape)
         assert record.krylov_applications > 0 and not np.array_equal(u.values, u0.values)
         fresh = linearize(u, angle)
         assert coeffs.angle == angle
         for name in "PQRS":
             assert np.array_equal(getattr(coeffs, name), getattr(fresh, name))
-        assert record.final_residual_sup == _sup(fresh.lhs() - g_tau) > cfg.newton_tol
-        F_tau = u.with_values(np.log(g_tau))
+        assert record.final_residual_sup == _sup(fresh.lhs() - ef) > cfg.newton_tol
         assert record.lambda_min == pytest.approx(
-            ellipticity_report(u, F_tau, coeffs=fresh).min_lambda, rel=0.0, abs=1e-15
+            ellipticity_report(u, F, coeffs=fresh).min_lambda, rel=0.0, abs=1e-15
         )
 
     def test_failing_solves_linearize_each_state_once(self, linearize_calls):
         # the first 10^3 draw of the even-grid survey ends on the Nyquist
-        # floor at its finish: a 5^3 march of 3 steps, stopped at its
+        # floor at its finish: a 5^3 attempt of 3 steps, stopped at its
         # truncation level (1 + 3 linearizations), then a 10^3 finish from
         # the prolonged start whose 11 steps take 14 trials and whose 12th
         # line search fails after 11 (1 + 14 + 11), with a residual that is
-        # all mean.  The 17^3 datum falls back to the continuation after its
-        # Newton finish from a 9^3 march of 4 steps is refused.  Linearizing
-        # the end state again after each failed attempt would raise these
-        # counts (to 31 and 17)
+        # all mean.  The 17^3 datum falls back to the finish from u = 0 after
+        # its Newton finish from a 9^3 attempt of 4 steps is refused.
+        # Linearizing the end state again after each failed attempt would
+        # raise these counts (to 31 and 17)
         rng = np.random.default_rng(1000)
         amplitude = 0.2 + 1.8 * rng.uniform()
         F = renormalize(random_band_limited(GridSpec(10, 10, 10), rng, 1, amplitude))
-        with pytest.raises(NyquistFloor, match="at tau = 1.000000 on the 10x10x10 grid"):
+        with pytest.raises(NyquistFloor, match="^Nyquist floor on the 10x10x10 grid"):
             solve(F, SolverConfig(grid=F.grid))
         assert len(linearize_calls) == 30
         linearize_calls.clear()
@@ -603,7 +597,6 @@ class TestSolve:
         report = solve(ScalarField.zeros(grid16), cfg16)
         assert _sup(report.u.values) <= 1e-12
         assert len(report.trace.records) == 1
-        assert report.trace.records[0].tau == 1.0
         assert report.trace.records[0].newton_iters == 0
 
     def test_rejects_unnormalized_datum(self, grid16, cfg16):
@@ -625,16 +618,16 @@ class TestSolve:
         assert not linearize_calls
 
     def test_no_coarse_grid_marches_on_the_grid(self):
-        # a 5-point axis has no odd size below it, so the march runs on the
-        # requested grid itself, and accepts the full datum at once
+        # a 5-point axis has no odd size below it, so the solve runs from
+        # u = 0 on the requested grid itself, in one attempt
         grid = GridSpec(5, 9, 9)
         F = renormalize(sample(
             lambda x, y, t: 0.3 * np.sin(TAU * x) * np.sin(TAU * y) * np.sin(TAU * t), grid
         ))
         report = solve(F, SolverConfig(grid=grid))
         assert report.coarse_grid is None and report.coarse_fine_sup is None
-        records = [(r.tau, r.grid, r.accepted) for r in report.trace.records]
-        assert records == [(1.0, grid.shape, True)]
+        records = [(r.grid, r.accepted) for r in report.trace.records]
+        assert records == [(grid.shape, True)]
         assert report.estimates.passed and not report.estimates.informative
 
     def test_grid_mismatch(self, grid8, cfg16):
@@ -659,32 +652,30 @@ class TestSolve:
 
     def test_trace_structure(self, grid16, cfg16, rng):
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
+        # one attempt on the coarse grid, then the finish on 16^3
         report = solve(F, cfg16)
         accepted = report.trace.accepted
-        for shape in {r.grid for r in accepted}:
-            taus = [r.tau for r in accepted if r.grid == shape]
-            assert all(a < b for a, b in zip(taus, taus[1:]))
+        assert [r.grid for r in report.trace.records] == [(9, 9, 9), grid16.shape]
         last = report.trace.records[-1]
-        assert (last.grid, last.tau, last.accepted) == (grid16.shape, 1.0, True)
+        assert (last.grid, last.accepted) == (grid16.shape, True)
         assert all(r.lambda_min > 0 for r in accepted)
 
     def test_forcing_terms_match_fixed_tolerance_newton(self, grid16, cfg16, rng):
-        # Newton steps to the 1e-9 floor along the forced solve's accepted taus
-        # land on the same solution with more Krylov work
+        # Newton steps to the 1e-9 floor from u = 0 on 16^3 land on the same
+        # solution with more Krylov work
         import ktcy.solver as solver_module
 
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
         report = solve(F, cfg16)
         assert report.final_residual_sup <= cfg16.newton_tol
         u, fixed_applications = ScalarField.zeros(grid16), 0
-        for record in report.trace.accepted:
-            ef = _path_target(F, record.tau)
-            coeffs = linearize(u)
-            res = coeffs.lhs() - ef
-            while _sup(res) > cfg16.newton_tol:
-                w, applications = solve_linearized(coeffs, u.with_values(-res))
-                u, coeffs, res, _, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
-                fixed_applications += applications
+        ef = np.exp(F.values)
+        coeffs = linearize(u)
+        res = coeffs.lhs() - ef
+        while _sup(res) > cfg16.newton_tol:
+            w, applications = solve_linearized(coeffs, u.with_values(-res))
+            u, coeffs, res, _, _ = solver_module._line_search(u, w, None, ef, _sup(res), cfg16)
+            fixed_applications += applications
         assert _sup(u.values - report.u.values) <= 1e-12
         forced = sum(r.krylov_applications for r in report.trace.records)
         assert 0 < forced < fixed_applications
@@ -702,11 +693,11 @@ class TestSolve:
         assert _sup(from_path.values - from_warm.values) <= 1e-8
 
     def test_continuation_stalls_on_impossible_budget(self, grid16, rng):
-        # one Newton iteration per tau step cannot converge, so the step
-        # halves to the floor and the solver reports the stall honestly
+        # one Newton iteration per attempt cannot converge, so every start
+        # fails and the solver reports the failure of the last, from u = 0
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
-        cfg = SolverConfig(grid=grid16, newton_max_iters=1, tau_min_step=0.1)
-        with pytest.raises(ContinuationStalled):
+        cfg = SolverConfig(grid=grid16, newton_max_iters=1)
+        with pytest.raises(NewtonStalled, match="after 1 iterations"):
             solve(F, cfg)
 
     def test_newton_solve_raises_when_stalled(self, grid16, rng):
@@ -765,7 +756,7 @@ def _band_limited_datum(n):
 
 
 def _continuation_only(F, cfg):
-    """The solve of F with sequencing unavailable."""
+    """The solve of F with sequencing unavailable: from u = 0 alone."""
     import ktcy.solver as solver_module
 
     original = solver_module._coarse_grid
@@ -820,28 +811,22 @@ class TestGridSequencing:
         F = _band_limited_datum(24)
         cfg = SolverConfig(grid=F.grid)
         full = _continuation_only(F, cfg)
-        continuation, attempt, fine_calls = solver_module._continuation, solver_module._newton_attempt, []
+        attempt, forced = solver_module._newton_attempt, []
+        failing_grid = (15, 15, 15) if stage == "coarse" else F.grid.shape
 
-        def failing_continuation(g, cfg_, records, angle=None, truncation_stop=False):
-            if cfg_.grid != cfg.grid:
-                raise ContinuationStalled("forced")
-            return continuation(g, cfg_, records, angle, truncation_stop)
-
-        def failing_attempt(u0, coeffs0, g, cfg_, tau=1.0, truncation_stop=False):
-            if cfg_.grid == cfg.grid and not fine_calls:  # the Newton finish
-                fine_calls.append(1)
-                record = TraceRecord(tau, 1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
+        def failing_attempt(u0, coeffs0, g, cfg_, truncation_stop=False):
+            if cfg_.grid.shape == failing_grid and not forced:  # the stage's one attempt
+                forced.append(1)
+                record = TraceRecord(1, 1.0, 1.0, "NewtonStalled", 0, cfg_.grid.shape)
                 return record, NewtonStalled("forced"), u0, coeffs0
-            return attempt(u0, coeffs0, g, cfg_, tau, truncation_stop)
+            return attempt(u0, coeffs0, g, cfg_, truncation_stop)
 
-        if stage == "coarse":
-            monkeypatch.setattr(solver_module, "_continuation", failing_continuation)
-        else:
-            monkeypatch.setattr(solver_module, "_newton_attempt", failing_attempt)
+        monkeypatch.setattr(solver_module, "_newton_attempt", failing_attempt)
         report = solve(F, cfg)
         assert report.coarse_grid is None and report.coarse_fine_sup is None
         assert np.array_equal(report.u.values, full.u.values)
         assert [c.margin for c in report.estimates.checks] == [c.margin for c in full.estimates.checks]
+        assert forced
         fine = [r for r in report.trace.records if r.grid == F.grid.shape]
         assert fine[-len(full.trace.records):] == list(full.trace.records)
 
@@ -916,9 +901,8 @@ def _hard_datum(name):
 class TestHardData:
     @pytest.mark.parametrize("name", ["5.sss", "8.sss", "seed=7 a=4", "seed=9 a=6"])
     def test_solves_and_counts_every_application(self, name, monkeypatch):
-        # these stiff data take the coarse march, and seed 9 fails steps in
-        # it and in the fallback: each record counts the operator
-        # applications of all its linear solves, a failed step's included
+        # these stiff data take the coarse start: each record counts the
+        # operator applications of all its linear solves
         import ktcy.solver as solver_module
 
         spent, linear_solve = [], solver_module.solve_linearized
@@ -936,14 +920,43 @@ class TestHardData:
         records = report.trace.records
         assert records[0].grid == (15, 15, 15)
         assert sum(r.krylov_applications for r in records) == sum(spent)
-        if name == "seed=9 a=6":
-            assert "LineSearchFailed" in {r.failure for r in records}
+
+    def test_a_failed_step_counts_its_applications(self, monkeypatch):
+        # a line search that fails after the third linear solve ends the
+        # attempt: its record counts that solve's applications too
+        import ktcy.solver as solver_module
+
+        spent, linear_solve, line_search = [], solver_module.solve_linearized, solver_module._line_search
+
+        def counting_solve(*args, **kwargs):
+            w, applications = linear_solve(*args, **kwargs)
+            spent.append(applications)
+            return w, applications
+
+        def failing_search(*args):
+            if len(spent) == 3:
+                raise LineSearchFailed("scripted")
+            return line_search(*args)
+
+        monkeypatch.setattr(solver_module, "solve_linearized", counting_solve)
+        monkeypatch.setattr(solver_module, "_line_search", failing_search)
+        F = _hard_datum("5.sss")
+        u0 = ScalarField.zeros(F.grid)
+        record, failure, _, _ = solver_module._newton_attempt(
+            u0, linearize(u0), np.exp(F.values), SolverConfig(grid=F.grid)
+        )
+        assert isinstance(failure, LineSearchFailed) and record.failure == "LineSearchFailed"
+        assert (record.newton_iters, len(spent)) == (2, 3)
+        assert record.krylov_applications == sum(spent) > sum(spent[:2]) > 0
 
 
 class TestSeparableOracle:
     """sep(a, b), whose discrete solution is known in closed form."""
 
-    @pytest.mark.parametrize("n, a, b", [(25, 1.0, 1.0), (25, 8.0, 0.0), (17, 1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "n, a, b",
+        [(25, 1.0, 1.0), (25, 8.0, 0.0), (17, 1.0, 1.0), (25, 16.0, 0.0), (25, 12.0, 0.0)],
+    )
     def test_solve_finds_the_closed_form(self, separable, n, a, b):
         F, closed = separable(GridSpec(n, n, n), a, b)
         cfg = SolverConfig(grid=F.grid)
@@ -955,69 +968,55 @@ class TestSeparableOracle:
         assert report.estimates.passed
 
 
+@pytest.fixture
+def attempts(monkeypatch):
+    """List of (target, (record, failure, u, coeffs)), one per Newton attempt
+    the solver makes, in order."""
+    import ktcy.solver as solver_module
+
+    attempt, ended = solver_module._newton_attempt, []
+
+    def recording_attempt(u0, coeffs0, g, *args, **kwargs):
+        ended.append((g, attempt(u0, coeffs0, g, *args, **kwargs)))
+        return ended[-1][1]
+
+    monkeypatch.setattr(solver_module, "_newton_attempt", recording_attempt)
+    return ended
+
+
+def _refused_finish_datum():
+    """A 17^3 datum whose finish from the prolonged 9^3 solution is refused:
+    that start has min P = -0.31 on 17^3."""
+    return renormalize(random_band_limited(
+        GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
+    ))
+
+
 class TestContinuation:
-    def test_one_ellipticity_report_per_solve(self, pde_calls, monkeypatch):
+    """The driver's stages: a coarse start, its finish, and the finish from
+    u = 0, each one Newton attempt at the full target."""
+
+    def test_one_ellipticity_report_per_solve(self, pde_calls, attempts):
         # each attempt reads lambda_min off the coefficients it holds, by the
         # report's formula against its own target: the audit's report is the
-        # solve's only one.  This march accepts tau = 0.5 before tau = 1
-        import ktcy.solver as solver_module
-
-        grid = GridSpec(9, 9, 9)
-        F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
-        attempt, ended = solver_module._newton_attempt, []
-
-        def recording_attempt(*args, **kwargs):
-            ended.append(attempt(*args, **kwargs))
-            return ended[-1]
-
-        monkeypatch.setattr(solver_module, "_newton_attempt", recording_attempt)
+        # solve's only one.  This solve makes three attempts: the 9^3 one, on
+        # the renormalized restriction of F, a refused finish and the finish
+        # from u = 0
         reports = pde_calls("ellipticity_report")
-        _continuation_only(F, SolverConfig(grid=grid, newton_max_iters=5))
+        report = solve(_refused_finish_datum(), SolverConfig(grid=GridSpec(17, 17, 17)))
         assert len(reports) == 1
-        inner = [(record, u) for record, _, u, _ in ended if record.tau < 1.0]
-        assert inner and all(record.accepted for record, _ in inner)
-        for record, u in inner:
-            F_tau = u.with_values(np.log(_path_target(F, record.tau)))
-            want = ellipticity_report(u, F_tau).min_lambda
+        assert [record.accepted for _, (record, *_) in attempts] == [True, False, True]
+        for g, (record, _, u, _) in attempts:
+            want = ellipticity_report(u, u.with_values(np.log(g))).min_lambda
             assert abs(record.lambda_min - want) <= 1e-15
+        assert list(report.trace.records) == [record for _, (record, *_) in attempts]
 
-    def test_path_targets(self, grid16, rng, monkeypatch):
-        # the march hands each attempt the target 1 - tau + tau e^F: e^F
-        # itself at tau = 1, and of mean 1 (the volume normalization) at
-        # every tau.  A scripted attempt that refuses the first three taus
-        # walks the dyadic taus 1/8, ..., 7/8 at a fixed step of 1/8
+    def test_each_step_solves_on_the_coefficients_of_its_state(self, monkeypatch):
+        # a refused finish hands nothing on: each Newton step, in the coarse
+        # attempt and in the finish from u = 0 after the refusal, runs its
+        # linear solve on linearize(u) of the u its line search starts from
         import ktcy.solver as solver_module
 
-        F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.8))
-        targets = []
-
-        def scripted_attempt(u0, coeffs0, g, cfg_, tau=1.0, truncation_stop=False):
-            targets.append((tau, g))
-            failure = NewtonStalled("scripted") if len(targets) <= 3 else None
-            name = None if failure is None else "NewtonStalled"
-            record = TraceRecord(tau, 4, 0.0, 1.0, name, 0, cfg_.grid.shape)
-            return record, failure, u0, coeffs0
-
-        monkeypatch.setattr(solver_module, "_newton_attempt", scripted_attempt)
-        solver_module._continuation(np.exp(F.values), SolverConfig(grid=grid16), [])
-        taus = [tau for tau, _ in targets]
-        assert taus == [1.0, 0.5, 0.25] + [k / 8 for k in range(1, 9)]
-        for tau, g in targets:
-            if tau == 1.0:
-                assert np.array_equal(g, np.exp(F.values))
-            else:
-                assert np.min(g) > 0.0 and abs(np.mean(g) - 1.0) <= 1e-15
-
-    def test_failed_attempt_hands_its_kept_state_on(self, monkeypatch):
-        # the march keeps the coefficients of the state it restarts from, so
-        # after a failed attempt every Newton step still gets those of its
-        # state: the linear solve of each step runs on linearize(u) of the u
-        # its line search starts from
-        import ktcy.solver as solver_module
-
-        grid = GridSpec(9, 9, 9)
-        F = renormalize(random_band_limited(grid, np.random.default_rng(1234), max_mode=2, amplitude=2.0))
-        cfg = SolverConfig(grid=grid, newton_max_iters=5)
         given, solved = [], []
         linear_solve, line_search = solver_module.solve_linearized, solver_module._line_search
 
@@ -1034,10 +1033,10 @@ class TestContinuation:
 
         monkeypatch.setattr(solver_module, "solve_linearized", recording_solve)
         monkeypatch.setattr(solver_module, "_line_search", checking_search)
-        records = []
-        solver_module._continuation(np.exp(F.values), cfg, records)
-        assert not records[0].accepted and records[-1].accepted
-        assert len(given) > 1 and all(given)
+        F = _refused_finish_datum()
+        records = solve(F, SolverConfig(grid=F.grid)).trace.records
+        assert [r.accepted for r in records] == [True, False, True]
+        assert len(given) == records[0].newton_iters + records[2].newton_iters and all(given)
 
     def test_a_start_outside_the_quadratic_region_keeps_eta_0(self, monkeypatch):
         # u = 0 has cone margin 1 and a sup residual far above
@@ -1057,39 +1056,36 @@ class TestContinuation:
         assert solve(F, cfg).final_residual_sup <= cfg.newton_tol
         assert rtols[0] == 0.1
 
-    def test_exhausted_budget_reads_newton_stalled(self, grid16, rng):
-        import ktcy.solver as solver_module
-
+    def test_exhausted_budget_reads_newton_stalled(self, grid16, rng, attempts):
+        # the coarse attempt and the finish from u = 0 each run out of their
+        # one step, and the last one's error ends the solve
         F = renormalize(random_band_limited(grid16, rng, max_mode=2, amplitude=0.6))
-        cfg = SolverConfig(grid=grid16, newton_max_iters=1, tau_min_step=0.1)
-        records = []
-        with pytest.raises(ContinuationStalled):
-            solver_module._continuation(np.exp(F.values), cfg, records)
-        assert records and {r.failure for r in records} == {"NewtonStalled"}
-        assert not any(r.accepted for r in records)
+        cfg = SolverConfig(grid=grid16, newton_max_iters=1)
+        with pytest.raises(NewtonStalled):
+            solve(F, cfg)
+        records = [record for _, (record, *_) in attempts]
+        assert [(r.grid, r.failure, r.newton_iters) for r in records] == [
+            ((9, 9, 9), "NewtonStalled", 1), (grid16.shape, "NewtonStalled", 1),
+        ]
 
     def test_starts_with_the_full_datum(self):
-        # this datum walked tau = 0.25, 0.5, 0.75, 1 on the coarse grid while
-        # the march started at a quarter step (65 Krylov applications); it
-        # takes one attempt at tau = 1 there and the Newton finish on 16^3
+        # this datum walked a path of 4 targets on the coarse grid when a
+        # continuation started at a quarter step (65 Krylov applications); it
+        # takes one attempt there and the Newton finish on 16^3
         F = renormalize(random_band_limited(
             GridSpec(16, 16, 16), np.random.default_rng(21), max_mode=2, amplitude=0.6
         ))
         report = solve(F, SolverConfig(grid=F.grid))
         records = report.trace.records
-        assert [(r.grid, r.tau, r.failure) for r in records] == [
-            ((9, 9, 9), 1.0, None), ((16, 16, 16), 1.0, None),
-        ]
+        assert [(r.grid, r.failure) for r in records] == [((9, 9, 9), None), ((16, 16, 16), None)]
         assert sum(r.krylov_applications for r in records) <= 28
         assert report.estimates.passed and not report.estimates.informative
 
     def test_failed_attempt_names_its_failure(self):
         # the start prolonged from the 9^3 solution has min P = -0.31 on the
         # 17^3 grid, so the Newton finish is refused at its first step and
-        # the continuation runs on 17^3 from u = 0
-        F = renormalize(random_band_limited(
-            GridSpec(17, 17, 17), np.random.default_rng(5), max_mode=3, amplitude=3.0
-        ))
+        # the finish from u = 0 runs on 17^3
+        F = _refused_finish_datum()
         cfg = SolverConfig(grid=F.grid)
         report = solve(F, cfg)
         fine = [r for r in report.trace.records if r.grid == F.grid.shape]
@@ -1099,12 +1095,12 @@ class TestContinuation:
         assert report.final_residual_sup <= cfg.newton_tol and report.estimates.passed
 
     def test_stall_reports_the_measured_residual(self):
-        # on this even grid the failed attempt's residual is all mean (the
+        # on this even grid the failed finish's residual is all mean (the
         # Nyquist mean floor), which the message shows instead of guessing
         import re
 
         F = _band_limited_datum(16)
-        with pytest.raises(ContinuationStalled) as info:
+        with pytest.raises(NyquistFloor) as info:
             solve(F, SolverConfig(grid=F.grid))
         message = str(info.value)
         assert "rounding floor" not in message
@@ -1117,17 +1113,15 @@ class TestContinuation:
         assert res_mean == pytest.approx(sup, rel=1e-3)
         assert spread <= 1e-3 * sup
 
-    def test_nyquist_floor_stops_the_march_at_once(self):
-        # the same datum: its first attempt on 16^3 solves the mean-zero part,
-        # so no tau halving is tried before the floor is named
-        import ktcy.solver as solver_module
-
+    def test_nyquist_floor_stops_the_march_at_once(self, attempts):
+        # the same datum from u = 0 alone: its one attempt on 16^3 solves the
+        # mean-zero part, and the finish from u = 0 names the floor as the
+        # finish of a coarse start does
         F = _band_limited_datum(16)
-        records = []
         with pytest.raises(NyquistFloor, match="odd grids 15x15x15 or 17x17x17") as info:
-            solver_module._continuation(np.exp(F.values), SolverConfig(grid=F.grid), records)
-        assert [(r.tau, r.accepted) for r in records] == [(1.0, False)]
-        assert isinstance(info.value, ContinuationStalled)
+            _continuation_only(F, SolverConfig(grid=F.grid))
+        assert [(r.grid, r.accepted) for _, (r, *_) in attempts] == [((16, 16, 16), False)]
+        assert isinstance(info.value, SolverError)
 
 
 class TestGridRefinement:
